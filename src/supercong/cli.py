@@ -22,7 +22,7 @@ import os
 import sys
 
 from .exact_core import is_prime
-from .harness import CASE_ORDER, VerificationRecord, report_entry, run_suite, select_cases
+from .harness import CASE_ORDER, R_CAPS, VerificationRecord, report_entry, run_suite, select_cases
 from .modular_form import DEFAULT_BUDGET, coefficient_at, eta_product_expansion
 
 REPORT_COLUMNS = ("case", "p", "param", "required", "achieved", "lhs", "rhs", "pass", "conjectural")
@@ -108,6 +108,14 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+    supported_rs = sorted({r for caps in R_CAPS.values() for r in caps})
+    if args.r > supported_rs[-1]:
+        print(
+            f"warning: --r {args.r} exceeds the largest supported exponent; "
+            f"only r = {', '.join(map(str, supported_rs))} run",
+            file=sys.stderr,
+        )
 
     primes = [p for p in range(max(pmin, 2), pmax + 1) if is_prime(p)]
     records = run_suite(primes, rs=range(1, args.r + 1), budget=budget, cases=cases)

@@ -93,10 +93,11 @@ from .hypergeometric import (
 )
 from .modular_form import DEFAULT_BUDGET, prime_power_coefficient
 from .power_series import (
+    TruncSeries,
     coefficient,
     constant,
-    pochhammer_norm_series,
-    pochhammer_series,
+    div_binomial,
+    mul_binomial,
     ps_invert,
     ps_mul,
 )
@@ -728,19 +729,36 @@ def _run_six_f_five(p: int) -> VerificationRecord:
     )
 
 
+def _lem_thm1_terms(kmax: int, order: int = SERIES_ORDER):
+    """Terms 0..kmax of the conjugate-deformed quartic sum, as series in x.
+
+    Term k is (1/2)_k^2 (1/2+x/2)_k (1/2-x/2)_k / (k!^2 * |(1 + i x/2)_k|^2);
+    the conjugate pairs multiply out to real quadratics, so the term ratio is
+    ((k+1/2)/(k+1))^2 * ((k+1/2)^2 - x^2/4) / ((k+1)^2 + x^2/4).
+    """
+    core = [Fraction(1)] + [Fraction(0)] * order
+    for k in range(kmax + 1):
+        yield TruncSeries(tuple(core))
+        if k == kmax:
+            break
+        a = k + HALF
+        mul_binomial(core, a * a, -QUARTER, lag=2)
+        div_binomial(core, Fraction((k + 1) ** 2), QUARTER, lag=2)
+        scale = (a / (k + 1)) ** 2
+        for d in range(order + 1):
+            core[d] *= scale
+
+
 def lem_thm1_term_series(k: int, order: int = SERIES_ORDER):
     """Term k of the conjugate-deformed quartic sum as a series in x.
 
     (1/2)_k^2 (1/2+x/2)_k (1/2-x/2)_k / (k!^2 * |(1 + i x/2)_k|^2); the
     conjugate lower pair multiplies out to prod_j (j^2 + x^2/4).
     """
-    scalar = rising_factorial(HALF, k) ** 2 / Fraction(factorial(k)) ** 2
-    num = ps_mul(
-        pochhammer_series(HALF, HALF, k, order),
-        pochhammer_series(HALF, -HALF, k, order),
-    )
-    den = pochhammer_norm_series(1, HALF, k, order)
-    return scalar * ps_mul(num, ps_invert(den))
+    if k < 0:
+        raise ValueError("term index must be nonnegative")
+    *_, term = _lem_thm1_terms(k, order)
+    return term
 
 
 def _run_lem_thm1_b2k(p: int) -> VerificationRecord:
@@ -750,8 +768,7 @@ def _run_lem_thm1_b2k(p: int) -> VerificationRecord:
     a2 = Fraction(0)
     expected = Fraction(0)
     per_term_exact = True
-    for k in range(m + 1):
-        term = lem_thm1_term_series(k)
+    for k, term in enumerate(_lem_thm1_terms(m)):
         c2 = coefficient(term, 2)
         want = -(ratios[k] ** 4) * h2[2 * k]
         if c2 != want or not _odd_coeffs_vanish(term):

@@ -8,9 +8,11 @@ sum whose parameters may be deformed along a formal variable x:
                     k! * prod_j (lower_j)_k
 
 with every parameter affine in x (``base + slope*x``).  Scalar evaluation
-specializes x = 0; series evaluation expands each rising factorial with
-:func:`supercong.power_series.pochhammer_series` and inverts the denominator.
-The explicit k! matches the usual (r+1)F(r) normalization, and the affine
+specializes x = 0.  Both evaluations carry the k-th term forward by its term
+ratio z/(k+1) * prod_i (upper_i + k) / prod_j (lower_j + k); in series form
+each deformed factor is a linear polynomial in x, multiplied or divided into
+a dense coefficient list at O(order) cost, so a sum costs O(K * order).  The
+explicit k! matches the usual (r+1)F(r) normalization, and the affine
 weight is kept separate from the parameter lists because a weight encoded as
 a parameter pair would not survive deformation of those parameters.
 
@@ -27,16 +29,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 from typing import Mapping
 
-from .power_series import (
-    TruncSeries,
-    constant,
-    pochhammer_series,
-    ps_invert,
-    ps_mul,
-)
+from .power_series import TruncSeries, div_binomial, mul_binomial
 from .exact_core import rising_factorial
 
 
@@ -164,22 +159,39 @@ def eval_hyp_sum(s: HypSum) -> Fraction:
 def eval_hyp_sum_series(s: HypSum, order: int) -> TruncSeries:
     """The sum as a truncated power series in the deformation variable x.
 
+    The term is stepped by its ratio: undeformed factors fold into one
+    rational scale, each deformed upper factor (u + k) + slope*x multiplies
+    the coefficient list and each deformed lower factor divides it by
+    back-substitution (its constant term is nonzero once the pole check
+    passes).  Truncation mod x^(order+1) is a ring homomorphism, so every
+    coefficient is exactly that of the expanded Pochhammer quotient.
+
     The constant coefficient always equals ``eval_hyp_sum(scalarized(s))``.
     """
     _check_lower_poles(s)
     w1, w0 = s.weight
-    total = constant(0, order)
-    zk = Fraction(1)
+    total = [Fraction(0)] * (order + 1)
+    core = [Fraction(1)] + [Fraction(0)] * order
     for k in range(s.truncation + 1):
-        num = constant(1, order)
+        w = w1 * k + w0
+        for d in range(order + 1):
+            total[d] += w * core[d]
+        if k == s.truncation:
+            break
+        scale = s.argument / (k + 1)
         for u in s.upper:
-            num = ps_mul(num, pochhammer_series(u.base, u.slope, k, order))
-        den = constant(factorial(k), order)
+            if u.slope:
+                mul_binomial(core, u.base + k, u.slope)
+            else:
+                scale *= u.base + k
         for l in s.lower:
-            den = ps_mul(den, pochhammer_series(l.base, l.slope, k, order))
-        total = total + ((w1 * k + w0) * zk) * ps_mul(num, ps_invert(den))
-        zk *= s.argument
-    return total
+            if l.slope:
+                div_binomial(core, l.base + k, l.slope)
+            else:
+                scale /= l.base + k
+        for d in range(order + 1):
+            core[d] *= scale
+    return TruncSeries(tuple(total))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,12 @@ x^(D+1).  Binary operations truncate to the smaller order of their operands,
 so a result is reliable exactly up to the order it carries.  Everything is a
 plain immutable value; instances here are tiny (order <= 8), so the
 representation is dense and all evaluation is eager.
+
+Series sums are evaluated by carrying one term forward by its term ratio:
+:func:`mul_binomial` and :func:`div_binomial` multiply or divide a dense
+coefficient list in place by a factor c + s*x^lag, at O(order) cost per
+factor.  The Pochhammer builders and :func:`ps_invert` construct a term from
+scratch; they are exact reference implementations, not the hot path.
 """
 
 from __future__ import annotations
@@ -102,6 +108,25 @@ def ps_invert(a: TruncSeries) -> TruncSeries:
             acc += a.coeffs[i] * out[d - i]
         out[d] = -inv0 * acc
     return TruncSeries(tuple(out))
+
+
+def mul_binomial(coeffs: list, c, s, lag: int = 1) -> None:
+    """Multiply the dense coefficient list in place by c + s*x^lag, mod x^len."""
+    for d in range(len(coeffs) - 1, lag - 1, -1):
+        coeffs[d] = c * coeffs[d] + s * coeffs[d - lag]
+    for d in range(min(lag, len(coeffs))):
+        coeffs[d] = c * coeffs[d]
+
+
+def div_binomial(coeffs: list, c, s, lag: int = 1) -> None:
+    """Divide the dense coefficient list in place by c + s*x^lag, mod x^len.
+
+    Back-substitution from the constant term up: q_d = (a_d - s*q_{d-lag})/c;
+    a zero c raises ZeroDivisionError.
+    """
+    for d in range(len(coeffs)):
+        a = coeffs[d] - s * coeffs[d - lag] if d >= lag else coeffs[d]
+        coeffs[d] = a / c
 
 
 def pochhammer_series(a0, slope, k: int, order: int) -> TruncSeries:

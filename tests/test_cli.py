@@ -41,6 +41,23 @@ def test_verify_bad_flag_is_usage_error():
     assert main(["verify", "--pmax", "1000000000"]) == 2
 
 
+def test_verify_r_beyond_caps_warns_on_stderr_only(tmp_path, capsys):
+    def run(r):
+        out = tmp_path / f"r{r}.json"
+        args = ["verify", "--cases", "cai,eq0", "--pmin", "5", "--pmax", "7", "--r", str(r)]
+        assert main(args + ["--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        return captured.out, captured.err, out.read_text()
+
+    out2, err2, report2 = run(2)
+    out3, err3, report3 = run(3)
+    assert err2 == ""
+    assert err3.splitlines() == [
+        "warning: --r 3 exceeds the largest supported exponent; only r = 1, 2 run"
+    ]
+    assert (out3, report3) == (out2, report2)
+
+
 def test_verify_report_json_roundtrips_byte_identically(tmp_path):
     out = tmp_path / "report.json"
     assert main(["verify", "--cases", "thm3,thm4", "--pmin", "5", "--pmax", "13", "--out", str(out)]) == 0

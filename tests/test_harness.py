@@ -327,6 +327,13 @@ def test_exact_div_p_resolution():
         assert verify_series_case("EXACT_DIV_P", p).achieved == 1
 
 
+@pytest.mark.parametrize("p", [101, 199, 401, 997])
+def test_series_cases_hold_beyond_the_contract_range(p):
+    for tag in ("EQ10_A2", "SIX_F_FIVE_COEFFS", "LEM_THM1_B2K", "THM3_QUOTIENT_X2", "EXACT_DIV_P"):
+        rec = verify_series_case(tag, p)
+        assert rec.passed, (tag, p, rec.achieved)
+
+
 def test_series_case_validation():
     with pytest.raises(KeyError):
         verify_series_case("NOPE", 5)

@@ -9,6 +9,8 @@ from supercong.power_series import (
     TruncSeries,
     coefficient,
     constant,
+    div_binomial,
+    mul_binomial,
     pochhammer_norm_series,
     pochhammer_series,
     ps_invert,
@@ -65,6 +67,25 @@ def test_ps_invert_is_involutive():
         s = series(coeffs)
         assert ps_invert(ps_invert(s)) == s
         assert ps_mul(s, ps_invert(s)) == constant(1, order)
+
+
+def test_binomial_steps_match_product_and_inverse():
+    rng = random.Random(2718)
+    for _ in range(60):
+        order = rng.randint(0, 6)
+        lag = rng.randint(1, 3)
+        a = series([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order + 1)])
+        c = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        s = F(rng.randint(-9, 9), rng.randint(1, 9))
+        factor = series([c] + [0] * (lag - 1) + [s], order)
+        coeffs = list(a.coeffs)
+        mul_binomial(coeffs, c, s, lag)
+        assert TruncSeries(tuple(coeffs)) == ps_mul(a, factor)
+        coeffs = list(a.coeffs)
+        div_binomial(coeffs, c, s, lag)
+        assert TruncSeries(tuple(coeffs)) == ps_mul(a, ps_invert(factor))
+    with pytest.raises(ZeroDivisionError):
+        div_binomial([F(1), F(0)], 0, 1)
 
 
 def test_ps_mul_commutative_associative():
