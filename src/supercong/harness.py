@@ -69,6 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .exact_core import (
@@ -84,12 +85,12 @@ from .exact_core import (
 from .hypergeometric import (
     HypSum,
     IdentityId,
+    PoleError,
     eval_hyp_sum,
     eval_hyp_sum_series,
     hyp_sum,
     identity_sides,
     sample_identity_params,
-    scalarized,
 )
 from .modular_form import DEFAULT_BUDGET, prime_power_coefficient
 from .power_series import (
@@ -701,8 +702,14 @@ def _odd_coeffs_vanish(ser) -> bool:
     return all(c == 0 for c in ser.coeffs[1::2])
 
 
+@lru_cache(maxsize=None)
+def _eq10_series(p: int) -> TruncSeries:
+    # EQ10_A2 reads this series and SIX_F_FIVE_COEFFS compares against it.
+    return eval_hyp_sum_series(eq10_series_spec(p), SERIES_ORDER)
+
+
 def _run_eq10_a2(p: int) -> VerificationRecord:
-    ser = eval_hyp_sum_series(eq10_series_spec(p), SERIES_ORDER)
+    ser = _eq10_series(p)
     a2 = coefficient(ser, 2)
     return _congruence_record(
         "EQ10_A2", p, 0, a2, Fraction(0), 1, extra_ok=_odd_coeffs_vanish(ser)
@@ -710,7 +717,7 @@ def _run_eq10_a2(p: int) -> VerificationRecord:
 
 
 def _run_six_f_five(p: int) -> VerificationRecord:
-    ser10 = eval_hyp_sum_series(eq10_series_spec(p), SERIES_ORDER)
+    ser10 = _eq10_series(p)
     ser65 = eval_hyp_sum_series(six_f_five_series_spec(p), SERIES_ORDER)
     vals = [padic_valuation(c, p) for c in ser65.coeffs]
     vals.append(padic_valuation(ser10.coeffs[0] - ser65.coeffs[0], p))
@@ -792,7 +799,7 @@ def _run_lem_thm1_b2k(p: int) -> VerificationRecord:
 
 def _run_thm3_quotient(p: int) -> VerificationRecord:
     num = eval_hyp_sum_series(thm3_deformed_spec(p), SERIES_ORDER)
-    scalar = eval_hyp_sum(scalarized(thm3_deformed_spec(p)))
+    scalar = coefficient(num, 0)
     quotient = ps_mul(num, ps_invert(constant(scalar, SERIES_ORDER)))
     integral = all(padic_valuation(c, p) >= 0 for c in quotient.coeffs)
     c2 = coefficient(quotient, 2)
@@ -958,8 +965,10 @@ def run_suite(
 
     ``primes`` is any iterable of candidate integers; non-primes and p < 3
     are dropped (p = 3 reaches only KILBOURN).  ``rs`` selects the exponents
-    for the cases that take one, subject to R_CAPS.  Per-case errors become
-    failed records instead of aborting the suite.  An empty prime selection
+    for the cases that take one, subject to R_CAPS.  Domain errors (a
+    ``ValueError`` such as ``BudgetError`` or ``NotPrimeError``, or a
+    ``PoleError``) become failed records instead of aborting the suite; any
+    other exception is a bug and propagates.  An empty prime selection
     yields an empty record list.
     """
     prime_list = sorted({int(p) for p in primes if int(p) >= 3 and is_prime(int(p))})
@@ -972,6 +981,6 @@ def run_suite(
         for p, parameter, thunk in _case_instances(tag, prime_list, r_list, budget):
             try:
                 records.append(thunk())
-            except Exception as exc:
+            except (ValueError, PoleError) as exc:
                 records.append(_error_record(tag, p, parameter, exc))
     return records

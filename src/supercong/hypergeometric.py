@@ -7,14 +7,18 @@ sum whose parameters may be deformed along a formal variable x:
                    ------------------------------- * z^k
                     k! * prod_j (lower_j)_k
 
-with every parameter affine in x (``base + slope*x``).  Scalar evaluation
-specializes x = 0.  Both evaluations carry the k-th term forward by its term
-ratio z/(k+1) * prod_i (upper_i + k) / prod_j (lower_j + k); in series form
-each deformed factor is a linear polynomial in x, multiplied or divided into
-a dense coefficient list at O(order) cost, so a sum costs O(K * order).  The
-explicit k! matches the usual (r+1)F(r) normalization, and the affine
-weight is kept separate from the parameter lists because a weight encoded as
-a parameter pair would not survive deformation of those parameters.
+with every parameter affine in x (``base + slope*x``).  Both evaluations
+are driven by the term ratio z/(k+1) * prod_i (upper_i + k) / prod_j
+(lower_j + k).  Scalar evaluation specializes x = 0 and sums the terms by
+binary splitting over integers (Haible & Papanikolaou, ANTS 1998): the
+ratios' numerators and denominators are multiplied up a balanced tree and
+one exact division ends the sum, so no gcd is taken per term.  Series
+evaluation carries the k-th term forward as a dense coefficient list, in
+which each deformed factor is a linear polynomial in x multiplied or
+divided in at O(order) cost, so a sum costs O(K * order).  The explicit k!
+matches the usual (r+1)F(r) normalization, and the affine weight is kept
+separate from the parameter lists because a weight encoded as a parameter
+pair would not survive deformation of those parameters.
 
 The module also evaluates Gamma-function ratios whose arguments pair up to
 integer shifts (reducing each pair by the recurrence G(x+1) = x*G(x)), and
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Mapping
 
 from .power_series import TruncSeries, div_binomial, mul_binomial
@@ -137,23 +142,52 @@ def _check_lower_poles(s: HypSum) -> None:
 
 
 def eval_hyp_sum(s: HypSum) -> Fraction:
-    """Exact value of the weighted truncated sum at x = 0."""
+    """Exact value of the weighted truncated sum at x = 0, by binary splitting.
+
+    With every base written as n/d, the term ratio t_k / t_{k-1} is
+    p(k) / q(k) for the integers
+
+        p(k) = z.num * prod d_lower * prod (n_u + (k-1) d_u),
+        q(k) = z.den * prod d_upper * k * prod (n_l + (k-1) d_l),
+
+    and p(0) = q(0) = 1.  Over a range [a, b) the split returns P and Q, the
+    products of p and q, and T with T/Q = sum_k (a1 k + a0) p(a)...p(k) /
+    (q(a)...q(k)), where (a1, a0) is the weight times its common denominator.
+    Q has the size of the last term's unreduced denominator, O(K log K)
+    bits, and the sum is T / (Q * wden), reduced by a single gcd.  Once the
+    pole check passes, q(k) != 0 for every k <= K.
+    """
     _check_lower_poles(s)
+    uppers = [(u.base.numerator, u.base.denominator) for u in s.upper]
+    lowers = [(l.base.numerator, l.base.denominator) for l in s.lower]
+    p_scale = s.argument.numerator
+    for _n, d in lowers:
+        p_scale *= d
+    q_scale = s.argument.denominator
+    for _n, d in uppers:
+        q_scale *= d
     w1, w0 = s.weight
-    total = Fraction(0)
-    core = Fraction(1)  # prod (upper)_k / (k! prod (lower)_k) * z^k
-    for k in range(s.truncation + 1):
-        total += (w1 * k + w0) * core
-        if k == s.truncation:
-            break
-        num = Fraction(1)
-        for u in s.upper:
-            num *= u.base + k
-        den = Fraction(k + 1)
-        for l in s.lower:
-            den *= l.base + k
-        core = core * num * s.argument / den
-    return total
+    wden = lcm(w1.denominator, w0.denominator)
+    a1 = w1.numerator * (wden // w1.denominator)
+    a0 = w0.numerator * (wden // w0.denominator)
+
+    def split(a: int, b: int) -> tuple[int, int, int]:
+        if b - a == 1:
+            if a == 0:
+                return 1, 1, a0
+            p, q, j = p_scale, q_scale * a, a - 1
+            for n, d in uppers:
+                p *= n + j * d
+            for n, d in lowers:
+                q *= n + j * d
+            return p, q, (a1 * a + a0) * p
+        mid = (a + b) // 2
+        p1, q1, t1 = split(a, mid)
+        p2, q2, t2 = split(mid, b)
+        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+    _p, q, t = split(0, s.truncation + 1)
+    return Fraction(t, q * wden)
 
 
 def eval_hyp_sum_series(s: HypSum, order: int) -> TruncSeries:

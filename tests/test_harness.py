@@ -16,6 +16,7 @@ from supercong.harness import (
     CASE_ORDER,
     CONJECTURAL_CASES,
     IDENTITY_DRAWS,
+    R_CAPS,
     Requirement,
     lem_thm1_term_series,
     report_entry,
@@ -28,6 +29,7 @@ from supercong.harness import (
 )
 from supercong.harness import eq10_series_spec, sum_lemma10, thm3_deformed_spec
 from supercong.hypergeometric import (
+    PoleError,
     eval_hyp_sum,
     eval_hyp_sum_series,
     scalarized,
@@ -418,6 +420,42 @@ def test_run_suite_turns_errors_into_failed_records():
     assert rec.lhs is None and rec.rhs is None
     assert report_entry(rec)["lhs"] == ""
 
+
+
+def test_run_suite_turns_pole_errors_into_failed_records(monkeypatch):
+    import supercong.harness as harness
+
+    def pole(p, _param, _budget):
+        raise PoleError("lower parameter hits a pole")
+
+    monkeypatch.setitem(harness._CONGRUENCE_RUNNERS, "EQ0", pole)
+    (rec,) = run_suite([5], cases=["EQ0"])
+    assert not rec.passed and rec.achieved == "error:PoleError"
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, ZeroDivisionError, RecursionError])
+def test_run_suite_lets_programming_errors_propagate(monkeypatch, exc):
+    import supercong.harness as harness
+
+    def broken(p, _param, _budget):
+        raise exc("a bug, not a domain error")
+
+    monkeypatch.setitem(harness._CONGRUENCE_RUNNERS, "EQ0", broken)
+    with pytest.raises(exc):
+        run_suite([5, 7], cases=["EQ0", "THM3"])
+
+
+@pytest.mark.parametrize(
+    "tag, r, p",
+    [("THM1", 2, 37), ("THM1", 2, 53), ("THM1", 2, 97), ("CONJ1", 2, 23), ("CONJ1", 2, 29), ("THM1", 3, 13)],
+)
+def test_congruences_hold_beyond_the_suite_caps(tag, r, p):
+    # direct calls are not subject to R_CAPS, which bound run_suite only
+    cap = R_CAPS[tag].get(r)
+    assert r not in R_CAPS[tag] or (cap is not None and p > cap)
+    rec = verify_congruence_case(tag, p, r)
+    assert rec.passed and rec.param == r
+    assert rec.achieved >= 3 + r
 
 def test_select_cases():
     assert select_cases(["eq0", "thm3"]) == ["EQ0", "THM3"]
