@@ -8,8 +8,10 @@ order is fixed for diff-friendly CI artifacts.
 Exit codes: 0 all non-conjectural cases pass (or nothing applicable),
 1 some non-conjectural case failed, 2 usage error, 3 I/O error.
 
-The environment variable SUPERCONG_BUDGET overrides the eta-product
-expansion bound (default 10000).
+The environment variable SUPERCONG_BUDGET sets the ceiling on the
+eta-product expansion (default 10000).  It is a ceiling, not a size: a run
+expands once, to the largest p^r its cases need, and a case that needs an
+index above the ceiling gets an error:BudgetError record.
 """
 
 from __future__ import annotations
@@ -68,8 +70,11 @@ def _print_summary(records: list[VerificationRecord]) -> None:
             continue
         recs = by_case[tag]
         good = sum(1 for r in recs if r.passed)
+        errors = sum(1 for r in recs if str(r.achieved).startswith("error:"))
+        failed = len(recs) - good - errors
+        counts = "".join(f", {n} {kind}" for n, kind in ((failed, "fail"), (errors, "error")) if n)
         note = " (conjectural)" if all(r.conjectural for r in recs) else ""
-        print(f"{tag:<18} {good}/{len(recs)} pass{note}")
+        print(f"{tag:<18} {good}/{len(recs)} pass{counts}{note}")
 
 
 def _env_budget() -> int:

@@ -76,9 +76,7 @@ from .exact_core import (
     INFINITY,
     Valuation,
     check_prime,
-    harmonic2,
     is_prime,
-    odd_harmonic2,
     padic_valuation,
     rising_factorial,
 )
@@ -92,7 +90,7 @@ from .hypergeometric import (
     identity_sides,
     sample_identity_params,
 )
-from .modular_form import DEFAULT_BUDGET, prime_power_coefficient
+from .modular_form import DEFAULT_BUDGET, prime_power_coefficient, widest_expansion
 from .power_series import (
     TruncSeries,
     coefficient,
@@ -295,20 +293,41 @@ def _sign_eight(n: int) -> int:
     return -1 if ((n * n - 1) // 8 + (n - 1) // 2) % 2 else 1
 
 
-def _central_ratios(kmax: int):
-    """c_0..c_kmax with c_k = (1/2)_k / k!, computed incrementally."""
-    out = [Fraction(1)]
-    for k in range(1, kmax + 1):
-        out.append(out[-1] * Fraction(2 * k - 1, 2 * k))
-    return out
+class _PrefixTable:
+    """A sequence x_0, x_1, ... that does not depend on p, built once per process.
+
+    ``x_k = step(x_{k-1}, k)``.  The table grows only when a larger index is
+    asked for; a grown table is a new list, never the published one mutated,
+    so every reader gets a consistent prefix.
+    """
+
+    def __init__(self, first, step):
+        self._values = [first]
+        self._step = step
+
+    def prefix(self, kmax: int) -> list:
+        """A fresh list of x_0..x_kmax."""
+        values = self._values
+        if len(values) <= kmax:
+            grown = values[:]
+            for k in range(len(values), kmax + 1):
+                grown.append(self._step(grown[-1], k))
+            self._values = values = grown
+        return values[: kmax + 1]
 
 
-def _harmonic2_table(kmax: int):
-    """H2(0)..H2(kmax), computed incrementally."""
-    out = [Fraction(0)]
-    for j in range(1, kmax + 1):
-        out.append(out[-1] + Fraction(1, j * j))
-    return out
+_CENTRAL_RATIOS = _PrefixTable(Fraction(1), lambda c, k: c * Fraction(2 * k - 1, 2 * k))
+_HARMONIC2 = _PrefixTable(Fraction(0), lambda h, j: h + Fraction(1, j * j))
+
+
+def _central_ratios(kmax: int) -> list[Fraction]:
+    """c_0..c_kmax with c_k = (1/2)_k / k!."""
+    return _CENTRAL_RATIOS.prefix(kmax)
+
+
+def _harmonic2_table(kmax: int) -> list[Fraction]:
+    """H2(0)..H2(kmax)."""
+    return _HARMONIC2.prefix(kmax)
 
 
 # --------------------------------------------------------------------------
@@ -450,16 +469,14 @@ def _run_thm4_strong(p, _param, _budget):
 def _run_comconj2(p, _param, _budget):
     m = (p - 1) // 2
     ratios = _central_ratios(m)
+    h2 = _harmonic2_table(2 * m)
     total = Fraction(0)
-    odd_h2 = Fraction(0)
-    h2 = Fraction(0)
     zk = Fraction(1)
     for k in range(m + 1):
         if k:
-            odd_h2 += Fraction(1, (2 * k - 1) ** 2)
-            h2 += Fraction(1, k * k)
             zk *= Fraction(-1, 8)
-        total += (6 * k + 1) * ratios[k] ** 3 * (odd_h2 - h2 / 16) * zk
+        # OH2(k) - H2(k)/16 with OH2(k) = H2(2k) - H2(k)/4
+        total += (6 * k + 1) * ratios[k] ** 3 * (h2[2 * k] - h2[k] * Fraction(5, 16)) * zk
     return _congruence_record("COMCONJ2", p, 0, total, Fraction(0), 1)
 
 
@@ -512,11 +529,15 @@ def _run_binom_prod(p, r, _budget):
 
 
 def _run_h2_half(p, _param, _budget):
-    return _congruence_record("H2_HALF", p, 0, harmonic2((p - 1) // 2), Fraction(0), 1)
+    m = (p - 1) // 2
+    return _congruence_record("H2_HALF", p, 0, _harmonic2_table(m)[m], Fraction(0), 1)
 
 
 def _run_oddh2_half(p, _param, _budget):
-    return _congruence_record("ODDH2_HALF", p, 0, odd_harmonic2((p - 1) // 2), Fraction(0), 1)
+    m = (p - 1) // 2
+    h2 = _harmonic2_table(2 * m)
+    # OH2(m) = H2(2m) - H2(m)/4: the even squares 1/(2j)^2 are H2(m)/4
+    return _congruence_record("ODDH2_HALF", p, 0, h2[2 * m] - h2[m] / 4, Fraction(0), 1)
 
 
 def _run_h2_reflect(p, _param, _budget):
@@ -565,6 +586,13 @@ _CONGRUENCE_RUNNERS = {
     "ODDH2_HALF": _run_oddh2_half,
     "H2_REFLECT": _run_h2_reflect,
     "THMKEY": _run_thmkey,
+}
+
+#: The index n of the eta coefficient a_n that a case instance reads.
+_ETA_INDEX = {
+    "THM2": lambda p, _param: p,
+    "KILBOURN": lambda p, _param: p,
+    "CONJ1": lambda p, r: p**r,
 }
 
 _DEFAULT_CONGRUENCE_PARAM = {
@@ -969,18 +997,30 @@ def run_suite(
     ``ValueError`` such as ``BudgetError`` or ``NotPrimeError``, or a
     ``PoleError``) become failed records instead of aborting the suite; any
     other exception is a bug and propagates.  An empty prime selection
-    yields an empty record list.
+    yields an empty record list.  Before any case runs, the eta expansion is
+    widened once to the largest a_{p^r} the run reads within ``budget``.
     """
     prime_list = sorted({int(p) for p in primes if int(p) >= 3 and is_prime(int(p))})
     tags = select_cases(cases)
     if not prime_list:
         return []
     r_list = sorted({int(r) for r in rs})
+    instances = [
+        (tag, p, parameter, thunk)
+        for tag in tags
+        for p, parameter, thunk in _case_instances(tag, prime_list, r_list, budget)
+    ]
+    # One eta expansion serves the whole run: the largest p^r within budget.
+    eta_indices = [
+        _ETA_INDEX[tag](p, parameter) for tag, p, parameter, _thunk in instances if tag in _ETA_INDEX
+    ]
+    widest = max((n for n in eta_indices if n <= budget), default=None)
+    if widest is not None:
+        widest_expansion(widest)
     records: list[VerificationRecord] = []
-    for tag in tags:
-        for p, parameter, thunk in _case_instances(tag, prime_list, r_list, budget):
-            try:
-                records.append(thunk())
-            except (ValueError, PoleError) as exc:
-                records.append(_error_record(tag, p, parameter, exc))
+    for tag, p, parameter, thunk in instances:
+        try:
+            records.append(thunk())
+        except (ValueError, PoleError) as exc:
+            records.append(_error_record(tag, p, parameter, exc))
     return records

@@ -13,6 +13,12 @@ result is identical to naive sequential factor-by-factor expansion, just
 fast enough for bounds around 10**4.  The weight-4 Hecke recursion
 a_{p^2} = a_p^2 - p^3 is an external consistency fact, used only as a
 cross-check, never as a source of coefficients.
+
+The coefficients do not depend on the bound they were expanded to, so one
+expansion serves every smaller index: ``prime_power_coefficient`` reads from
+the widest expansion made so far in the process and expands again only when
+an index lies beyond it.  ``harness.run_suite`` widens it once, up front, to
+the largest p^r its cases need.
 """
 
 from __future__ import annotations
@@ -123,12 +129,30 @@ def eta_product_expansion(N: int) -> QExpansion:
     return QExpansion(bound=N, coeffs=tuple(product))
 
 
-def prime_power_coefficient(p: int, r: int, budget: int = DEFAULT_BUDGET) -> int:
-    """a_{p^r} for an odd prime p, read off the direct expansion.
+#: The widest expansion made so far; None until the first coefficient read.
+_widest: QExpansion | None = None
 
-    For r = 2 and p <= 31 the value is additionally cross-checked against the
-    weight-4 Hecke recursion a_{p^2} = a_p^2 - p^3; a mismatch would mean the
-    expansion itself is broken and raises.
+
+def widest_expansion(n: int) -> QExpansion:
+    """The widest expansion made so far, first widened to cover a_n if needed.
+
+    Its prefix a_1..a_n equals ``eta_product_expansion(n)``; the budget is the
+    caller's to check.
+    """
+    global _widest
+    expansion = _widest
+    if expansion is None or expansion.bound < n:
+        expansion = _widest = eta_product_expansion(n)
+    return expansion
+
+
+def prime_power_coefficient(p: int, r: int, budget: int = DEFAULT_BUDGET) -> int:
+    """a_{p^r} for an odd prime p, read off the widest expansion so far.
+
+    The budget is checked against p^r itself, whatever has been expanded
+    already.  For r = 2 and p <= 31 the value is additionally cross-checked
+    against the weight-4 Hecke recursion a_{p^2} = a_p^2 - p^3; a mismatch
+    would mean the expansion itself is broken and raises.
     """
     check_prime(p)
     if p == 2:
@@ -138,9 +162,10 @@ def prime_power_coefficient(p: int, r: int, budget: int = DEFAULT_BUDGET) -> int
     index = p**r
     if index > budget:
         raise BudgetError(f"p^r = {index} exceeds the expansion budget {budget}")
-    value = coefficient_at(eta_product_expansion(index), index)
+    expansion = widest_expansion(index)
+    value = coefficient_at(expansion, index)
     if r == 2 and p <= _HECKE_CHECK_MAX_P:
-        ap = coefficient_at(eta_product_expansion(p), p)
+        ap = coefficient_at(expansion, p)
         if value != ap * ap - p**3:
             raise RuntimeError(
                 f"expansion inconsistency at p = {p}: a_p2 = {value} but a_p^2 - p^3 = {ap * ap - p ** 3}"

@@ -5,6 +5,7 @@ all zero; the stated limits are on wall time only.  Run with ``pytest -s
 tests/test_acceptance.py`` to watch the per-criterion lines.
 """
 
+import hashlib
 import json
 import time
 from contextlib import contextmanager
@@ -178,3 +179,20 @@ def test_criterion_10_end_to_end_cli(tmp_path):
         entries = json.loads(out.read_text())
         assert entries
         assert not any(not e["pass"] and not e["conjectural"] for e in entries)
+
+
+def test_contract_report_is_pinned(tmp_path):
+    # The roadmap's contract: run in-process after the other tests, with the
+    # per-process tables already grown, so it also pins order independence.
+    with criterion(11, "contract report: 306,001 bytes, fixed sha256", 60.0):
+        out = tmp_path / "contract.json"
+        code = main([
+            "verify", "--cases", "all", "--pmin", "5", "--pmax", "97",
+            "--r", "2", "--format", "json", "--out", str(out),
+        ])
+        assert code == 0
+        data = out.read_bytes()
+        assert len(data) == 306001
+        assert hashlib.sha256(data).hexdigest() == (
+            "b6783f24fc95e65ea301121c22b1e5619ae642dd87b8c7b0a2ce215234ca8686"
+        )

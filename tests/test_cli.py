@@ -1,9 +1,9 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
-
-from supercong.cli import main, render_csv, render_json, suite_exit_code
+from supercong.cli import _print_summary, main, render_csv, render_json, suite_exit_code
 from supercong.harness import run_suite
 
 
@@ -83,6 +83,22 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setenv("SUPERCONG_BUDGET", "3")
     code = main(["verify", "--cases", "thm2", "--pmin", "5", "--pmax", "5"])
     assert code == 1
+
+
+def test_summary_counts_pass_fail_and_error_per_case(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SUPERCONG_BUDGET", "3")
+    out = tmp_path / "report.json"
+    code = main(["verify", "--cases", "eq0,thm2", "--pmin", "5", "--pmax", "97", "--out", str(out)])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{'EQ0':<18} 23/23 pass", f"{'THM2':<18} 0/23 pass, 23 error"]
+    entries = json.loads(out.read_text())
+    assert [e["achieved"] for e in entries if e["case"] == "THM2"] == ["error:BudgetError"] * 23
+
+    records = run_suite([5, 7, 11], cases=["thm4_strong"])
+    records[1] = replace(records[1], passed=False)
+    _print_summary(records)
+    assert capsys.readouterr().out == f"{'THM4_STRONG':<18} 2/3 pass, 1 fail (conjectural)\n"
 
 
 def test_verify_bad_budget_env(monkeypatch):
