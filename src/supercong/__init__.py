@@ -8,12 +8,8 @@ from .exact_core import (
     NotPrimeError,
     Rational,
     Valuation,
-    binomial,
-    central_half_ratio,
     congruent_mod_power,
-    harmonic2,
     is_prime,
-    odd_harmonic2,
     padic_valuation,
     rising_factorial,
 )
@@ -43,7 +39,6 @@ from .hypergeometric import (
     sample_identity_params,
     scalarized,
     specialize,
-    termination_index,
 )
 from .modular_form import (
     BudgetError,

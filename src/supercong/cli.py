@@ -6,7 +6,9 @@ form re-serializes byte-identically after a round trip, and the CSV column
 order is fixed for diff-friendly CI artifacts.
 
 Exit codes: 0 all non-conjectural cases pass (or nothing applicable),
-1 some non-conjectural case failed, 2 usage error, 3 I/O error.
+1 some non-conjectural case failed, 2 usage error, 3 I/O error.  A case
+instance that raised a domain error is a failed record; ``verify`` also
+prints its exception type and message on stderr, one line per record.
 
 The environment variable SUPERCONG_BUDGET sets the ceiling on the
 eta-product expansion (default 10000).  It is a ceiling, not a size: a run
@@ -124,6 +126,10 @@ def cmd_verify(args) -> int:
 
     primes = [p for p in range(max(pmin, 2), pmax + 1) if is_prime(p)]
     records = run_suite(primes, rs=range(1, args.r + 1), budget=budget, cases=cases)
+    for rec in records:
+        if rec.error is not None:
+            kind = rec.achieved.removeprefix("error:")
+            print(f"error: {rec.case} p={rec.p} param={rec.param}: {kind}: {rec.error}", file=sys.stderr)
     if not records:
         print(f"warning: no applicable cases for primes in [{pmin}, {pmax}]")
     else:

@@ -1,4 +1,4 @@
-"""Registry binding every verified congruence, exact identity, and series
+"""One table binding every verified congruence, exact identity, and series
 divisibility claim to a runnable case producing a VerificationRecord.
 
 Throughout, p is an odd prime, m = (p-1)/2 (or (p^r-1)/2 where r appears),
@@ -60,22 +60,30 @@ Series cases (x-deformations, expanded to order 4):
 Conjectural cases carry ``conjectural: True`` into their records and are
 ignored by the CLI's pass/fail exit code.  Cases whose hypotheses require
 p > 3 skip p = 3; KILBOURN is the lone odd-prime exception.  All cases are
-independent pure computations; run_suite's output order is canonical (case
-registry order, then p, then the integer parameter) regardless of execution
-order.
+independent pure computations; run_suite's output order is canonical (the
+order of the case table, then p, then the integer parameter) regardless of
+execution order.
+
+Every fact about a case (kind, computation, requirement, minimum prime,
+parameter domain, caps, conjectural flag, eta index) lives in its one row of
+the table ``CASES``; a new family of congruences is one new row.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
+from typing import Callable, Sequence
 
 from .exact_core import (
     INFINITY,
     Valuation,
+    central_ratios,
     check_prime,
+    harmonic2_table,
     is_prime,
     padic_valuation,
     rising_factorial,
@@ -103,6 +111,7 @@ from .power_series import (
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
+ZERO = Fraction(0)
 
 #: Truncation order used for all deformation series (x^2 is what matters;
 #: x^3 and x^4 are kept so parity assertions actually see something).
@@ -114,63 +123,10 @@ IDENTITY_DRAWS = 50
 #: COMIDEN0 instances run over this n range in the full suite.
 COMIDEN0_RANGE = range(2, 201)
 
-#: Largest prime verified per exponent r, for the cases that take r.
-#: r values without an entry are skipped by run_suite (quadratic blowup with
-#: no extra coverage); direct calls may still request them.
-R_CAPS = {
-    "THM1": {1: None, 2: 31},
-    "CAI": {1: None, 2: 31},
-    "BINOM_NEG": {1: None, 2: 31},
-    "BINOM_POS": {1: None, 2: 31},
-    "BINOM_PROD": {1: None, 2: 31},
-    "CONJ1": {1: None, 2: 19},
-}
-
 THMKEY_EXPONENTS = (1, 2, 3)
 
-CONGRUENCE_CASES = (
-    "EQ0",
-    "THM1",
-    "THM2",
-    "KILBOURN",
-    "CONJ1",
-    "THM3",
-    "THM4",
-    "THM4_STRONG",
-    "COMCONJ2",
-    "CAI",
-    "BINOM_NEG",
-    "BINOM_POS",
-    "BINOM_PROD",
-    "H2_HALF",
-    "ODDH2_HALF",
-    "H2_REFLECT",
-    "THMKEY",
-)
-
-EXACT_CASES = (
-    "COMIDEN0",
-    "COMIDEN1",
-    "COMIDEN2",
-    "LEMMA10",
-    "LEMMA12",
-) + tuple(i.value for i in IdentityId)
-
-SERIES_CASES = (
-    "EQ10_A2",
-    "SIX_F_FIVE_COEFFS",
-    "LEM_THM1_B2K",
-    "THM3_QUOTIENT_X2",
-    "EXACT_DIV_P",
-)
-
-#: Canonical report order of all case tags.
-CASE_ORDER = CONGRUENCE_CASES + EXACT_CASES + SERIES_CASES
-
-CONJECTURAL_CASES = frozenset({"CONJ1", "THM4_STRONG", "COMCONJ2"})
-
-_MIN_PRIME = {tag: 5 for tag in CASE_ORDER}
-_MIN_PRIME["KILBOURN"] = 3
+#: The smallest prime of a case whose hypotheses require p > 3.
+_P_MIN = 5
 
 
 @dataclass(frozen=True)
@@ -201,8 +157,10 @@ class VerificationRecord:
 
     ``achieved`` is the exact valuation (never clamped, so stronger-than-
     required congruences stay visible), the string EQUAL/UNEQUAL for exact
-    cases, or an ``error:...`` marker when the case computation raised.  For
-    the per-k family cases, lhs and rhs belong to the k of weakest valuation.
+    cases, or an ``error:<Type>`` marker when the case computation raised;
+    ``error`` then keeps the exception's message, which the report leaves
+    out.  For the per-k family cases, lhs and rhs belong to the k of weakest
+    valuation.
     """
 
     case: str
@@ -214,6 +172,7 @@ class VerificationRecord:
     rhs: Fraction | None
     passed: bool
     conjectural: bool
+    error: str | None = None
 
     def achieved_str(self) -> str:
         if self.achieved is INFINITY:
@@ -240,47 +199,9 @@ def report_entry(rec: VerificationRecord) -> dict:
     }
 
 
-def _congruence_record(tag, p, param, lhs, rhs, bound, extra_ok=True) -> VerificationRecord:
-    req = Requirement("val_ge", bound)
-    achieved = padic_valuation(lhs - rhs, p)
-    return VerificationRecord(
-        case=tag,
-        p=p,
-        param=param,
-        required=req,
-        achieved=achieved,
-        lhs=lhs,
-        rhs=rhs,
-        passed=bool(req.met_by(achieved) and extra_ok),
-        conjectural=tag in CONJECTURAL_CASES,
-    )
-
-
-def _exact_record(tag, p, param, lhs, rhs) -> VerificationRecord:
-    equal = lhs == rhs
-    return VerificationRecord(
-        case=tag,
-        p=p,
-        param=param,
-        required=Requirement("exact"),
-        achieved="EQUAL" if equal else "UNEQUAL",
-        lhs=lhs,
-        rhs=rhs,
-        passed=equal,
-        conjectural=False,
-    )
-
-
-def _weakest(pairs, p) -> tuple[Valuation, Fraction, Fraction]:
-    """Minimum valuation of lhs - rhs over a family, with the witnessing pair."""
-    best_v: Valuation = INFINITY
-    best = pairs[0]
-    for lhs, rhs in pairs:
-        v = padic_valuation(lhs - rhs, p)
-        if v < best_v:
-            best_v = v
-            best = (lhs, rhs)
-    return best_v, best[0], best[1]
+def _weakest(pairs, p) -> tuple[Fraction, Fraction, Valuation]:
+    """The first pair of a family with the least valuation of lhs - rhs, and that valuation."""
+    return min(((lhs, rhs, padic_valuation(lhs - rhs, p)) for lhs, rhs in pairs), key=lambda t: t[2])
 
 
 def _sign_half(n: int) -> int:
@@ -293,45 +214,8 @@ def _sign_eight(n: int) -> int:
     return -1 if ((n * n - 1) // 8 + (n - 1) // 2) % 2 else 1
 
 
-class _PrefixTable:
-    """A sequence x_0, x_1, ... that does not depend on p, built once per process.
-
-    ``x_k = step(x_{k-1}, k)``.  The table grows only when a larger index is
-    asked for; a grown table is a new list, never the published one mutated,
-    so every reader gets a consistent prefix.
-    """
-
-    def __init__(self, first, step):
-        self._values = [first]
-        self._step = step
-
-    def prefix(self, kmax: int) -> list:
-        """A fresh list of x_0..x_kmax."""
-        values = self._values
-        if len(values) <= kmax:
-            grown = values[:]
-            for k in range(len(values), kmax + 1):
-                grown.append(self._step(grown[-1], k))
-            self._values = values = grown
-        return values[: kmax + 1]
-
-
-_CENTRAL_RATIOS = _PrefixTable(Fraction(1), lambda c, k: c * Fraction(2 * k - 1, 2 * k))
-_HARMONIC2 = _PrefixTable(Fraction(0), lambda h, j: h + Fraction(1, j * j))
-
-
-def _central_ratios(kmax: int) -> list[Fraction]:
-    """c_0..c_kmax with c_k = (1/2)_k / k!."""
-    return _CENTRAL_RATIOS.prefix(kmax)
-
-
-def _harmonic2_table(kmax: int) -> list[Fraction]:
-    """H2(0)..H2(kmax)."""
-    return _HARMONIC2.prefix(kmax)
-
-
 # --------------------------------------------------------------------------
-# Sum specs owned by the congruence/exact cases (data, not code)
+# Sum specs (data, not code); the deformed ones belong to the series cases
 # --------------------------------------------------------------------------
 
 
@@ -369,11 +253,6 @@ def sum_lemma10(p: int, z=QUARTER) -> HypSum:
         K=(p - 1) // 2,
         weight=(6, 1),
     )
-
-
-# --------------------------------------------------------------------------
-# Deformed sum specs owned by the series cases
-# --------------------------------------------------------------------------
 
 
 def eq10_series_spec(p: int) -> HypSum:
@@ -419,310 +298,144 @@ def series_case_specs(p: int) -> dict[str, HypSum]:
 
 
 # --------------------------------------------------------------------------
-# Congruence case runners
+# Congruence cases: compute(p, param, budget) -> (lhs, rhs[, achieved[, ok]])
 # --------------------------------------------------------------------------
 
 
-def _run_eq0(p, _param, _budget):
-    lhs = eval_hyp_sum(sum_eq0(p))
-    return _congruence_record("EQ0", p, 0, lhs, Fraction(_sign_half(p) * p), 3)
+def _eq0(p, _param, _budget):
+    return eval_hyp_sum(sum_eq0(p)), Fraction(_sign_half(p) * p)
 
 
-def _run_thm1(p, r, _budget):
-    lhs = eval_hyp_sum(sum_thm1(p, r))
-    return _congruence_record("THM1", p, r, lhs, Fraction(p**r), 3 + r)
+def _thm1(p, r, _budget):
+    return eval_hyp_sum(sum_thm1(p, r)), Fraction(p**r)
 
 
-def _run_thm2(p, _param, budget):
-    lhs = eval_hyp_sum(sum_sixth_power(p, 1))
-    rhs = Fraction(p * prime_power_coefficient(p, 1, budget))
-    return _congruence_record("THM2", p, 0, lhs, rhs, 4)
+def _thm2(p, _param, budget):
+    return eval_hyp_sum(sum_sixth_power(p, 1)), Fraction(p * prime_power_coefficient(p, 1, budget))
 
 
-def _run_kilbourn(p, _param, budget):
-    lhs = eval_hyp_sum(sum_kilbourn(p))
-    rhs = Fraction(prime_power_coefficient(p, 1, budget))
-    return _congruence_record("KILBOURN", p, 0, lhs, rhs, 3)
+def _kilbourn(p, _param, budget):
+    return eval_hyp_sum(sum_kilbourn(p)), Fraction(prime_power_coefficient(p, 1, budget))
 
 
-def _run_conj1(p, r, budget):
+def _conj1(p, r, budget):
     lhs = eval_hyp_sum(sum_sixth_power(p, r))
-    rhs = Fraction(p**r * prime_power_coefficient(p, r, budget))
-    return _congruence_record("CONJ1", p, r, lhs, rhs, 3 + r)
+    return lhs, Fraction(p**r * prime_power_coefficient(p, r, budget))
 
 
-def _run_thm3(p, _param, _budget):
-    lhs = eval_hyp_sum(sum_thm3(p))
-    return _congruence_record("THM3", p, 0, lhs, Fraction(_sign_half(p) * p), 4)
+def _thm3(p, _param, _budget):
+    return eval_hyp_sum(sum_thm3(p)), Fraction(_sign_half(p) * p)
 
 
-def _run_thm4(p, _param, _budget):
-    lhs = eval_hyp_sum(sum_thm4(p))
-    return _congruence_record("THM4", p, 0, lhs, Fraction(_sign_eight(p) * p), 2)
+def _thm4(p, _param, _budget):
+    # THM4 and THM4_STRONG: the same sum and target under different bounds
+    return eval_hyp_sum(sum_thm4(p)), Fraction(_sign_eight(p) * p)
 
 
-def _run_thm4_strong(p, _param, _budget):
-    lhs = eval_hyp_sum(sum_thm4(p))
-    return _congruence_record("THM4_STRONG", p, 0, lhs, Fraction(_sign_eight(p) * p), 3)
-
-
-def _run_comconj2(p, _param, _budget):
+def _comconj2(p, _param, _budget):
     m = (p - 1) // 2
-    ratios = _central_ratios(m)
-    h2 = _harmonic2_table(2 * m)
+    ratios = central_ratios(m)
+    h2 = harmonic2_table(2 * m)
     total = Fraction(0)
-    zk = Fraction(1)
+    zk = Fraction(1)  # (-1/8)^k
     for k in range(m + 1):
-        if k:
-            zk *= Fraction(-1, 8)
         # OH2(k) - H2(k)/16 with OH2(k) = H2(2k) - H2(k)/4
         total += (6 * k + 1) * ratios[k] ** 3 * (h2[2 * k] - h2[k] * Fraction(5, 16)) * zk
-    return _congruence_record("COMCONJ2", p, 0, total, Fraction(0), 1)
+        zk *= Fraction(-1, 8)
+    return total, ZERO
 
 
-def _run_cai(p, r, _budget):
+def _cai(p, r, _budget):
     m = (p**r - 1) // 2
     lhs = Fraction((-1) ** m * comb(p**r - 1, m))
-    ratios = _central_ratios(m)
-    return _congruence_record("CAI", p, r, lhs, ratios[m] ** 2, 3)
+    return lhs, central_ratios(m)[m] ** 2
 
 
-def _binom_family(p, r, make_pair, tag, bound):
+def _binom_family(p, r, make_pair):
     m = (p**r - 1) // 2
-    ratios = _central_ratios(m)
-    pairs = [make_pair(m, k, ratios[k]) for k in range(1, m + 1)]
-    v, lhs, rhs = _weakest(pairs, p)
-    req = Requirement("val_ge", bound)
-    return VerificationRecord(
-        case=tag,
-        p=p,
-        param=r,
-        required=req,
-        achieved=v,
-        lhs=lhs,
-        rhs=rhs,
-        passed=req.met_by(v),
-        conjectural=False,
-    )
+    ratios = central_ratios(m)
+    return _weakest([make_pair(m, k, ratios[k]) for k in range(1, m + 1)], p)
 
 
-def _run_binom_neg(p, r, _budget):
-    return _binom_family(
-        p, r, lambda m, k, c: (Fraction((-1) ** k * comb(m, k)), c), "BINOM_NEG", 1
-    )
+def _binom_neg(p, r, _budget):
+    return _binom_family(p, r, lambda m, k, c: (Fraction((-1) ** k * comb(m, k)), c))
 
 
-def _run_binom_pos(p, r, _budget):
-    return _binom_family(
-        p, r, lambda m, k, c: (Fraction(comb(m + k, k)), c), "BINOM_POS", 1
-    )
+def _binom_pos(p, r, _budget):
+    return _binom_family(p, r, lambda m, k, c: (Fraction(comb(m + k, k)), c))
 
 
-def _run_binom_prod(p, r, _budget):
-    return _binom_family(
-        p,
-        r,
-        lambda m, k, c: (Fraction((-1) ** k * comb(m, k) * comb(m + k, k)), c * c),
-        "BINOM_PROD",
-        2,
-    )
+def _binom_prod(p, r, _budget):
+    return _binom_family(p, r, lambda m, k, c: (Fraction((-1) ** k * comb(m, k) * comb(m + k, k)), c * c))
 
 
-def _run_h2_half(p, _param, _budget):
+def _h2_half(p, _param, _budget):
     m = (p - 1) // 2
-    return _congruence_record("H2_HALF", p, 0, _harmonic2_table(m)[m], Fraction(0), 1)
+    return harmonic2_table(m)[m], ZERO
 
 
-def _run_oddh2_half(p, _param, _budget):
+def _oddh2_half(p, _param, _budget):
     m = (p - 1) // 2
-    h2 = _harmonic2_table(2 * m)
+    h2 = harmonic2_table(2 * m)
     # OH2(m) = H2(2m) - H2(m)/4: the even squares 1/(2j)^2 are H2(m)/4
-    return _congruence_record("ODDH2_HALF", p, 0, h2[2 * m] - h2[m] / 4, Fraction(0), 1)
+    return h2[2 * m] - h2[m] / 4, ZERO
 
 
-def _run_h2_reflect(p, _param, _budget):
-    table = _harmonic2_table(p - 2)
-    pairs = [(table[k] + table[p - 1 - k], Fraction(0)) for k in range(1, p - 1)]
-    v, lhs, rhs = _weakest(pairs, p)
-    req = Requirement("val_ge", 1)
-    return VerificationRecord(
-        case="H2_REFLECT",
-        p=p,
-        param=0,
-        required=req,
-        achieved=v,
-        lhs=lhs,
-        rhs=rhs,
-        passed=req.met_by(v),
-        conjectural=False,
-    )
+def _h2_reflect(p, _param, _budget):
+    # k and p-1-k give the same sum, so k <= (p-1)/2 meets every pair once
+    table = harmonic2_table(p - 2)
+    return _weakest([(table[k] + table[p - 1 - k], ZERO) for k in range(1, (p - 1) // 2 + 1)], p)
 
 
-def _run_thmkey(p, s, _budget):
+def _thmkey(p, s, _budget):
     m = (p - 1) // 2
-    ratios = _central_ratios(m)
-    table = _harmonic2_table(2 * m)
-    total = sum(
-        (ratios[k] ** (2 * s) * table[2 * k] for k in range(m + 1)), Fraction(0)
-    )
-    return _congruence_record("THMKEY", p, s, total, Fraction(0), 1)
-
-
-_CONGRUENCE_RUNNERS = {
-    "EQ0": _run_eq0,
-    "THM1": _run_thm1,
-    "THM2": _run_thm2,
-    "KILBOURN": _run_kilbourn,
-    "CONJ1": _run_conj1,
-    "THM3": _run_thm3,
-    "THM4": _run_thm4,
-    "THM4_STRONG": _run_thm4_strong,
-    "COMCONJ2": _run_comconj2,
-    "CAI": _run_cai,
-    "BINOM_NEG": _run_binom_neg,
-    "BINOM_POS": _run_binom_pos,
-    "BINOM_PROD": _run_binom_prod,
-    "H2_HALF": _run_h2_half,
-    "ODDH2_HALF": _run_oddh2_half,
-    "H2_REFLECT": _run_h2_reflect,
-    "THMKEY": _run_thmkey,
-}
-
-#: The index n of the eta coefficient a_n that a case instance reads.
-_ETA_INDEX = {
-    "THM2": lambda p, _param: p,
-    "KILBOURN": lambda p, _param: p,
-    "CONJ1": lambda p, r: p**r,
-}
-
-_DEFAULT_CONGRUENCE_PARAM = {
-    "THM1": 1,
-    "CONJ1": 1,
-    "CAI": 1,
-    "BINOM_NEG": 1,
-    "BINOM_POS": 1,
-    "BINOM_PROD": 1,
-    "THMKEY": 1,
-}
-
-
-def verify_congruence_case(
-    tag: str, p: int, param: int | None = None, *, budget: int = DEFAULT_BUDGET
-) -> VerificationRecord:
-    """Run one congruence case at prime p.
-
-    ``param`` is the exponent r for THM1/CONJ1/CAI/BINOM_*, the power s for
-    THMKEY, and ignored elsewhere.
-    """
-    if tag not in _CONGRUENCE_RUNNERS:
-        raise KeyError(f"unknown congruence case {tag!r}")
-    check_prime(p)
-    if p < _MIN_PRIME[tag]:
-        raise ValueError(f"case {tag} requires p >= {_MIN_PRIME[tag]}")
-    if param is None:
-        param = _DEFAULT_CONGRUENCE_PARAM.get(tag, 0)
-    return _CONGRUENCE_RUNNERS[tag](p, param, budget)
+    ratios = central_ratios(m)
+    table = harmonic2_table(2 * m)
+    return sum((ratios[k] ** (2 * s) * table[2 * k] for k in range(m + 1)), Fraction(0)), ZERO
 
 
 # --------------------------------------------------------------------------
-# Exact case runners
+# Exact cases: compute(p, param, params) -> (lhs, rhs)
 # --------------------------------------------------------------------------
 
 
-def _run_comiden0(n: int) -> VerificationRecord:
-    if n < 2:
-        raise ValueError("COMIDEN0 requires n > 1")
-    total = sum(
-        (
-            Fraction((-1) ** k * comb(n, k) * comb(n + k, k), 2 * k + 1)
-            for k in range(n + 1)
-        ),
-        Fraction(0),
-    )
-    return _exact_record("COMIDEN0", 0, n, (2 * n + 1) * total, Fraction(1))
+def _comiden0(_p, n, _params):
+    terms = (Fraction((-1) ** k * comb(n, k) * comb(n + k, k), 2 * k + 1) for k in range(n + 1))
+    return (2 * n + 1) * sum(terms, Fraction(0)), Fraction(1)
 
 
-def _comiden_m(n: int) -> int:
-    if n < 1 or n % 2 == 0:
-        raise ValueError("this identity requires a positive odd n")
-    return (n - 1) // 2
+def _comiden_ratio(n: int, m: int) -> Fraction:
+    # (3/2 - n/4)_m / (2 - n/2)_m, the factor COMIDEN1 and COMIDEN2 share
+    return rising_factorial(Fraction(3, 2) - Fraction(n, 4), m) / rising_factorial(2 - Fraction(n, 2), m)
 
 
-def _run_comiden1(n: int) -> VerificationRecord:
-    m = _comiden_m(n)
-    q = Fraction(n, 4)
-    lhs = (
-        rising_factorial(Fraction(3, 2) - q, m)
-        * rising_factorial(1 - Fraction(n, 2), m)
-        / (rising_factorial(2 - Fraction(n, 2), m) * rising_factorial(1 - q, m))
-    )
-    return _exact_record("COMIDEN1", 0, n, lhs, Fraction(_sign_half(n) * n))
+def _comiden1(_p, n, _params):
+    m = (n - 1) // 2
+    rest = rising_factorial(1 - Fraction(n, 2), m) / rising_factorial(1 - Fraction(n, 4), m)
+    return _comiden_ratio(n, m) * rest, Fraction(_sign_half(n) * n)
 
 
-def _run_comiden2(n: int) -> VerificationRecord:
-    m = _comiden_m(n)
-    lhs = (
-        rising_factorial(Fraction(3, 2) - Fraction(n, 4), m)
-        / rising_factorial(2 - Fraction(n, 2), m)
-        * Fraction(2) ** m
-    )
-    return _exact_record("COMIDEN2", 0, n, lhs, Fraction(_sign_eight(n) * n))
+def _comiden2(_p, n, _params):
+    m = (n - 1) // 2
+    return _comiden_ratio(n, m) * Fraction(2) ** m, Fraction(_sign_eight(n) * n)
 
 
-def _run_lemma10(p: int) -> VerificationRecord:
-    lhs = eval_hyp_sum(sum_lemma10(p))
-    return _exact_record("LEMMA10", p, 0, lhs, Fraction(_sign_half(p) * p))
+def _lemma10(p, _param, _params):
+    return eval_hyp_sum(sum_lemma10(p)), Fraction(_sign_half(p) * p)
 
 
-def _run_lemma12(p: int) -> VerificationRecord:
-    lhs = eval_hyp_sum(sum_lemma10(p, z=Fraction(-1, 8)))
-    return _exact_record("LEMMA12", p, 0, lhs, Fraction(_sign_eight(p) * p))
+def _lemma12(p, _param, _params):
+    return eval_hyp_sum(sum_lemma10(p, z=Fraction(-1, 8))), Fraction(_sign_eight(p) * p)
 
 
-def verify_exact_case(
-    tag: str,
-    param: int | None = None,
-    *,
-    p: int | None = None,
-    params: dict | None = None,
-) -> VerificationRecord:
-    """Run one exact-equality case.
-
-    COMIDEN* take ``param`` = n; LEMMA10/12 take ``p``; the six identity tags
-    take either an explicit parameter record ``params`` or a fixed-seed draw
-    index ``param`` (0..49 by default).
-    """
-    if tag in ("COMIDEN0", "COMIDEN1", "COMIDEN2"):
-        if param is None:
-            raise ValueError(f"{tag} needs the integer parameter n")
-        if tag == "COMIDEN0":
-            return _run_comiden0(int(param))
-        if tag == "COMIDEN1":
-            return _run_comiden1(int(param))
-        return _run_comiden2(int(param))
-    if tag in ("LEMMA10", "LEMMA12"):
-        if p is None:
-            raise ValueError(f"{tag} needs the prime p")
-        check_prime(p)
-        if p < 5:
-            raise ValueError(f"case {tag} requires p >= 5")
-        return _run_lemma10(p) if tag == "LEMMA10" else _run_lemma12(p)
-    try:
-        identity = IdentityId(tag)
-    except ValueError:
-        raise KeyError(f"unknown exact case {tag!r}") from None
+def _identity(identity, _p, index, params):
     if params is None:
-        index = int(param or 0)
-        draws = sample_identity_params(identity, max(IDENTITY_DRAWS, index + 1))
-        params = draws[index]
-    else:
-        index = int(param or 0)
-    lhs, rhs = identity_sides(identity, params)
-    return _exact_record(tag, 0, index, lhs, rhs)
+        params = sample_identity_params(identity, max(IDENTITY_DRAWS, index + 1))[index]
+    return identity_sides(identity, params)
 
 
 # --------------------------------------------------------------------------
-# Series case runners
+# Series cases: compute(p) -> (lhs, rhs[, achieved[, ok]])
 # --------------------------------------------------------------------------
 
 
@@ -736,32 +449,18 @@ def _eq10_series(p: int) -> TruncSeries:
     return eval_hyp_sum_series(eq10_series_spec(p), SERIES_ORDER)
 
 
-def _run_eq10_a2(p: int) -> VerificationRecord:
+def _eq10_a2(p):
     ser = _eq10_series(p)
     a2 = coefficient(ser, 2)
-    return _congruence_record(
-        "EQ10_A2", p, 0, a2, Fraction(0), 1, extra_ok=_odd_coeffs_vanish(ser)
-    )
+    return a2, ZERO, padic_valuation(a2, p), _odd_coeffs_vanish(ser)
 
 
-def _run_six_f_five(p: int) -> VerificationRecord:
+def _six_f_five(p):
     ser10 = _eq10_series(p)
     ser65 = eval_hyp_sum_series(six_f_five_series_spec(p), SERIES_ORDER)
     vals = [padic_valuation(c, p) for c in ser65.coeffs]
     vals.append(padic_valuation(ser10.coeffs[0] - ser65.coeffs[0], p))
-    achieved = min(vals)
-    req = Requirement("val_ge", 1)
-    return VerificationRecord(
-        case="SIX_F_FIVE_COEFFS",
-        p=p,
-        param=0,
-        required=req,
-        achieved=achieved,
-        lhs=ser65.coeffs[0],
-        rhs=ser10.coeffs[0],
-        passed=bool(req.met_by(achieved) and _odd_coeffs_vanish(ser65)),
-        conjectural=False,
-    )
+    return ser65.coeffs[0], ser10.coeffs[0], min(vals), _odd_coeffs_vanish(ser65)
 
 
 def _lem_thm1_terms(kmax: int, order: int = SERIES_ORDER):
@@ -785,21 +484,17 @@ def _lem_thm1_terms(kmax: int, order: int = SERIES_ORDER):
 
 
 def lem_thm1_term_series(k: int, order: int = SERIES_ORDER):
-    """Term k of the conjugate-deformed quartic sum as a series in x.
-
-    (1/2)_k^2 (1/2+x/2)_k (1/2-x/2)_k / (k!^2 * |(1 + i x/2)_k|^2); the
-    conjugate lower pair multiplies out to prod_j (j^2 + x^2/4).
-    """
+    """Term k of the conjugate-deformed quartic sum as a series in x (see above)."""
     if k < 0:
         raise ValueError("term index must be nonnegative")
     *_, term = _lem_thm1_terms(k, order)
     return term
 
 
-def _run_lem_thm1_b2k(p: int) -> VerificationRecord:
+def _lem_thm1_b2k(p):
     m = (p - 1) // 2
-    ratios = _central_ratios(m)
-    h2 = _harmonic2_table(2 * m)
+    ratios = central_ratios(m)
+    h2 = harmonic2_table(2 * m)
     a2 = Fraction(0)
     expected = Fraction(0)
     per_term_exact = True
@@ -810,164 +505,241 @@ def _run_lem_thm1_b2k(p: int) -> VerificationRecord:
             per_term_exact = False
         a2 += c2
         expected += want
-    req = Requirement("val_ge", 1)
-    achieved = padic_valuation(a2, p)
-    return VerificationRecord(
-        case="LEM_THM1_B2K",
-        p=p,
-        param=0,
-        required=req,
-        achieved=achieved,
-        lhs=a2,
-        rhs=expected,
-        passed=bool(per_term_exact and a2 == expected and req.met_by(achieved)),
-        conjectural=False,
-    )
+    return a2, expected, padic_valuation(a2, p), per_term_exact and a2 == expected
 
 
-def _run_thm3_quotient(p: int) -> VerificationRecord:
+def _thm3_quotient(p):
     num = eval_hyp_sum_series(thm3_deformed_spec(p), SERIES_ORDER)
     scalar = coefficient(num, 0)
     quotient = ps_mul(num, ps_invert(constant(scalar, SERIES_ORDER)))
     integral = all(padic_valuation(c, p) >= 0 for c in quotient.coeffs)
     c2 = coefficient(quotient, 2)
-    return _congruence_record(
-        "THM3_QUOTIENT_X2",
-        p,
-        0,
-        c2,
-        Fraction(0),
-        1,
-        extra_ok=integral and _odd_coeffs_vanish(quotient),
-    )
+    return c2, ZERO, padic_valuation(c2, p), integral and _odd_coeffs_vanish(quotient)
 
 
-def _run_exact_div_p(p: int) -> VerificationRecord:
+def _exact_div_p(p):
     m = (p - 1) // 2
-    value = (
-        rising_factorial(Fraction(3, 4), m)
-        * rising_factorial(Fraction(5, 4), m)
-        / Fraction(factorial(m)) ** 2
-    )
-    req = Requirement("val_eq", 1)
-    achieved = padic_valuation(value, p)
-    return VerificationRecord(
-        case="EXACT_DIV_P",
-        p=p,
-        param=0,
-        required=req,
-        achieved=achieved,
-        lhs=value,
-        rhs=Fraction(0),
-        passed=req.met_by(achieved),
-        conjectural=False,
-    )
+    numerator = rising_factorial(Fraction(3, 4), m) * rising_factorial(Fraction(5, 4), m)
+    return numerator / factorial(m) ** 2, ZERO
 
 
-_SERIES_RUNNERS = {
-    "EQ10_A2": _run_eq10_a2,
-    "SIX_F_FIVE_COEFFS": _run_six_f_five,
-    "LEM_THM1_B2K": _run_lem_thm1_b2k,
-    "THM3_QUOTIENT_X2": _run_thm3_quotient,
-    "EXACT_DIV_P": _run_exact_div_p,
+# --------------------------------------------------------------------------
+# The case table
+# --------------------------------------------------------------------------
+
+#: Parameter domains.  A case without a parameter takes param 0.
+_NO_PARAM = range(1)
+_FROM_0 = range(sys.maxsize)
+_FROM_1 = range(1, sys.maxsize)
+_FROM_2 = range(2, sys.maxsize)
+_ODD = range(1, sys.maxsize, 2)
+
+_EXACT = Requirement("exact")
+
+
+def _ge(bound: int) -> Requirement:
+    return Requirement("val_ge", bound)
+
+
+@dataclass(frozen=True)
+class Case:
+    """Everything the harness knows about one case tag.
+
+    ``compute`` takes ``(p, param, budget)`` for a congruence, ``(p, param,
+    params)`` for an exact case and ``(p)`` for a series case, and returns
+    ``(lhs, rhs[, achieved[, ok]])``.  ``achieved`` defaults to v_p(lhs - rhs)
+    or EQUAL/UNEQUAL; a record passes iff ``ok`` and ``requirement(param)`` hold.
+    """
+
+    tag: str
+    kind: str  # "congruence" | "exact" | "series"
+    compute: Callable
+    required: Requirement
+    #: THM1/CONJ1: the bound is required.bound + r.
+    bound_adds_param: bool = False
+    #: Smallest prime the case runs at; 0 if it takes no prime (records have p = 0).
+    min_prime: int = _P_MIN
+    #: Accepted params; a direct call without one gets the first.
+    domain: range = _NO_PARAM
+    #: COMIDEN*: a direct call must give n.
+    needs_param: bool = False
+    #: Params run_suite runs at each prime (once without a prime); None: n runs over the primes >= 5.
+    suite: Sequence[int] | None = (0,)
+    #: Exponent r -> largest prime run_suite runs it at (None: no cap); run_suite skips other r.
+    r_caps: dict | None = None
+    conjectural: bool = False
+    #: (p, param) -> the index n of the eta coefficient a_n the case reads.
+    eta_index: Callable | None = None
+
+    def requirement(self, param: int) -> Requirement:
+        if self.bound_adds_param:
+            return Requirement(self.required.kind, self.required.bound + param)
+        return self.required
+
+
+#: One row per case tag, in canonical report order.
+CASES = {
+    case.tag: case
+    for case in (
+        Case("EQ0", "congruence", _eq0, _ge(3)),
+        Case(
+            "THM1", "congruence", _thm1, _ge(3), bound_adds_param=True, domain=_FROM_1,
+            r_caps={1: None, 2: 31},
+        ),
+        Case("THM2", "congruence", _thm2, _ge(4), eta_index=lambda p, _param: p),
+        Case("KILBOURN", "congruence", _kilbourn, _ge(3), min_prime=3, eta_index=lambda p, _param: p),
+        Case(
+            "CONJ1", "congruence", _conj1, _ge(3), bound_adds_param=True, domain=_FROM_1,
+            r_caps={1: None, 2: 19}, conjectural=True, eta_index=lambda p, r: p**r,
+        ),
+        Case("THM3", "congruence", _thm3, _ge(4)),
+        Case("THM4", "congruence", _thm4, _ge(2)),
+        Case("THM4_STRONG", "congruence", _thm4, _ge(3), conjectural=True),
+        Case("COMCONJ2", "congruence", _comconj2, _ge(1), conjectural=True),
+        Case("CAI", "congruence", _cai, _ge(3), domain=_FROM_1, r_caps={1: None, 2: 31}),
+        Case("BINOM_NEG", "congruence", _binom_neg, _ge(1), domain=_FROM_1, r_caps={1: None, 2: 31}),
+        Case("BINOM_POS", "congruence", _binom_pos, _ge(1), domain=_FROM_1, r_caps={1: None, 2: 31}),
+        Case("BINOM_PROD", "congruence", _binom_prod, _ge(2), domain=_FROM_1, r_caps={1: None, 2: 31}),
+        Case("H2_HALF", "congruence", _h2_half, _ge(1)),
+        Case("ODDH2_HALF", "congruence", _oddh2_half, _ge(1)),
+        Case("H2_REFLECT", "congruence", _h2_reflect, _ge(1)),
+        Case("THMKEY", "congruence", _thmkey, _ge(1), domain=_FROM_1, suite=THMKEY_EXPONENTS),
+        Case(
+            "COMIDEN0", "exact", _comiden0, _EXACT, min_prime=0, domain=_FROM_2, needs_param=True,
+            suite=COMIDEN0_RANGE,
+        ),
+        Case("COMIDEN1", "exact", _comiden1, _EXACT, min_prime=0, domain=_ODD, needs_param=True, suite=None),
+        Case("COMIDEN2", "exact", _comiden2, _EXACT, min_prime=0, domain=_ODD, needs_param=True, suite=None),
+        Case("LEMMA10", "exact", _lemma10, _EXACT),
+        Case("LEMMA12", "exact", _lemma12, _EXACT),
+        *(
+            Case(
+                i.value, "exact", partial(_identity, i), _EXACT, min_prime=0, domain=_FROM_0,
+                suite=range(IDENTITY_DRAWS),
+            )
+            for i in IdentityId
+        ),
+        Case("EQ10_A2", "series", _eq10_a2, _ge(1)),
+        Case("SIX_F_FIVE_COEFFS", "series", _six_f_five, _ge(1)),
+        Case("LEM_THM1_B2K", "series", _lem_thm1_b2k, _ge(1)),
+        Case("THM3_QUOTIENT_X2", "series", _thm3_quotient, _ge(1)),
+        Case("EXACT_DIV_P", "series", _exact_div_p, Requirement("val_eq", 1)),
+    )
 }
+
+#: Canonical report order of all case tags.
+CASE_ORDER = tuple(CASES)
+
+#: Largest prime run_suite verifies per exponent r, for the cases that take r.
+R_CAPS = {tag: case.r_caps for tag, case in CASES.items() if case.r_caps is not None}
+
+CONJECTURAL_CASES = frozenset(tag for tag, case in CASES.items() if case.conjectural)
+
+
+# --------------------------------------------------------------------------
+# Entry points and the suite driver
+# --------------------------------------------------------------------------
+
+
+def _record(case, p, param, lhs=None, rhs=None, achieved=None, ok=True, error=None):
+    """The record of one case instance, with requirement and flag from the table."""
+    required = case.requirement(param)
+    if error is not None:
+        achieved, ok = f"error:{type(error).__name__}", False
+    elif achieved is None and required.kind == "exact":
+        achieved = "EQUAL" if lhs == rhs else "UNEQUAL"
+    elif achieved is None:
+        achieved = padic_valuation(lhs - rhs, p)
+    return VerificationRecord(
+        case=case.tag,
+        p=p,
+        param=param,
+        required=required,
+        achieved=achieved,
+        lhs=lhs,
+        rhs=rhs,
+        passed=bool(ok and required.met_by(achieved)),
+        conjectural=case.conjectural,
+        error=None if error is None else str(error),
+    )
+
+
+def _prepare(tag: str, kind: str, p, param) -> tuple[Case, int]:
+    """The table row of a ``kind`` case, with p and param checked against it, and the param."""
+    case = CASES.get(tag)
+    if case is None or case.kind != kind:
+        raise KeyError(f"unknown {kind} case {tag!r}")
+    if case.min_prime:
+        if p is None:
+            raise ValueError(f"{tag} needs the prime p")
+        check_prime(p)
+        if p < case.min_prime:
+            raise ValueError(f"case {tag} requires p >= {case.min_prime}")
+    if param is None and case.needs_param:
+        raise ValueError(f"{tag} needs the integer parameter n")
+    param = case.domain.start if param is None else int(param)
+    if param not in case.domain:
+        shown = ", ".join(map(str, case.domain[:3])) + (", ..." if len(case.domain) > 3 else "")
+        raise ValueError(f"case {tag} takes param in {{{shown}}}, got {param}")
+    return case, param
+
+
+def verify_congruence_case(
+    tag: str, p: int, param: int | None = None, *, budget: int = DEFAULT_BUDGET
+) -> VerificationRecord:
+    """Run one congruence case at prime p.
+
+    ``param`` is the exponent r for THM1/CONJ1/CAI/BINOM_*, the power s for
+    THMKEY (both default to 1), and 0 or None elsewhere.
+    """
+    case, param = _prepare(tag, "congruence", p, param)
+    return _record(case, p, param, *case.compute(p, param, budget))
+
+
+def verify_exact_case(
+    tag: str,
+    param: int | None = None,
+    *,
+    p: int | None = None,
+    params: dict | None = None,
+) -> VerificationRecord:
+    """Run one exact-equality case.
+
+    COMIDEN* take ``param`` = n; LEMMA10/12 take ``p``; the six identity tags
+    take either an explicit parameter record ``params`` or a fixed-seed draw
+    index ``param`` (0..49 by default).
+    """
+    case, param = _prepare(tag, "exact", p, param)
+    p = p if case.min_prime else 0
+    return _record(case, p, param, *case.compute(p, param, params))
 
 
 def verify_series_case(tag: str, p: int) -> VerificationRecord:
     """Run one deformation-series case at prime p."""
-    if tag not in _SERIES_RUNNERS:
-        raise KeyError(f"unknown series case {tag!r}")
-    check_prime(p)
-    if p < 5:
-        raise ValueError(f"case {tag} requires p >= 5")
-    return _SERIES_RUNNERS[tag](p)
+    case, param = _prepare(tag, "series", p, None)
+    return _record(case, p, param, *case.compute(p))
 
 
-# --------------------------------------------------------------------------
-# Suite driver
-# --------------------------------------------------------------------------
+def _instances(case: Case, primes: list[int], rs: list[int]) -> list[tuple[int, int]]:
+    """(p, param) of every instance of a case that run_suite runs, in order."""
+    if case.suite is None:
+        return [(0, n) for n in primes if n >= _P_MIN]
+    if not case.min_prime:
+        return [(0, n) for n in case.suite]
+    applicable = [p for p in primes if p >= case.min_prime]
+    if case.r_caps is None:
+        return [(p, s) for p in applicable for s in case.suite]
+    caps = case.r_caps
+    return [(p, r) for p in applicable for r in rs if r in caps and (caps[r] is None or p <= caps[r])]
 
 
-def _nominal_requirement(tag: str, param: int) -> Requirement:
-    if tag in ("THM1", "CONJ1"):
-        return Requirement("val_ge", 3 + param)
-    bounds = {
-        "EQ0": 3,
-        "THM2": 4,
-        "KILBOURN": 3,
-        "THM3": 4,
-        "THM4": 2,
-        "THM4_STRONG": 3,
-        "COMCONJ2": 1,
-        "CAI": 3,
-        "BINOM_NEG": 1,
-        "BINOM_POS": 1,
-        "BINOM_PROD": 2,
-        "H2_HALF": 1,
-        "ODDH2_HALF": 1,
-        "H2_REFLECT": 1,
-        "THMKEY": 1,
-    }
-    if tag in bounds:
-        return Requirement("val_ge", bounds[tag])
-    if tag == "EXACT_DIV_P":
-        return Requirement("val_eq", 1)
-    if tag in SERIES_CASES:
-        return Requirement("val_ge", 1)
-    return Requirement("exact")
-
-
-def _error_record(tag, p, param, exc) -> VerificationRecord:
-    return VerificationRecord(
-        case=tag,
-        p=p,
-        param=param,
-        required=_nominal_requirement(tag, param),
-        achieved=f"error:{type(exc).__name__}",
-        lhs=None,
-        rhs=None,
-        passed=False,
-        conjectural=tag in CONJECTURAL_CASES,
-    )
-
-
-def _case_instances(tag: str, primes: list[int], rs: list[int], budget: int):
-    """Yield (p, param, thunk) triples for every applicable instance of a case."""
-    applicable = [p for p in primes if p >= _MIN_PRIME[tag]]
-    if tag in _CONGRUENCE_RUNNERS:
-        if tag in R_CAPS:
-            caps = R_CAPS[tag]
-            valid_rs = [r for r in rs if r in caps]
-            for p in applicable:
-                for r in valid_rs:
-                    cap = caps[r]
-                    if cap is not None and p > cap:
-                        continue
-                    yield p, r, (lambda p=p, r=r: verify_congruence_case(tag, p, r, budget=budget))
-        elif tag == "THMKEY":
-            for p in applicable:
-                for s in THMKEY_EXPONENTS:
-                    yield p, s, (lambda p=p, s=s: verify_congruence_case(tag, p, s, budget=budget))
-        else:
-            for p in applicable:
-                yield p, 0, (lambda p=p: verify_congruence_case(tag, p, budget=budget))
-    elif tag == "COMIDEN0":
-        for n in COMIDEN0_RANGE:
-            yield 0, n, (lambda n=n: verify_exact_case(tag, n))
-    elif tag in ("COMIDEN1", "COMIDEN2"):
-        for p in applicable:
-            yield 0, p, (lambda p=p: verify_exact_case(tag, p))
-    elif tag in ("LEMMA10", "LEMMA12"):
-        for p in applicable:
-            yield p, 0, (lambda p=p: verify_exact_case(tag, p=p))
-    elif tag in set(i.value for i in IdentityId):
-        for index in range(IDENTITY_DRAWS):
-            yield 0, index, (lambda index=index: verify_exact_case(tag, index))
-    elif tag in _SERIES_RUNNERS:
-        for p in applicable:
-            yield p, 0, (lambda p=p: verify_series_case(tag, p))
-    else:  # pragma: no cover - registry and CASE_ORDER are kept in sync
-        raise KeyError(f"unknown case {tag!r}")
+def _run(case: Case, p: int, param: int, budget: int) -> VerificationRecord:
+    # Looked up as module globals at call time, so a wrapped entry point is used.
+    if case.kind == "congruence":
+        return verify_congruence_case(case.tag, p, param, budget=budget)
+    if case.kind == "series":
+        return verify_series_case(case.tag, p)
+    return verify_exact_case(case.tag, param, p=p)
 
 
 def select_cases(names) -> list[str]:
@@ -995,10 +767,10 @@ def run_suite(
     are dropped (p = 3 reaches only KILBOURN).  ``rs`` selects the exponents
     for the cases that take one, subject to R_CAPS.  Domain errors (a
     ``ValueError`` such as ``BudgetError`` or ``NotPrimeError``, or a
-    ``PoleError``) become failed records instead of aborting the suite; any
-    other exception is a bug and propagates.  An empty prime selection
-    yields an empty record list.  Before any case runs, the eta expansion is
-    widened once to the largest a_{p^r} the run reads within ``budget``.
+    ``PoleError``) become failed records that keep the message; any other
+    exception is a bug and propagates.  An empty prime selection yields an
+    empty record list.  Before any case runs, the eta expansion is widened
+    once to the largest a_{p^r} the run reads within ``budget``.
     """
     prime_list = sorted({int(p) for p in primes if int(p) >= 3 and is_prime(int(p))})
     tags = select_cases(cases)
@@ -1006,21 +778,17 @@ def run_suite(
         return []
     r_list = sorted({int(r) for r in rs})
     instances = [
-        (tag, p, parameter, thunk)
-        for tag in tags
-        for p, parameter, thunk in _case_instances(tag, prime_list, r_list, budget)
+        (CASES[tag], p, param) for tag in tags for p, param in _instances(CASES[tag], prime_list, r_list)
     ]
     # One eta expansion serves the whole run: the largest p^r within budget.
-    eta_indices = [
-        _ETA_INDEX[tag](p, parameter) for tag, p, parameter, _thunk in instances if tag in _ETA_INDEX
-    ]
+    eta_indices = [case.eta_index(p, param) for case, p, param in instances if case.eta_index]
     widest = max((n for n in eta_indices if n <= budget), default=None)
     if widest is not None:
         widest_expansion(widest)
     records: list[VerificationRecord] = []
-    for tag, p, parameter, thunk in instances:
+    for case, p, param in instances:
         try:
-            records.append(thunk())
+            records.append(_run(case, p, param, budget))
         except (ValueError, PoleError) as exc:
-            records.append(_error_record(tag, p, parameter, exc))
+            records.append(_record(case, p, param, error=exc))
     return records

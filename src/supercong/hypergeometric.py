@@ -116,17 +116,6 @@ def specialize(s: HypSum, x0) -> HypSum:
     )
 
 
-def termination_index(s: HypSum) -> int | None:
-    """Smallest n >= 0 with an undeformed upper base equal to -n, else None."""
-    best = None
-    for u in s.upper:
-        if u.slope == 0 and u.base.denominator == 1 and u.base <= 0:
-            n = -int(u.base)
-            if best is None or n < best:
-                best = n
-    return best
-
-
 def _check_lower_poles(s: HypSum) -> None:
     # (b)_k for k <= K contains a zero factor iff b is an integer in (-K, 0].
     for l in s.lower:

@@ -39,13 +39,6 @@ class TruncSeries:
         d = min(self.order, other.order)
         return TruncSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(d + 1)))
 
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        d = min(self.order, other.order)
-        return TruncSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(d + 1)))
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other):
         if isinstance(other, TruncSeries):
             return ps_mul(self, other)

@@ -14,9 +14,7 @@ from math import factorial
 
 from supercong.cli import main
 from supercong.exact_core import (
-    harmonic2,
     is_prime,
-    odd_harmonic2,
     padic_valuation,
     rising_factorial,
 )
@@ -28,6 +26,8 @@ from supercong.harness import (
 from supercong.hypergeometric import IdentityId, check_identity, sample_identity_params
 from supercong.modular_form import prime_power_coefficient
 from supercong.power_series import coefficient, pochhammer_series, ps_mul
+
+from oracles import harmonic2, odd_harmonic2
 
 PRIMES = [p for p in range(5, 98) if is_prime(p)]
 HALF = F(1, 2)

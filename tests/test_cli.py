@@ -90,8 +90,13 @@ def test_summary_counts_pass_fail_and_error_per_case(tmp_path, monkeypatch, caps
     out = tmp_path / "report.json"
     code = main(["verify", "--cases", "eq0,thm2", "--pmin", "5", "--pmax", "97", "--out", str(out)])
     assert code == 1
-    lines = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
     assert lines == [f"{'EQ0':<18} 23/23 pass", f"{'THM2':<18} 0/23 pass, 23 error"]
+    errors = captured.err.splitlines()
+    assert len(errors) == 23
+    assert errors[0] == "error: THM2 p=5 param=0: BudgetError: p^r = 5 exceeds the expansion budget 3"
+    assert all(": BudgetError: p^r = " in line for line in errors)
     entries = json.loads(out.read_text())
     assert [e["achieved"] for e in entries if e["case"] == "THM2"] == ["error:BudgetError"] * 23
 

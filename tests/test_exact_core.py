@@ -7,15 +7,13 @@ import pytest
 from supercong.exact_core import (
     INFINITY,
     NotPrimeError,
-    binomial,
-    central_half_ratio,
     congruent_mod_power,
-    harmonic2,
     is_prime,
-    odd_harmonic2,
     padic_valuation,
     rising_factorial,
 )
+
+from oracles import central_half_ratio, harmonic2, odd_harmonic2
 
 PRIMES_TO_97 = [p for p in range(5, 98) if is_prime(p)]
 
@@ -56,14 +54,6 @@ def test_odd_harmonic2_examples():
     assert odd_harmonic2(0) == 0
     assert odd_harmonic2(2) == F(10, 9)
     assert odd_harmonic2(3) == sum(F(1, (2 * j - 1) ** 2) for j in range(1, 4)) == F(259, 225)
-
-
-def test_binomial_basic():
-    assert binomial(4, 2) == 6
-    assert binomial(4, 5) == 0
-    assert binomial(4, -1) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
 
 
 def test_is_prime_small():

@@ -1,5 +1,10 @@
+import importlib.util
+import re
+import sys
+from dataclasses import replace
 from fractions import Fraction as F
 from math import comb
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -7,13 +12,12 @@ import sympy as sp
 from supercong.exact_core import (
     INFINITY,
     NotPrimeError,
-    central_half_ratio,
-    harmonic2,
     padic_valuation,
     rising_factorial,
 )
 from supercong.harness import (
     CASE_ORDER,
+    CASES,
     CONJECTURAL_CASES,
     IDENTITY_DRAWS,
     R_CAPS,
@@ -36,6 +40,8 @@ from supercong.hypergeometric import (
     specialize,
 )
 from supercong.power_series import coefficient
+
+from oracles import central_half_ratio, harmonic2
 
 HALF = F(1, 2)
 
@@ -419,28 +425,27 @@ def test_run_suite_turns_errors_into_failed_records():
     assert not rec.passed and rec.achieved == "error:BudgetError"
     assert rec.lhs is None and rec.rhs is None
     assert report_entry(rec)["lhs"] == ""
-
+    assert rec.error == "p^r = 5 exceeds the expansion budget 3"
+    assert "error" not in report_entry(rec)
 
 
 def test_run_suite_turns_pole_errors_into_failed_records(monkeypatch):
-    import supercong.harness as harness
-
     def pole(p, _param, _budget):
         raise PoleError("lower parameter hits a pole")
 
-    monkeypatch.setitem(harness._CONGRUENCE_RUNNERS, "EQ0", pole)
+    monkeypatch.setitem(CASES, "EQ0", replace(CASES["EQ0"], compute=pole))
     (rec,) = run_suite([5], cases=["EQ0"])
     assert not rec.passed and rec.achieved == "error:PoleError"
+    assert rec.error == "lower parameter hits a pole"
+    assert rec.required == Requirement("val_ge", 3)
 
 
 @pytest.mark.parametrize("exc", [RuntimeError, ZeroDivisionError, RecursionError])
 def test_run_suite_lets_programming_errors_propagate(monkeypatch, exc):
-    import supercong.harness as harness
-
     def broken(p, _param, _budget):
         raise exc("a bug, not a domain error")
 
-    monkeypatch.setitem(harness._CONGRUENCE_RUNNERS, "EQ0", broken)
+    monkeypatch.setitem(CASES, "EQ0", replace(CASES["EQ0"], compute=broken))
     with pytest.raises(exc):
         run_suite([5, 7], cases=["EQ0", "THM3"])
 
@@ -456,6 +461,59 @@ def test_congruences_hold_beyond_the_suite_caps(tag, r, p):
     rec = verify_congruence_case(tag, p, r)
     assert rec.passed and rec.param == r
     assert rec.achieved >= 3 + r
+
+@pytest.mark.parametrize(
+    "tag, param, domain",
+    [
+        ("THM1", 0, "{1, 2, 3, ...}"),
+        ("CAI", 0, "{1, 2, 3, ...}"),
+        ("THMKEY", 0, "{1, 2, 3, ...}"),
+        ("BINOM_NEG", 0, "{1, 2, 3, ...}"),
+        ("WHIPPLE_4F3", -1, "{0, 1, 2, ...}"),
+    ],
+)
+def test_out_of_domain_parameters_are_rejected(tag, param, domain):
+    # each once passed vacuously, raised IndexError or read another draw
+    with pytest.raises(ValueError, match=re.escape(f"case {tag} takes param in {domain}")):
+        if tag == "WHIPPLE_4F3":
+            verify_exact_case(tag, param)
+        else:
+            verify_congruence_case(tag, 5, param)
+
+
+def _entry_points(tag):
+    # arguments each entry point accepts for a case of its own kind
+    return {
+        "congruence": lambda: verify_congruence_case(tag, 5),
+        "exact": lambda: verify_exact_case(tag, None if tag.startswith("LEMMA") else 5, p=5),
+        "series": lambda: verify_series_case(tag, 5),
+    }
+
+
+@pytest.mark.parametrize("tag", CASE_ORDER)
+def test_every_tag_belongs_to_exactly_one_entry_point(tag):
+    accepted = []
+    for kind, call in _entry_points(tag).items():
+        try:
+            rec = call()
+        except KeyError:
+            continue
+        assert rec.case == tag and rec.passed
+        accepted.append(kind)
+    assert accepted == [CASES[tag].kind]
+
+
+def test_benchmark_tags_follow_the_case_table(monkeypatch):
+    # the benchmark names one per-case metric per tag; read its list without
+    # running the benchmark and without writing bytecode next to it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert workloads.ALL_TAGS == CASE_ORDER
+
 
 def test_select_cases():
     assert select_cases(["eq0", "thm3"]) == ["EQ0", "THM3"]

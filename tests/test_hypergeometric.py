@@ -22,7 +22,6 @@ from supercong.hypergeometric import (
     param,
     sample_identity_params,
     scalarized,
-    termination_index,
 )
 from supercong.power_series import coefficient
 
@@ -114,15 +113,6 @@ def test_series_pole_errors():
     vanishing = hyp_sum([HALF], [(-1, 1)], z=1, K=3, weight=(0, 1))
     with pytest.raises(PoleError):
         eval_hyp_sum_series(vanishing, 2)
-
-
-def test_termination_index():
-    assert termination_index(hyp_sum([F(-3), HALF], [1], z=1, K=9)) == 3
-    assert termination_index(hyp_sum([HALF, F(-2)], [1], z=1, K=9)) == 2
-    assert termination_index(hyp_sum([HALF, F(7, 2)], [1], z=1, K=9)) is None
-    # a deformed parameter does not terminate the series
-    assert termination_index(hyp_sum([(-2, 1)], [1], z=1, K=9)) is None
-    assert termination_index(hyp_sum([0, HALF], [1], z=1, K=9)) == 0
 
 
 def test_param_coercion():

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from supercong.exact_core import harmonic2, odd_harmonic2, rising_factorial
+from supercong.exact_core import rising_factorial
 from supercong.power_series import (
     TruncSeries,
     coefficient,
@@ -17,6 +17,8 @@ from supercong.power_series import (
     ps_mul,
     series,
 )
+
+from oracles import harmonic2, odd_harmonic2
 
 
 def test_ps_mul_examples():
@@ -176,8 +178,6 @@ def test_series_construction_and_operators():
     s = series([1, 2], 3)
     assert s.coeffs == (1, 2, 0, 0)
     assert (s + s).coeffs == (2, 4, 0, 0)
-    assert (s - s).coeffs == (0, 0, 0, 0)
-    assert (-s).coeffs == (-1, -2, 0, 0)
     assert (F(1, 2) * s).coeffs == (F(1, 2), 1, 0, 0)
     assert (s * F(1, 2)) == (F(1, 2) * s)
     assert (s + constant(0, 1)).order == 1

@@ -12,9 +12,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from supercong import harness, modular_form
-from supercong.exact_core import central_half_ratio, harmonic2, is_prime, odd_harmonic2
-from supercong.harness import _central_ratios, _harmonic2_table, run_suite, verify_congruence_case
+from supercong import exact_core, modular_form
+from supercong.exact_core import central_ratios, harmonic2_table, is_prime
+from supercong.harness import run_suite, verify_congruence_case
 from supercong.modular_form import (
     BudgetError,
     coefficient_at,
@@ -23,10 +23,12 @@ from supercong.modular_form import (
     widest_expansion,
 )
 
+from oracles import central_half_ratio, harmonic2, odd_harmonic2
+
 K = 1000
 TABLES = (
-    ("central", _central_ratios, harness._CENTRAL_RATIOS),
-    ("harmonic2", _harmonic2_table, harness._HARMONIC2),
+    ("central", central_ratios, exact_core._CENTRAL_RATIOS),
+    ("harmonic2", harmonic2_table, exact_core._HARMONIC2),
 )
 ODD_PRIMES = [p for p in range(3, 500) if is_prime(p)]
 
@@ -85,14 +87,14 @@ def test_mutating_a_returned_table_changes_no_later_result(monkeypatch, oracle, 
 
 
 def test_concurrent_growth_hands_every_reader_a_correct_prefix(monkeypatch, oracle):
-    table = harness._HARMONIC2
+    table = exact_core._HARMONIC2
     want = oracle["harmonic2"]
     wrong = []
 
     def reader(start, offset):
         start.wait()
         for k in range(offset, K + 1, 20):
-            got = _harmonic2_table(k)
+            got = harmonic2_table(k)
             if len(got) != k + 1 or got[k] != want[k]:
                 wrong.append(k)
 
@@ -111,7 +113,7 @@ def test_concurrent_growth_hands_every_reader_a_correct_prefix(monkeypatch, orac
     finally:
         sys.setswitchinterval(interval)
     assert wrong == []
-    assert _harmonic2_table(K) == want
+    assert harmonic2_table(K) == want
 
 
 def test_half_range_harmonic_records_match_the_direct_sums():
