@@ -8,7 +8,6 @@ from .exact_core import (
     NotPrimeError,
     Rational,
     Valuation,
-    congruent_mod_power,
     is_prime,
     padic_valuation,
     rising_factorial,
@@ -16,11 +15,6 @@ from .exact_core import (
 from .power_series import (
     TruncSeries,
     coefficient,
-    constant,
-    pochhammer_norm_series,
-    pochhammer_series,
-    ps_invert,
-    ps_mul,
     series,
 )
 from .hypergeometric import (
@@ -30,15 +24,12 @@ from .hypergeometric import (
     IdentityId,
     PoleError,
     UnpairableError,
-    check_identity,
     eval_hyp_sum,
     eval_hyp_sum_series,
     gamma_ratio_value,
     hyp_sum,
     identity_sides,
     sample_identity_params,
-    scalarized,
-    specialize,
 )
 from .modular_form import (
     BudgetError,

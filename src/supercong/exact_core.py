@@ -157,12 +157,3 @@ def padic_valuation(x, p: int) -> Valuation:
         return INFINITY
     return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
 
-
-def congruent_mod_power(a, b, p: int, n: int) -> bool:
-    """True iff v_p(a - b) >= n, the congruence a = b mod p^n on rationals.
-
-    Operands need not be p-integral; the valuation of the difference decides.
-    """
-    if n < 1:
-        raise ValueError("modulus exponent must be a positive integer")
-    return padic_valuation(Fraction(a) - Fraction(b), p) >= n

@@ -92,6 +92,7 @@ from .hypergeometric import (
     HypSum,
     IdentityId,
     PoleError,
+    _split_series,
     eval_hyp_sum,
     eval_hyp_sum_series,
     hyp_sum,
@@ -99,15 +100,7 @@ from .hypergeometric import (
     sample_identity_params,
 )
 from .modular_form import DEFAULT_BUDGET, prime_power_coefficient, widest_expansion
-from .power_series import (
-    TruncSeries,
-    coefficient,
-    constant,
-    div_binomial,
-    mul_binomial,
-    ps_invert,
-    ps_mul,
-)
+from .power_series import TruncSeries, coefficient, div_binomial, mul_binomial
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -288,15 +281,6 @@ def thm3_deformed_spec(p: int) -> HypSum:
     )
 
 
-def series_case_specs(p: int) -> dict[str, HypSum]:
-    """The HypSum-backed deformation specs, keyed by case tag."""
-    return {
-        "EQ10_A2": eq10_series_spec(p),
-        "SIX_F_FIVE_COEFFS": six_f_five_series_spec(p),
-        "THM3_QUOTIENT_X2": thm3_deformed_spec(p),
-    }
-
-
 # --------------------------------------------------------------------------
 # Congruence cases: compute(p, param, budget) -> (lhs, rhs[, achieved[, ok]])
 # --------------------------------------------------------------------------
@@ -430,7 +414,7 @@ def _lemma12(p, _param, _params):
 
 def _identity(identity, _p, index, params):
     if params is None:
-        params = sample_identity_params(identity, max(IDENTITY_DRAWS, index + 1))[index]
+        params = sample_identity_params(identity, IDENTITY_DRAWS)[index]
     return identity_sides(identity, params)
 
 
@@ -463,55 +447,42 @@ def _six_f_five(p):
     return ser65.coeffs[0], ser10.coeffs[0], min(vals), _odd_coeffs_vanish(ser65)
 
 
-def _lem_thm1_terms(kmax: int, order: int = SERIES_ORDER):
-    """Terms 0..kmax of the conjugate-deformed quartic sum, as series in x.
+def _lem_thm1_ratio(k: int) -> tuple[list[int], list[int]]:
+    """Term ratio t_k / t_{k-1} of the conjugate-deformed quartic sum.
 
     Term k is (1/2)_k^2 (1/2+x/2)_k (1/2-x/2)_k / (k!^2 * |(1 + i x/2)_k|^2);
-    the conjugate pairs multiply out to real quadratics, so the term ratio is
-    ((k+1/2)/(k+1))^2 * ((k+1/2)^2 - x^2/4) / ((k+1)^2 + x^2/4).
+    the conjugate pairs multiply out to real quadratics, so the ratio is
+    a^2 (a^2 - x^2) / (b^2 (b^2 + x^2)) with a = 2k-1 and b = 2k.
     """
-    core = [Fraction(1)] + [Fraction(0)] * order
-    for k in range(kmax + 1):
-        yield TruncSeries(tuple(core))
-        if k == kmax:
-            break
-        a = k + HALF
-        mul_binomial(core, a * a, -QUARTER, lag=2)
-        div_binomial(core, Fraction((k + 1) ** 2), QUARTER, lag=2)
-        scale = (a / (k + 1)) ** 2
-        for d in range(order + 1):
-            core[d] *= scale
-
-
-def lem_thm1_term_series(k: int, order: int = SERIES_ORDER):
-    """Term k of the conjugate-deformed quartic sum as a series in x (see above)."""
-    if k < 0:
-        raise ValueError("term index must be nonnegative")
-    *_, term = _lem_thm1_terms(k, order)
-    return term
+    a, b = (2 * k - 1) ** 2, (2 * k) ** 2
+    pad = [0] * (SERIES_ORDER - 2)
+    return [a * a, 0, -a, *pad], [b * b, 0, b, *pad]
 
 
 def _lem_thm1_b2k(p):
     m = (p - 1) // 2
     ratios = central_ratios(m)
     h2 = harmonic2_table(2 * m)
-    a2 = Fraction(0)
-    expected = Fraction(0)
+    # term_k / c_k^4 = prod_{j<k} (1 - x^2/(2j+1)^2) / (1 + x^2/(2j+2)^2),
+    # whose x^2 coefficient is -H2(2k).  The check reads x^2 and the odd
+    # coefficients below x^4, and no coefficient depends on higher ones, so
+    # the product is kept mod x^4, where its denominators stay small.
+    norm = [Fraction(1), ZERO, ZERO, ZERO]
     per_term_exact = True
-    for k, term in enumerate(_lem_thm1_terms(m)):
-        c2 = coefficient(term, 2)
-        want = -(ratios[k] ** 4) * h2[2 * k]
-        if c2 != want or not _odd_coeffs_vanish(term):
+    for k in range(m + 1):
+        if norm[2] != -h2[2 * k] or any(norm[1::2]):
             per_term_exact = False
-        a2 += c2
-        expected += want
+        mul_binomial(norm, 1, Fraction(-1, (2 * k + 1) ** 2), lag=2)
+        div_binomial(norm, 1, Fraction(1, (2 * k + 2) ** 2), lag=2)
+    a2 = _split_series(_lem_thm1_ratio, m, SERIES_ORDER, (ZERO, Fraction(1)))[2]
+    expected = -sum((ratios[k] ** 4 * h2[2 * k] for k in range(m + 1)), ZERO)
     return a2, expected, padic_valuation(a2, p), per_term_exact and a2 == expected
 
 
 def _thm3_quotient(p):
     num = eval_hyp_sum_series(thm3_deformed_spec(p), SERIES_ORDER)
     scalar = coefficient(num, 0)
-    quotient = ps_mul(num, ps_invert(constant(scalar, SERIES_ORDER)))
+    quotient = num.scale(1 / scalar)
     integral = all(padic_valuation(c, p) >= 0 for c in quotient.coeffs)
     c2 = coefficient(quotient, 2)
     return c2, ZERO, padic_valuation(c2, p), integral and _odd_coeffs_vanish(quotient)
@@ -529,7 +500,6 @@ def _exact_div_p(p):
 
 #: Parameter domains.  A case without a parameter takes param 0.
 _NO_PARAM = range(1)
-_FROM_0 = range(sys.maxsize)
 _FROM_1 = range(1, sys.maxsize)
 _FROM_2 = range(2, sys.maxsize)
 _ODD = range(1, sys.maxsize, 2)
@@ -563,6 +533,8 @@ class Case:
     domain: range = _NO_PARAM
     #: COMIDEN*: a direct call must give n.
     needs_param: bool = False
+    #: The identity tags: a direct call may give an explicit parameter record.
+    takes_params: bool = False
     #: Params run_suite runs at each prime (once without a prime); None: n runs over the primes >= 5.
     suite: Sequence[int] | None = (0,)
     #: Exponent r -> largest prime run_suite runs it at (None: no cap); run_suite skips other r.
@@ -614,8 +586,8 @@ CASES = {
         Case("LEMMA12", "exact", _lemma12, _EXACT),
         *(
             Case(
-                i.value, "exact", partial(_identity, i), _EXACT, min_prime=0, domain=_FROM_0,
-                suite=range(IDENTITY_DRAWS),
+                i.value, "exact", partial(_identity, i), _EXACT, min_prime=0, domain=range(IDENTITY_DRAWS),
+                takes_params=True, suite=range(IDENTITY_DRAWS),
             )
             for i in IdentityId
         ),
@@ -675,6 +647,8 @@ def _prepare(tag: str, kind: str, p, param) -> tuple[Case, int]:
         check_prime(p)
         if p < case.min_prime:
             raise ValueError(f"case {tag} requires p >= {case.min_prime}")
+    elif p is not None:
+        raise ValueError(f"case {tag} takes no prime p")
     if param is None and case.needs_param:
         raise ValueError(f"{tag} needs the integer parameter n")
     param = case.domain.start if param is None else int(param)
@@ -707,9 +681,12 @@ def verify_exact_case(
 
     COMIDEN* take ``param`` = n; LEMMA10/12 take ``p``; the six identity tags
     take either an explicit parameter record ``params`` or a fixed-seed draw
-    index ``param`` (0..49 by default).
+    index ``param`` in 0..IDENTITY_DRAWS-1.  An input the case does not use
+    raises ``ValueError``.
     """
     case, param = _prepare(tag, "exact", p, param)
+    if params is not None and not case.takes_params:
+        raise ValueError(f"case {tag} takes no parameter record")
     p = p if case.min_prime else 0
     return _record(case, p, param, *case.compute(p, param, params))
 
@@ -739,7 +716,7 @@ def _run(case: Case, p: int, param: int, budget: int) -> VerificationRecord:
         return verify_congruence_case(case.tag, p, param, budget=budget)
     if case.kind == "series":
         return verify_series_case(case.tag, p)
-    return verify_exact_case(case.tag, param, p=p)
+    return verify_exact_case(case.tag, param, p=p if case.min_prime else None)
 
 
 def select_cases(names) -> list[str]:

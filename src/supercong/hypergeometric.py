@@ -9,16 +9,17 @@ sum whose parameters may be deformed along a formal variable x:
 
 with every parameter affine in x (``base + slope*x``).  Both evaluations
 are driven by the term ratio z/(k+1) * prod_i (upper_i + k) / prod_j
-(lower_j + k).  Scalar evaluation specializes x = 0 and sums the terms by
-binary splitting over integers (Haible & Papanikolaou, ANTS 1998): the
-ratios' numerators and denominators are multiplied up a balanced tree and
-one exact division ends the sum, so no gcd is taken per term.  Series
-evaluation carries the k-th term forward as a dense coefficient list, in
-which each deformed factor is a linear polynomial in x multiplied or
-divided in at O(order) cost, so a sum costs O(K * order).  The explicit k!
-matches the usual (r+1)F(r) normalization, and the affine weight is kept
-separate from the parameter lists because a weight encoded as a parameter
-pair would not survive deformation of those parameters.
+(lower_j + k) and sum the terms by binary splitting (Haible & Papanikolaou,
+ANTS 1998): the ratios' numerators and denominators are multiplied up a
+balanced tree and exact divisions at the root end the sum, so no gcd is
+taken per term.  Scalar evaluation specializes x = 0 and splits over the
+integers.  Series evaluation splits over Z[x]/(x^(order+1)): each factor
+becomes an integer polynomial, linear for a deformed parameter, and one
+back-substitution through the root's denominator leaves one exact division
+per output coefficient.  The explicit k! matches the usual (r+1)F(r)
+normalization, and the affine weight is kept separate from the parameter
+lists because a weight encoded as a parameter pair would not survive
+deformation of those parameters.
 
 The module also evaluates Gamma-function ratios whose arguments pair up to
 integer shifts (reducing each pair by the recurrence G(x+1) = x*G(x)), and
@@ -33,10 +34,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from typing import Mapping
 
-from .power_series import TruncSeries, div_binomial, mul_binomial
+from .power_series import TruncSeries
 from .exact_core import rising_factorial
 
 
@@ -99,23 +100,6 @@ def hyp_sum(upper, lower, z, K: int, weight=(0, 1)) -> HypSum:
     )
 
 
-def scalarized(s: HypSum) -> HypSum:
-    """The same sum with every deformation slope set to zero (x = 0)."""
-    return specialize(s, 0)
-
-
-def specialize(s: HypSum, x0) -> HypSum:
-    """The sum with the deformation variable pinned to the value x0."""
-    x0 = Fraction(x0)
-    return HypSum(
-        upper=tuple(AffineParam(u.base + u.slope * x0) for u in s.upper),
-        lower=tuple(AffineParam(l.base + l.slope * x0) for l in s.lower),
-        argument=s.argument,
-        truncation=s.truncation,
-        weight=s.weight,
-    )
-
-
 def _check_lower_poles(s: HypSum) -> None:
     # (b)_k for k <= K contains a zero factor iff b is an integer in (-K, 0].
     for l in s.lower:
@@ -128,6 +112,13 @@ def _check_lower_poles(s: HypSum) -> None:
             raise PoleError(
                 f"lower parameter {b} makes a rising factorial vanish before k = {s.truncation}"
             )
+
+
+def _integer_weight(weight) -> tuple[int, int, int]:
+    """(a1, a0, wden): the weight (w1, w0) is (a1, a0) / wden over integers."""
+    w1, w0 = weight
+    wden = lcm(w1.denominator, w0.denominator)
+    return w1.numerator * (wden // w1.denominator), w0.numerator * (wden // w0.denominator), wden
 
 
 def eval_hyp_sum(s: HypSum) -> Fraction:
@@ -155,10 +146,7 @@ def eval_hyp_sum(s: HypSum) -> Fraction:
     q_scale = s.argument.denominator
     for _n, d in uppers:
         q_scale *= d
-    w1, w0 = s.weight
-    wden = lcm(w1.denominator, w0.denominator)
-    a1 = w1.numerator * (wden // w1.denominator)
-    a0 = w0.numerator * (wden // w0.denominator)
+    a1, a0, wden = _integer_weight(s.weight)
 
     def split(a: int, b: int) -> tuple[int, int, int]:
         if b - a == 1:
@@ -179,42 +167,116 @@ def eval_hyp_sum(s: HypSum) -> Fraction:
     return Fraction(t, q * wden)
 
 
+def _split_series(ratio, truncation: int, order: int, weight) -> tuple[Fraction, ...]:
+    """Coefficients of sum_{k<=K} (w1 k + w0) t_k mod x^(order+1), by binary splitting.
+
+    ``ratio(k)`` gives, for 1 <= k <= K, integer coefficient lists p(k) and
+    q(k) of length order + 1 with t_k / t_{k-1} = p(k) / q(k) and t_0 = 1;
+    q(k) needs a nonzero constant term.  Over a range [a, b) the split
+    returns the truncated products P and Q of p and q, and T with T/Q =
+    sum_k (a1 k + a0) p(a)...p(k) / (q(a)...q(k)), where (a1, a0) is the
+    weight times its common denominator wden; a merge is (P1 P2, Q1 Q2,
+    T1 Q2 + P1 T2).  The sum is T / (Q * wden).  With S = T/Q and q0 = Q_0,
+    N_d = S_d * q0^(d+1) is the integer T_d q0^d - sum_{i>=1} Q_i q0^(i-1)
+    N_{d-i}, so each coefficient is one exact division N_d / (q0^(d+1) wden).
+    """
+    n = order + 1
+    a1, a0, wden = _integer_weight(weight)
+
+    def mul(a, b):
+        out = [0] * n
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(n - i):
+                    out[i + j] += ai * b[j]
+        return out
+
+    def split(a: int, b: int):
+        if b - a == 1:
+            if a == 0:
+                unit = [1] + [0] * order
+                return unit, unit, [a0] + [0] * order
+            p, q = ratio(a)
+            w = a1 * a + a0
+            return p, q, [w * c for c in p]
+        mid = (a + b) // 2
+        p1, q1, t1 = split(a, mid)
+        p2, q2, t2 = split(mid, b)
+        t = [0] * n
+        for i in range(n):
+            ti, pi = t1[i], p1[i]
+            if ti or pi:
+                for j in range(n - i):
+                    t[i + j] += ti * q2[j] + pi * t2[j]
+        return mul(p1, p2), mul(q1, q2), t
+
+    _p, q, t = split(0, truncation + 1)
+    q0 = q[0]
+    nums = []
+    for d in range(n):
+        acc = t[d] * q0**d
+        for i in range(1, d + 1):
+            if q[i]:
+                acc -= q[i] * q0 ** (i - 1) * nums[d - i]
+        nums.append(acc)
+    return tuple(Fraction(nd, q0 ** (d + 1) * wden) for d, nd in enumerate(nums))
+
+
+def _integer_factor(a: AffineParam) -> tuple[int, int, int]:
+    """(n, D, s) with a + j = (n + j*D + s*x) / D for every integer j."""
+    den = lcm(a.base.denominator, a.slope.denominator)
+    return (
+        a.base.numerator * (den // a.base.denominator),
+        den,
+        a.slope.numerator * (den // a.slope.denominator),
+    )
+
+
 def eval_hyp_sum_series(s: HypSum, order: int) -> TruncSeries:
     """The sum as a truncated power series in the deformation variable x.
 
-    The term is stepped by its ratio: undeformed factors fold into one
-    rational scale, each deformed upper factor (u + k) + slope*x multiplies
-    the coefficient list and each deformed lower factor divides it by
-    back-substitution (its constant term is nonzero once the pole check
-    passes).  Truncation mod x^(order+1) is a ring homomorphism, so every
-    coefficient is exactly that of the expanded Pochhammer quotient.
+    Binary splitting over Z[x]/(x^(order+1)).  With every parameter written
+    (n + s*x)/D over integers, the term ratio t_k / t_{k-1} is p(k) / q(k)
+    for the integer polynomials
 
-    The constant coefficient always equals ``eval_hyp_sum(scalarized(s))``.
+        p(k) = z.num * prod D_lower * prod (n_u + (k-1) D_u + s_u x),
+        q(k) = z.den * prod D_upper * k * prod (n_l + (k-1) D_l + s_l x),
+
+    where undeformed factors (s = 0) are plain integers.  Once the pole
+    check passes, q(k) has a nonzero constant term for every k <= K.
+    Truncation mod x^(order+1) is a ring homomorphism, so every coefficient
+    is exactly that of the expanded Pochhammer quotient, and the constant
+    coefficient is the scalar sum at x = 0.
     """
     _check_lower_poles(s)
-    w1, w0 = s.weight
-    total = [Fraction(0)] * (order + 1)
-    core = [Fraction(1)] + [Fraction(0)] * order
-    for k in range(s.truncation + 1):
-        w = w1 * k + w0
-        for d in range(order + 1):
-            total[d] += w * core[d]
-        if k == s.truncation:
-            break
-        scale = s.argument / (k + 1)
-        for u in s.upper:
-            if u.slope:
-                mul_binomial(core, u.base + k, u.slope)
-            else:
-                scale *= u.base + k
-        for l in s.lower:
-            if l.slope:
-                div_binomial(core, l.base + k, l.slope)
-            else:
-                scale /= l.base + k
-        for d in range(order + 1):
-            core[d] *= scale
-    return TruncSeries(tuple(total))
+    uppers = [_integer_factor(u) for u in s.upper]
+    lowers = [_integer_factor(l) for l in s.lower]
+    p_scale = s.argument.numerator * prod(d for _n, d, _s in lowers)
+    q_scale = s.argument.denominator * prod(d for _n, d, _s in uppers)
+    flat_up = [(n, d) for n, d, sl in uppers if not sl]
+    flat_low = [(n, d) for n, d, sl in lowers if not sl]
+    deformed_up = [f for f in uppers if f[2]]
+    deformed_low = [f for f in lowers if f[2]]
+
+    def product(c: int, j: int, factors) -> list[int]:
+        poly = [c] + [0] * order
+        for n, d, sl in factors:
+            a = n + j * d
+            for deg in range(order, 0, -1):
+                poly[deg] = a * poly[deg] + sl * poly[deg - 1]
+            poly[0] *= a
+        return poly
+
+    def ratio(k: int):
+        j = k - 1
+        p, q = p_scale, q_scale * k
+        for n, d in flat_up:
+            p *= n + j * d
+        for n, d in flat_low:
+            q *= n + j * d
+        return product(p, j, deformed_up), product(q, j, deformed_low)
+
+    return TruncSeries(_split_series(ratio, s.truncation, order, s.weight))
 
 
 @dataclass(frozen=True)
@@ -467,12 +529,6 @@ def identity_sides(identity: IdentityId, params: Mapping) -> tuple[Fraction, Fra
     return _IDENTITY_SIDES[IdentityId(identity)](params)
 
 
-def check_identity(identity: IdentityId, params: Mapping) -> bool:
-    """True iff both sides of the identity agree exactly at the parameters."""
-    lhs, rhs = identity_sides(identity, params)
-    return lhs == rhs
-
-
 def draw_identity_params(identity: IdentityId, rng: random.Random) -> dict:
     """One raw random parameter record: small rationals plus a terminating n."""
     params = {
@@ -483,7 +539,7 @@ def draw_identity_params(identity: IdentityId, rng: random.Random) -> dict:
     return params
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=len(IdentityId))
 def _identity_suite_cached(identity: IdentityId, count: int, seed: int):
     rng = random.Random(f"{seed}:{identity.value}")
     out = []

@@ -6,11 +6,11 @@ so a result is reliable exactly up to the order it carries.  Everything is a
 plain immutable value; instances here are tiny (order <= 8), so the
 representation is dense and all evaluation is eager.
 
-Series sums are evaluated by carrying one term forward by its term ratio:
-:func:`mul_binomial` and :func:`div_binomial` multiply or divide a dense
-coefficient list in place by a factor c + s*x^lag, at O(order) cost per
-factor.  The Pochhammer builders and :func:`ps_invert` construct a term from
-scratch; they are exact reference implementations, not the hot path.
+No hot path is left here: series sums are evaluated by binary splitting over
+integer polynomials in the hypergeometric module, which returns its result
+as a TruncSeries.  :func:`mul_binomial` and :func:`div_binomial` multiply or
+divide a dense coefficient list in place by a factor c + s*x^lag, at
+O(order) cost per factor; the harness steps a per-term check with them.
 """
 
 from __future__ import annotations
@@ -34,18 +34,15 @@ class TruncSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    # Light operator sugar over the functional API below.
+    # Light operator sugar: sums and scalar multiples.
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         d = min(self.order, other.order)
         return TruncSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(d + 1)))
 
     def __mul__(self, other):
-        if isinstance(other, TruncSeries):
-            return ps_mul(self, other)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
+    __rmul__ = __mul__
 
     def scale(self, c) -> "TruncSeries":
         c = Fraction(c)
@@ -62,45 +59,11 @@ def series(coeffs, order: int | None = None) -> TruncSeries:
     return TruncSeries(tuple(cs))
 
 
-def constant(c, order: int) -> TruncSeries:
-    """The constant c as a series of the given order."""
-    return series([c], order)
-
-
 def coefficient(s: TruncSeries, d: int) -> Fraction:
     """Coefficient of x^d; an error to ask beyond the truncation order."""
     if d < 0 or d > s.order:
         raise ValueError(f"degree {d} exceeds truncation order {s.order}")
     return s.coeffs[d]
-
-
-def ps_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Cauchy product truncated at min(order(a), order(b))."""
-    d = min(a.order, b.order)
-    out = [Fraction(0)] * (d + 1)
-    for i, ca in enumerate(a.coeffs[: d + 1]):
-        if ca == 0:
-            continue
-        for j in range(d + 1 - i):
-            cb = b.coeffs[j]
-            if cb != 0:
-                out[i + j] += ca * cb
-    return TruncSeries(tuple(out))
-
-
-def ps_invert(a: TruncSeries) -> TruncSeries:
-    """Multiplicative inverse up to order(a); requires a nonzero constant term."""
-    c0 = a.coeffs[0]
-    if c0 == 0:
-        raise ZeroDivisionError("series with zero constant term has no inverse")
-    inv0 = 1 / c0
-    out = [inv0] + [Fraction(0)] * a.order
-    for d in range(1, a.order + 1):
-        acc = Fraction(0)
-        for i in range(1, d + 1):
-            acc += a.coeffs[i] * out[d - i]
-        out[d] = -inv0 * acc
-    return TruncSeries(tuple(out))
 
 
 def mul_binomial(coeffs: list, c, s, lag: int = 1) -> None:
@@ -120,46 +83,3 @@ def div_binomial(coeffs: list, c, s, lag: int = 1) -> None:
     for d in range(len(coeffs)):
         a = coeffs[d] - s * coeffs[d - lag] if d >= lag else coeffs[d]
         coeffs[d] = a / c
-
-
-def pochhammer_series(a0, slope, k: int, order: int) -> TruncSeries:
-    """Expansion in x of the deformed rising factorial (a0 + slope*x)_k.
-
-    The product of the k linear factors (a0 + i) + slope*x, truncated at the
-    requested order; the empty product (k = 0) is 1.
-    """
-    if k < 0:
-        raise ValueError("pochhammer series needs k >= 0")
-    a0 = Fraction(a0)
-    slope = Fraction(slope)
-    out = [Fraction(0)] * (order + 1)
-    out[0] = Fraction(1)
-    for i in range(k):
-        c = a0 + i
-        for d in range(order, 0, -1):
-            out[d] = c * out[d] + slope * out[d - 1]
-        out[0] = c * out[0]
-    return TruncSeries(tuple(out))
-
-
-def pochhammer_norm_series(a0, slope, k: int, order: int) -> TruncSeries:
-    """Expansion of the norm of a conjugate pair of deformed rising factorials.
-
-    The pair with deformation slopes +/- i*slope multiplies out to the real
-    polynomial prod_{i<k} ((a0 + i)^2 + slope^2 * x^2), which is what this
-    returns; its constant term is (a0)_k ** 2.
-    """
-    if k < 0:
-        raise ValueError("pochhammer series needs k >= 0")
-    a0 = Fraction(a0)
-    s2 = Fraction(slope) ** 2
-    out = [Fraction(0)] * (order + 1)
-    out[0] = Fraction(1)
-    for i in range(k):
-        c2 = (a0 + i) ** 2
-        for d in range(order, 1, -1):
-            out[d] = c2 * out[d] + s2 * out[d - 2]
-        if order >= 1:
-            out[1] = c2 * out[1]
-        out[0] = c2 * out[0]
-    return TruncSeries(tuple(out))

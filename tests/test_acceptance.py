@@ -23,11 +23,11 @@ from supercong.harness import (
     verify_exact_case,
     verify_series_case,
 )
-from supercong.hypergeometric import IdentityId, check_identity, sample_identity_params
+from supercong.hypergeometric import IdentityId, sample_identity_params
 from supercong.modular_form import prime_power_coefficient
-from supercong.power_series import coefficient, pochhammer_series, ps_mul
+from supercong.power_series import coefficient
 
-from oracles import harmonic2, odd_harmonic2
+from oracles import check_identity, harmonic2, odd_harmonic2, pochhammer_series, ps_mul
 
 PRIMES = [p for p in range(5, 98) if is_prime(p)]
 HALF = F(1, 2)

@@ -7,13 +7,12 @@ import pytest
 from supercong.exact_core import (
     INFINITY,
     NotPrimeError,
-    congruent_mod_power,
     is_prime,
     padic_valuation,
     rising_factorial,
 )
 
-from oracles import central_half_ratio, harmonic2, odd_harmonic2
+from oracles import central_half_ratio, congruent_mod_power, harmonic2, odd_harmonic2
 
 PRIMES_TO_97 = [p for p in range(5, 98) if is_prime(p)]
 

@@ -22,26 +22,25 @@ from supercong.harness import (
     IDENTITY_DRAWS,
     R_CAPS,
     Requirement,
-    lem_thm1_term_series,
     report_entry,
     run_suite,
     select_cases,
-    series_case_specs,
     verify_congruence_case,
     verify_exact_case,
     verify_series_case,
 )
 from supercong.harness import eq10_series_spec, sum_lemma10, thm3_deformed_spec
-from supercong.hypergeometric import (
-    PoleError,
-    eval_hyp_sum,
-    eval_hyp_sum_series,
-    scalarized,
-    specialize,
-)
+from supercong.hypergeometric import PoleError, eval_hyp_sum, eval_hyp_sum_series
 from supercong.power_series import coefficient
 
-from oracles import central_half_ratio, harmonic2
+from oracles import (
+    central_half_ratio,
+    harmonic2,
+    lem_thm1_term_series,
+    scalarized,
+    series_case_specs,
+    specialize,
+)
 
 HALF = F(1, 2)
 
@@ -247,6 +246,24 @@ def test_identity_cases_by_draw_and_explicit_params():
     assert rec.lhs == rec.rhs == 5
     with pytest.raises(KeyError):
         verify_exact_case("NOT_A_CASE", 0)
+
+
+@pytest.mark.parametrize(
+    "tag, kwargs, message",
+    [
+        ("COMIDEN0", {"param": 2, "p": 7}, "case COMIDEN0 takes no prime p"),
+        ("COMIDEN1", {"param": 5, "p": 7}, "case COMIDEN1 takes no prime p"),
+        ("WHIPPLE_4F3", {"param": 0, "p": 5}, "case WHIPPLE_4F3 takes no prime p"),
+        ("COMIDEN1", {"param": 5, "params": {"a": 1}}, "case COMIDEN1 takes no parameter record"),
+        ("LEMMA10", {"p": 5, "params": {"a": 1}}, "case LEMMA10 takes no parameter record"),
+        ("GOSPER_STRANGE", {"param": IDENTITY_DRAWS}, "case GOSPER_STRANGE takes param in"),
+    ],
+    ids=["COMIDEN0-p", "COMIDEN1-p", "WHIPPLE_4F3-p", "COMIDEN1-params", "LEMMA10-params", "GOSPER_STRANGE-index"],
+)
+def test_exact_case_rejects_inputs_it_does_not_use(tag, kwargs, message):
+    # each once passed while ignoring the input, or drew the suite again
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_exact_case(tag, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +499,12 @@ def test_out_of_domain_parameters_are_rejected(tag, param, domain):
 
 
 def _entry_points(tag):
-    # arguments each entry point accepts for a case of its own kind
+    # arguments each entry point accepts for a case of its own kind; an exact
+    # case takes the prime or the integer parameter, never both
+    exact_args = {"p": 5} if CASES[tag].min_prime else {"param": 5}
     return {
         "congruence": lambda: verify_congruence_case(tag, 5),
-        "exact": lambda: verify_exact_case(tag, None if tag.startswith("LEMMA") else 5, p=5),
+        "exact": lambda: verify_exact_case(tag, **exact_args),
         "series": lambda: verify_series_case(tag, 5),
     }
 

@@ -12,7 +12,6 @@ from supercong.hypergeometric import (
     IdentityId,
     PoleError,
     UnpairableError,
-    check_identity,
     draw_identity_params,
     eval_hyp_sum,
     eval_hyp_sum_series,
@@ -21,9 +20,10 @@ from supercong.hypergeometric import (
     identity_sides,
     param,
     sample_identity_params,
-    scalarized,
 )
 from supercong.power_series import coefficient
+
+from oracles import check_identity, scalarized
 
 HALF = F(1, 2)
 

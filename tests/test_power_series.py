@@ -5,20 +5,17 @@ from math import factorial
 import pytest
 
 from supercong.exact_core import rising_factorial
-from supercong.power_series import (
-    TruncSeries,
-    coefficient,
+from supercong.power_series import TruncSeries, coefficient, div_binomial, mul_binomial, series
+
+from oracles import (
     constant,
-    div_binomial,
-    mul_binomial,
+    harmonic2,
+    odd_harmonic2,
     pochhammer_norm_series,
     pochhammer_series,
     ps_invert,
     ps_mul,
-    series,
 )
-
-from oracles import harmonic2, odd_harmonic2
 
 
 def test_ps_mul_examples():

@@ -1,5 +1,6 @@
-"""Differential tests of the term-ratio series evaluators against the
-from-scratch construction: every term rebuilt as a product of Pochhammer
+"""Differential tests of the binary-splitting series evaluator against two
+oracles: the term-stepping evaluator it replaced, and the from-scratch
+construction, in which every term is rebuilt as a product of Pochhammer
 series over an inverted denominator, which costs O(K^2) but shares no
 recurrence with the code under test."""
 
@@ -8,22 +9,29 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercong.exact_core import is_prime, rising_factorial
-from supercong.harness import lem_thm1_term_series, series_case_specs
+from supercong.harness import SERIES_ORDER, _lem_thm1_ratio
 from supercong.hypergeometric import (
     HypSum,
     PoleError,
+    _split_series,
     eval_hyp_sum_series,
     hyp_sum,
 )
-from supercong.power_series import (
-    TruncSeries,
+from supercong.power_series import TruncSeries
+
+from oracles import (
     constant,
+    lem_thm1_term_series,
     pochhammer_norm_series,
     pochhammer_series,
     ps_invert,
     ps_mul,
+    series_case_specs,
+    stepping_eval_hyp_sum_series,
 )
 
 HALF = F(1, 2)
@@ -140,3 +148,70 @@ def test_lem_thm1_recurrence_matches_pochhammer_oracle():
         assert lem_thm1_term_series(7, order) == slow_lem_thm1_term_series(7, order)
     with pytest.raises(ValueError):
         lem_thm1_term_series(-1)
+
+
+@st.composite
+def _deformed_specs(draw):
+    """A spec and an order.  Slope denominators differ from base denominators,
+    so each deformed factor needs its own common denominator; an upper factor
+    may be deformed with base 0, and a lower factor a pole."""
+    K = draw(st.integers(0, 80))
+    order = draw(st.integers(0, 6))
+
+    def rational(nonpositive_integers=True):
+        value = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+        if not nonpositive_integers:
+            value = value.filter(lambda b: b.denominator > 1 or b > 0)
+        return draw(value)
+
+    def deformed(base):
+        dens = [d for d in range(1, 7) if d != base.denominator]
+        return base, F(draw(st.integers(-6, 6).filter(bool)), draw(st.sampled_from(dens)))
+
+    def factor(special_base, plain_base):
+        kind = draw(st.sampled_from(["plain", "deformed", "deformed", "special"]))
+        if kind == "plain":
+            return plain_base
+        return deformed(special_base if kind == "special" else plain_base)
+
+    upper = [factor(F(0), rational()) for _ in range(draw(st.integers(0, 4)))]
+    # a nonpositive integer lower base in (-K, 0] is a pole
+    lower = [
+        factor(F(-draw(st.integers(0, K))), rational(nonpositive_integers=False))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    weight = (draw(st.integers(-6, 6)), draw(st.integers(-3, 3)))
+    return hyp_sum(upper, lower, z=rational(), K=K, weight=weight), order
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_deformed_specs())
+def test_binary_splitting_matches_stepping_oracle_on_drawn_specs(drawn):
+    spec, order = drawn
+    assert _outcome(eval_hyp_sum_series, spec, order) == _outcome(stepping_eval_hyp_sum_series, spec, order)
+
+
+def _lem_thm1_x2_oracle(m: int) -> F:
+    """sum_{k<=m} -c_k^4 H2(2k), with c_k and H2 stepped here."""
+    total, c, h2 = F(0), F(1), F(0)
+    for k in range(m + 1):
+        total -= c**4 * h2
+        h2 += F(1, (2 * k + 1) ** 2) + F(1, (2 * k + 2) ** 2)
+        c *= F(2 * k + 1, 2 * k + 2)
+    return total
+
+
+@pytest.mark.parametrize("p", [101, 199, 401, 997])
+def test_binary_splitting_matches_oracles_beyond_the_contract_range(p):
+    for tag, spec in series_case_specs(p).items():
+        assert eval_hyp_sum_series(spec, SERIES_ORDER) == stepping_eval_hyp_sum_series(spec, SERIES_ORDER), tag
+    m = (p - 1) // 2
+    lem = _split_series(_lem_thm1_ratio, m, SERIES_ORDER, (F(0), F(1)))
+    assert lem[2] == _lem_thm1_x2_oracle(m)
+
+
+def test_lem_thm1_ratio_sums_the_stepped_terms():
+    m = 24
+    stepped = [lem_thm1_term_series(k) for k in range(m + 1)]
+    total = tuple(sum((t.coeffs[d] for t in stepped), F(0)) for d in range(SERIES_ORDER + 1))
+    assert _split_series(_lem_thm1_ratio, m, SERIES_ORDER, (F(0), F(1))) == total
