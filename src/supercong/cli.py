@@ -11,7 +11,8 @@ instance that raised a domain error is a failed record; ``verify`` also
 prints its exception type and message on stderr, one line per record.
 
 The environment variable SUPERCONG_BUDGET sets the ceiling on the
-eta-product expansion (default 10000).  It is a ceiling, not a size: a run
+eta-product expansion.  The default, DEFAULT_BUDGET = MAX_PMAX = 100000,
+covers a_p at every prime --pmax admits.  It is a ceiling, not a size: a run
 expands once, to the largest p^r its cases need, and a case that needs an
 index above the ceiling gets an error:BudgetError record.
 """
@@ -35,8 +36,9 @@ DEFAULT_PMIN = 5
 DEFAULT_PMAX = 97
 
 # hard ceiling on the scanned prime range; keeps a typo like --pmax 1e9 from
-# looking like a hang
-MAX_PMAX = 100000
+# looking like a hang.  It is the default eta budget, so that every a_p a run
+# reads at r = 1 lies within that budget.
+MAX_PMAX = DEFAULT_BUDGET
 
 
 def render_json(records: list[VerificationRecord]) -> str:

@@ -5,12 +5,14 @@ a_n are exact integers, a_1 = 1, and a_n = 0 for every even n because all
 exponents in the product are even.  The prime(-power) coefficients a_p and
 a_{p^r} serve as right-hand sides of the modular supercongruence checks.
 
-Ground truth is always the direct expansion of the truncated product.  The
-multiplication itself is carried out exactly on big integers (the two Euler
-factors are accumulated one binomial at a time, and the fourth powers and the
-cross product use Kronecker-substitution polynomial multiplication), so the
-result is identical to naive sequential factor-by-factor expansion, just
-fast enough for bounds around 10**4.  The weight-4 Hecke recursion
+Ground truth is always the direct expansion of the truncated product, on
+exact big integers.  The two Euler factors prod (1 - q^(2n)) and
+prod (1 - q^(4n)) are written down directly by Euler's pentagonal theorem,
+O(sqrt(N)) signs each; their fourth powers and the cross product use
+Kronecker-substitution polynomial multiplication.  The result is identical
+to naive sequential factor-by-factor expansion (the tests keep that loop as
+their oracle), and a bound of 10**4 takes well under a second, most of it in
+the Kronecker products.  The weight-4 Hecke recursion
 a_{p^2} = a_p^2 - p^3 is an external consistency fact, used only as a
 cross-check, never as a source of coefficients.
 
@@ -28,8 +30,10 @@ from functools import lru_cache
 
 from .exact_core import check_prime
 
-#: Default expansion bound; covers a_{p^2} for every prime p <= 97.
-DEFAULT_BUDGET = 10000
+#: Default expansion ceiling.  At r = 1 a run reads a_p for primes p up to
+#: the CLI's largest --pmax, cli.MAX_PMAX, which is defined as this value;
+#: the r = 2 reads stop at a_{19^2} by the harness's R_CAPS.
+DEFAULT_BUDGET = 100000
 
 #: Primes whose a_{p^2} is cross-checked against the Hecke recursion.
 _HECKE_CHECK_MAX_P = 31
@@ -59,16 +63,19 @@ def coefficient_at(e: QExpansion, n: int) -> int:
 
 
 def _euler_factor_product(step: int, deg: int) -> list[int]:
-    """Dense coefficients of prod_{n>=1} (1 - q^(step*n)) modulo q^(deg+1)."""
+    """Dense coefficients of prod_{n>=1} (1 - q^(step*n)) modulo q^(deg+1).
+
+    Euler's pentagonal theorem (Hardy & Wright, Thm. 353): the product is
+    sum_k (-1)^k q^(step*k(3k-1)/2) over all integers k, so the only nonzero
+    coefficients are +-1 at the O(sqrt(deg)) exponents step*k(3k-+1)/2.
+    """
     c = [0] * (deg + 1)
-    c[0] = 1
-    top = 0  # degree of the partial product so far
-    m = step
-    while m <= deg:
-        top = min(deg, top + m)
-        for i in range(top, m - 1, -1):
-            c[i] -= c[i - m]
-        m += step
+    k, sign = 0, 1
+    while (low := step * k * (3 * k - 1) // 2) <= deg:
+        c[low] = sign
+        if low + step * k <= deg:  # step*k(3k+1)/2
+            c[low + step * k] = sign
+        k, sign = k + 1, -sign
     return c
 
 

@@ -5,7 +5,9 @@ The harness reads c_k and H2(k) off its shared per-process tables; the tests
 check those tables, and the cases built on them, against the direct sums
 here.  The series helpers rebuild what the package computes by binary
 splitting: term by term, by stepping each term by its ratio, or from
-Pochhammer products over an inverted denominator.
+Pochhammer products over an inverted denominator.  The eta helpers multiply
+the Euler factors out one binomial at a time, where the package writes them
+down by the pentagonal theorem.
 """
 
 from fractions import Fraction
@@ -225,3 +227,46 @@ def lem_thm1_term_series(k: int, order: int = 4) -> TruncSeries:
         for d in range(order + 1):
             core[d] *= scale
     return TruncSeries(tuple(core))
+
+
+# --------------------------------------------------------------------------
+# eta-product expansion
+# --------------------------------------------------------------------------
+
+
+def euler_factor_product(step: int, deg: int) -> list[int]:
+    """Dense coefficients of prod_{n>=1} (1 - q^(step*n)) modulo q^(deg+1).
+
+    Multiplied out one binomial factor at a time, in O(deg^2 / step).
+    """
+    c = [0] * (deg + 1)
+    c[0] = 1
+    top = 0  # degree of the partial product so far
+    m = step
+    while m <= deg:
+        top = min(deg, top + m)
+        for i in range(top, m - 1, -1):
+            c[i] -= c[i - m]
+        m += step
+    return c
+
+
+def eta_coefficients_from_factors(N: int) -> list[int]:
+    """a_1..a_N of q * prod (1-q^(2n))^4 (1-q^(4n))^4, with no Kronecker products.
+
+    Both Euler factors come from ``euler_factor_product``; their eight copies
+    multiply into the result by schoolbook products that skip the factors'
+    zero coefficients.
+    """
+    deg = N - 1
+    out = [1] + [0] * deg
+    for step in (2, 4):
+        factor = euler_factor_product(step, deg)
+        terms = [(e, c) for e, c in enumerate(factor) if c]
+        for _ in range(4):
+            acc = [0] * (deg + 1)
+            for e, c in terms:
+                for i in range(deg + 1 - e):
+                    acc[i + e] += c * out[i]
+            out = acc
+    return out  # a_n is out[n - 1]

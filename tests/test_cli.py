@@ -3,8 +3,9 @@ import subprocess
 import sys
 from dataclasses import replace
 
-from supercong.cli import _print_summary, main, render_csv, render_json, suite_exit_code
-from supercong.harness import run_suite
+from supercong.cli import MAX_PMAX, _print_summary, main, render_csv, render_json, suite_exit_code
+from supercong.harness import CASES, run_suite
+from supercong.modular_form import DEFAULT_BUDGET
 
 
 def test_verify_single_case_small_range(tmp_path, capsys):
@@ -83,6 +84,21 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setenv("SUPERCONG_BUDGET", "3")
     code = main(["verify", "--cases", "thm2", "--pmin", "5", "--pmax", "5"])
     assert code == 1
+
+
+def test_default_budget_covers_every_eta_read_up_to_the_largest_pmax():
+    for case in CASES.values():
+        if case.eta_index is None:
+            continue
+        for param, cap in (case.r_caps or dict.fromkeys(case.suite)).items():
+            p = MAX_PMAX if cap is None else min(cap, MAX_PMAX)
+            assert case.eta_index(p, param) <= DEFAULT_BUDGET, (case.tag, param)
+
+
+def test_verify_reads_a_p_beyond_ten_thousand_by_default(monkeypatch, capsys):
+    monkeypatch.delenv("SUPERCONG_BUDGET", raising=False)
+    assert main(["verify", "--cases", "thm2", "--pmin", "9990", "--pmax", "10010"]) == 0
+    assert capsys.readouterr().out == f"{'THM2':<18} 2/2 pass\n"
 
 
 def test_summary_counts_pass_fail_and_error_per_case(tmp_path, monkeypatch, capsys):

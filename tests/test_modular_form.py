@@ -1,13 +1,18 @@
+from math import gcd, isqrt
+
 import pytest
 
 from supercong.exact_core import is_prime
 from supercong.modular_form import (
     BudgetError,
     QExpansion,
+    _euler_factor_product,
     coefficient_at,
     eta_product_expansion,
     prime_power_coefficient,
 )
+
+from oracles import eta_coefficients_from_factors, euler_factor_product
 
 
 def naive_eta_coefficients(N):
@@ -107,3 +112,42 @@ def test_coefficients_at_prime_indices_are_nonzero():
     for p in range(3, 101):
         if is_prime(p):
             assert coefficient_at(e, p) != 0
+
+
+@pytest.mark.parametrize("step", [1, 2, 4])
+def test_pentagonal_factor_matches_the_factor_by_factor_loop(step):
+    # the loop's result at degree 300 is the product mod q^301, so its
+    # prefixes are the loop's results at every smaller degree
+    loop = euler_factor_product(step, 300)
+    for deg in range(301):
+        assert _euler_factor_product(step, deg) == loop[: deg + 1], deg
+    assert _euler_factor_product(step, 2000) == euler_factor_product(step, 2000)
+
+
+@pytest.mark.parametrize("N", [1, 2, 9, 100, 2000])
+def test_expansion_matches_the_product_of_looped_factors(N):
+    assert list(eta_product_expansion(N).coeffs) == eta_coefficients_from_factors(N)
+
+
+def test_expansion_to_ten_thousand_is_a_hecke_eigenform():
+    """a_1 = 1, a_even = 0, the Hecke recursion at odd prime powers,
+    multiplicativity on coprime odd pairs and the Deligne bound
+    |a_n| <= d(n) n^(3/2), on a_1..a_N for N = 10^4."""
+    N = 10000
+    a = (0,) + eta_product_expansion(N).coeffs  # a[n] = a_n
+    assert a[1] == 1
+    assert not any(a[2::2])
+    for p in filter(is_prime, range(3, isqrt(N) + 1)):
+        prev, cur, q = 1, a[p], p  # a_{q/p}, a_q
+        while q * p <= N:
+            assert a[q * p] == a[p] * cur - p**3 * prev, q * p
+            prev, cur, q = cur, a[q * p], q * p
+    for m in range(3, isqrt(N) + 1, 2):
+        for k in range(m + 2, N // m + 1, 2):
+            if gcd(m, k) == 1:
+                assert a[m * k] == a[m] * a[k], (m, k)
+    divisors = [0] * (N + 1)
+    for d in range(1, N + 1):
+        for n in range(d, N + 1, d):
+            divisors[n] += 1
+    assert all(a[n] ** 2 <= divisors[n] ** 2 * n**3 for n in range(1, N + 1))

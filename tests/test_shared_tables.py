@@ -9,6 +9,7 @@ import random
 import sys
 import threading
 from fractions import Fraction as F
+from math import comb, lcm
 
 import pytest
 
@@ -23,7 +24,7 @@ from supercong.modular_form import (
     widest_expansion,
 )
 
-from oracles import central_half_ratio, harmonic2, odd_harmonic2
+from oracles import harmonic2, odd_harmonic2
 
 K = 1000
 TABLES = (
@@ -33,11 +34,18 @@ TABLES = (
 ODD_PRIMES = [p for p in range(3, 500) if is_prime(p)]
 
 
+def _harmonic2_closed(k):
+    """H2(k) over the common denominator L = lcm(1..k)^2, one sum per k."""
+    L = lcm(*range(1, k + 1)) ** 2
+    return F(sum(L // (j * j) for j in range(1, k + 1)), L)
+
+
 @pytest.fixture(scope="module")
 def oracle():
+    # closed forms, computed independently of the tables under test
     return {
-        "central": [central_half_ratio(k) for k in range(K + 1)],
-        "harmonic2": [harmonic2(k) for k in range(K + 1)],
+        "central": [F(comb(2 * k, k), 4**k) for k in range(K + 1)],
+        "harmonic2": [_harmonic2_closed(k) for k in range(K + 1)],
     }
 
 
@@ -150,7 +158,7 @@ def test_budget_is_checked_against_the_index_not_the_widest_expansion(monkeypatc
     with pytest.raises(BudgetError):
         prime_power_coefficient(499, 1, budget=498)
     with pytest.raises(BudgetError):
-        prime_power_coefficient(101, 2)  # beyond the default budget
+        prime_power_coefficient(317, 2)  # 100489, beyond the default budget
     assert prime_power_coefficient(31, 2, budget=961) == eta_oracle[31, 2]
     assert modular_form._widest.bound == 2000
 
