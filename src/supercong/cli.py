@@ -14,7 +14,8 @@ The environment variable SUPERCONG_BUDGET sets the ceiling on the
 eta-product expansion.  The default, DEFAULT_BUDGET = MAX_PMAX = 100000,
 covers a_p at every prime --pmax admits.  It is a ceiling, not a size: a run
 expands once, to the largest p^r its cases need, and a case that needs an
-index above the ceiling gets an error:BudgetError record.
+index above the ceiling gets an error:BudgetError record.  ``coeffs`` obeys
+the same ceiling: an --n above it, or a malformed value, is a usage error.
 """
 
 from __future__ import annotations
@@ -85,7 +86,10 @@ def _env_budget() -> int:
     raw = os.environ.get("SUPERCONG_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0  # reported below, like any value under 1
     if value < 1:
         raise ValueError(f"SUPERCONG_BUDGET must be a positive integer, got {raw!r}")
     return value
@@ -151,6 +155,14 @@ def cmd_verify(args) -> int:
 def cmd_coeffs(args) -> int:
     if args.n < 1:
         print("error: --n must be >= 1", file=sys.stderr)
+        return 2
+    try:
+        budget = _env_budget()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.n > budget:
+        print(f"error: --n {args.n} exceeds the eta expansion ceiling {budget}", file=sys.stderr)
         return 2
     expansion = eta_product_expansion(args.n)
     lines = []

@@ -5,16 +5,17 @@ a_n are exact integers, a_1 = 1, and a_n = 0 for every even n because all
 exponents in the product are even.  The prime(-power) coefficients a_p and
 a_{p^r} serve as right-hand sides of the modular supercongruence checks.
 
-Ground truth is always the direct expansion of the truncated product, on
-exact big integers.  The two Euler factors prod (1 - q^(2n)) and
-prod (1 - q^(4n)) are written down directly by Euler's pentagonal theorem,
-O(sqrt(N)) signs each; their fourth powers and the cross product use
-Kronecker-substitution polynomial multiplication.  The result is identical
-to naive sequential factor-by-factor expansion (the tests keep that loop as
-their oracle), and a bound of 10**4 takes well under a second, most of it in
-the Kronecker products.  The weight-4 Hecke recursion
-a_{p^2} = a_p^2 - p^3 is an external consistency fact, used only as a
-cross-check, never as a source of coefficients.
+The coefficients come from two classical series identities on exact big
+integers.  F(q) = prod (1 - q^n)^4 is Euler's pentagonal series times
+Jacobi's series for prod (1 - q^n)^3, each with O(sqrt(N)) nonzero terms,
+so F is a sparse by sparse product.  The form is q * F(q^2) * F(q^4) =
+q * G(q^2) with G = F(q) * F(q^2), a half-length product taken by one
+Kronecker substitution; a_{2m+1} = g_m.  The result is identical to naive
+sequential factor-by-factor expansion and to the seven-product chain of
+Euler factors; the tests keep both as their oracles.  A bound of 10**4
+takes under a tenth of a second, 10**5 a few seconds.  The weight-4 Hecke
+recursion a_{p^2} = a_p^2 - p^3 is an external consistency fact, used only
+as a cross-check, never as a source of coefficients.
 
 The coefficients do not depend on the bound they were expanded to, so one
 expansion serves every smaller index: ``prime_power_coefficient`` reads from
@@ -62,21 +63,52 @@ def coefficient_at(e: QExpansion, n: int) -> int:
     return e.coeffs[n - 1]
 
 
-def _euler_factor_product(step: int, deg: int) -> list[int]:
-    """Dense coefficients of prod_{n>=1} (1 - q^(step*n)) modulo q^(deg+1).
+def _pentagonal_terms(deg: int) -> list[tuple[int, int]]:
+    """Nonzero terms (exponent, sign) of prod_{n>=1} (1 - q^n) up to q^deg.
 
     Euler's pentagonal theorem (Hardy & Wright, Thm. 353): the product is
-    sum_k (-1)^k q^(step*k(3k-1)/2) over all integers k, so the only nonzero
-    coefficients are +-1 at the O(sqrt(deg)) exponents step*k(3k-+1)/2.
+    sum_k (-1)^k q^(k(3k-1)/2) over all integers k, so its only nonzero
+    coefficients are +-1 at the O(sqrt(deg)) exponents k(3k-+1)/2.
     """
-    c = [0] * (deg + 1)
+    terms = []
     k, sign = 0, 1
-    while (low := step * k * (3 * k - 1) // 2) <= deg:
-        c[low] = sign
-        if low + step * k <= deg:  # step*k(3k+1)/2
-            c[low + step * k] = sign
+    while (low := k * (3 * k - 1) // 2) <= deg:
+        terms.append((low, sign))
+        if k and low + k <= deg:  # k(3k+1)/2
+            terms.append((low + k, sign))
         k, sign = k + 1, -sign
-    return c
+    return terms
+
+
+def _jacobi_terms(deg: int) -> list[tuple[int, int]]:
+    """Nonzero terms (exponent, coefficient) of prod_{n>=1} (1 - q^n)^3 up to
+    q^deg, in increasing exponent.
+
+    Jacobi's identity (Hardy & Wright, Thm. 357): the product is
+    sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2), O(sqrt(deg)) terms.
+    """
+    terms = []
+    k = 0
+    while (e := k * (k + 1) // 2) <= deg:
+        terms.append((e, -(2 * k + 1) if k % 2 else 2 * k + 1))
+        k += 1
+    return terms
+
+
+def _eta_fourth_power(deg: int) -> list[int]:
+    """Dense coefficients of F(q) = prod_{n>=1} (1 - q^n)^4 modulo q^(deg+1).
+
+    F is the pentagonal series times Jacobi's series, a sparse by sparse
+    product of O(sqrt(deg)) * O(sqrt(deg)) = O(deg) term pairs.
+    """
+    f = [0] * (deg + 1)
+    jacobi = _jacobi_terms(deg)
+    for e, sign in _pentagonal_terms(deg):
+        for j, c in jacobi:
+            if e + j > deg:
+                break
+            f[e + j] += sign * c
+    return f
 
 
 def _poly_mul_trunc(a: list[int], b: list[int], deg: int) -> list[int]:
@@ -122,18 +154,22 @@ def _poly_mul_trunc(a: list[int], b: list[int], deg: int) -> list[int]:
 def eta_product_expansion(N: int) -> QExpansion:
     """Exact coefficients a_1..a_N of q * prod (1-q^(2n))^4 (1-q^(4n))^4.
 
-    Factors with 2n > N (resp. 4n > N) cannot touch degrees <= N and are
-    skipped.  Results are cached per bound; a QExpansion is immutable.
+    With F(q) = prod (1-q^n)^4 the form is q * F(q^2) * F(q^4) = q * G(q^2),
+    G = F(q) * F(q^2), so a_{2m+1} = g_m and a_{2m} = 0.  G is needed up to
+    degree M = (N-1)//2; F comes from ``_eta_fourth_power`` and G is one
+    Kronecker product.  Results are cached per bound; a QExpansion is
+    immutable.
     """
     if N < 1:
         raise ValueError("expansion bound must be >= 1")
-    deg = N - 1  # the leading q shifts everything up by one
-    e2 = _euler_factor_product(2, deg)
-    e4 = _euler_factor_product(4, deg)
-    e2_4 = _poly_mul_trunc(_poly_mul_trunc(e2, e2, deg), _poly_mul_trunc(e2, e2, deg), deg)
-    e4_4 = _poly_mul_trunc(_poly_mul_trunc(e4, e4, deg), _poly_mul_trunc(e4, e4, deg), deg)
-    product = _poly_mul_trunc(e2_4, e4_4, deg)
-    return QExpansion(bound=N, coeffs=tuple(product))
+    M = (N - 1) // 2
+    f = _eta_fourth_power(M)
+    f_q2 = [0] * (M + 1)
+    f_q2[::2] = f[: M // 2 + 1]
+    g = _poly_mul_trunc(f, f_q2, M)
+    coeffs = [0] * N
+    coeffs[::2] = g
+    return QExpansion(bound=N, coeffs=tuple(coeffs))
 
 
 #: The widest expansion made so far; None until the first coefficient read.

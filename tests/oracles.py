@@ -5,9 +5,11 @@ The harness reads c_k and H2(k) off its shared per-process tables; the tests
 check those tables, and the cases built on them, against the direct sums
 here.  The series helpers rebuild what the package computes by binary
 splitting: term by term, by stepping each term by its ratio, or from
-Pochhammer products over an inverted denominator.  The eta helpers multiply
-the Euler factors out one binomial at a time, where the package writes them
-down by the pentagonal theorem.
+Pochhammer products over an inverted denominator.  The eta helpers expand
+the product from its Euler factors, multiplied out one binomial at a time or
+written down by the pentagonal theorem and multiplied by seven Kronecker
+products, where the package takes one product of pentagonal-times-Jacobi
+series.
 """
 
 from fractions import Fraction
@@ -23,6 +25,7 @@ from supercong.hypergeometric import (
     _check_lower_poles,
     identity_sides,
 )
+from supercong.modular_form import _poly_mul_trunc
 from supercong.power_series import TruncSeries, div_binomial, mul_binomial, series
 
 
@@ -249,6 +252,44 @@ def euler_factor_product(step: int, deg: int) -> list[int]:
             c[i] -= c[i - m]
         m += step
     return c
+
+
+def pentagonal_factor_product(step: int, deg: int) -> list[int]:
+    """Dense coefficients of prod_{n>=1} (1 - q^(step*n)) modulo q^(deg+1).
+
+    Euler's pentagonal theorem: +-1 at the exponents step*k(3k-+1)/2.
+    """
+    c = [0] * (deg + 1)
+    k, sign = 0, 1
+    while (low := step * k * (3 * k - 1) // 2) <= deg:
+        c[low] = sign
+        if low + step * k <= deg:  # step*k(3k+1)/2
+            c[low + step * k] = sign
+        k, sign = k + 1, -sign
+    return c
+
+
+def kronecker_eta_coefficients(N: int) -> list[int]:
+    """a_1..a_N of q * prod (1-q^(2n))^4 (1-q^(4n))^4 by seven full-length
+    Kronecker products of the pentagonal Euler factors.
+    """
+    deg = N - 1
+    e2 = pentagonal_factor_product(2, deg)
+    e4 = pentagonal_factor_product(4, deg)
+    e2_4 = _poly_mul_trunc(_poly_mul_trunc(e2, e2, deg), _poly_mul_trunc(e2, e2, deg), deg)
+    e4_4 = _poly_mul_trunc(_poly_mul_trunc(e4, e4, deg), _poly_mul_trunc(e4, e4, deg), deg)
+    return _poly_mul_trunc(e2_4, e4_4, deg)  # a_n is [n - 1]
+
+
+def schoolbook_mul_trunc(a: list[int], b: list[int], deg: int) -> list[int]:
+    """Product of integer polynomials truncated at q^deg, term by term,
+    skipping the zero coefficients of a."""
+    out = [0] * (deg + 1)
+    for i, x in enumerate(a[: deg + 1]):
+        if x:
+            for j, y in enumerate(b[: deg + 1 - i]):
+                out[i + j] += x * y
+    return out
 
 
 def eta_coefficients_from_factors(N: int) -> list[int]:

@@ -158,6 +158,22 @@ def test_coeffs_rejects_nonpositive_bound():
     assert main(["coeffs", "--n", "0"]) == 2
 
 
+def test_coeffs_obeys_the_eta_ceiling(monkeypatch, capsys):
+    monkeypatch.delenv("SUPERCONG_BUDGET", raising=False)
+    assert main(["coeffs", "--n", str(DEFAULT_BUDGET + 1)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --n {DEFAULT_BUDGET + 1} exceeds the eta expansion ceiling {DEFAULT_BUDGET}\n"
+    )
+    monkeypatch.setenv("SUPERCONG_BUDGET", "50")
+    assert main(["coeffs", "--n", "50"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 50
+    assert main(["coeffs", "--n", "51"]) == 2
+    assert "ceiling 50" in capsys.readouterr().err
+    monkeypatch.setenv("SUPERCONG_BUDGET", "fifty")
+    assert main(["coeffs", "--n", "5"]) == 2
+    assert capsys.readouterr().err == "error: SUPERCONG_BUDGET must be a positive integer, got 'fifty'\n"
+
+
 def test_coeffs_out_file(tmp_path):
     out = tmp_path / "coeffs.txt"
     assert main(["coeffs", "--n", "5", "--out", str(out)]) == 0

@@ -1,18 +1,31 @@
+import random
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from supercong import modular_form
+from supercong.cli import MAX_PMAX
 from supercong.exact_core import is_prime
 from supercong.modular_form import (
     BudgetError,
     QExpansion,
-    _euler_factor_product,
+    _eta_fourth_power,
+    _pentagonal_terms,
+    _poly_mul_trunc,
     coefficient_at,
     eta_product_expansion,
     prime_power_coefficient,
 )
 
-from oracles import eta_coefficients_from_factors, euler_factor_product
+from oracles import (
+    eta_coefficients_from_factors,
+    euler_factor_product,
+    kronecker_eta_coefficients,
+    pentagonal_factor_product,
+    schoolbook_mul_trunc,
+)
 
 
 def naive_eta_coefficients(N):
@@ -116,24 +129,87 @@ def test_coefficients_at_prime_indices_are_nonzero():
 
 @pytest.mark.parametrize("step", [1, 2, 4])
 def test_pentagonal_factor_matches_the_factor_by_factor_loop(step):
-    # the loop's result at degree 300 is the product mod q^301, so its
-    # prefixes are the loop's results at every smaller degree
+    # the package's sparse pentagonal terms, spread to exponents step*e, and
+    # the dense factor that the seven-product oracle multiplies; the loop's
+    # result at degree 300 is the product mod q^301, so its prefixes are the
+    # loop's results at every smaller degree
     loop = euler_factor_product(step, 300)
     for deg in range(301):
-        assert _euler_factor_product(step, deg) == loop[: deg + 1], deg
-    assert _euler_factor_product(step, 2000) == euler_factor_product(step, 2000)
+        spread = [0] * (deg + 1)
+        for e, sign in _pentagonal_terms(deg // step):
+            spread[step * e] = sign
+        assert spread == loop[: deg + 1], deg
+        assert pentagonal_factor_product(step, deg) == loop[: deg + 1], deg
+    assert pentagonal_factor_product(step, 2000) == euler_factor_product(step, 2000)
 
 
-@pytest.mark.parametrize("N", [1, 2, 9, 100, 2000])
+def _fourth_power_of_the_loop(deg):
+    factor = euler_factor_product(1, deg)
+    power = [1] + [0] * deg
+    for _ in range(4):
+        power = schoolbook_mul_trunc(factor, power, deg)
+    return power
+
+
+def test_eta_fourth_power_matches_the_looped_factor_to_the_fourth():
+    power = _fourth_power_of_the_loop(300)
+    for deg in range(301):
+        assert _eta_fourth_power(deg) == power[: deg + 1], deg
+    assert _eta_fourth_power(2000) == _fourth_power_of_the_loop(2000)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 9, 100, 2000])
 def test_expansion_matches_the_product_of_looped_factors(N):
     assert list(eta_product_expansion(N).coeffs) == eta_coefficients_from_factors(N)
 
 
-def test_expansion_to_ten_thousand_is_a_hecke_eigenform():
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(min_value=1, max_value=3000))
+def test_expansion_matches_the_seven_product_chain(N):
+    assert list(eta_product_expansion(N).coeffs) == kronecker_eta_coefficients(N)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 500])
+def test_each_expansion_makes_one_kronecker_product(monkeypatch, N):
+    calls = []
+
+    def counted(a, b, deg):
+        calls.append(deg)
+        return _poly_mul_trunc(a, b, deg)
+
+    monkeypatch.setattr(modular_form, "_poly_mul_trunc", counted)
+    expansion = eta_product_expansion.__wrapped__(N)
+    assert calls == [(N - 1) // 2]
+    assert expansion == eta_product_expansion(N)
+
+
+def test_poly_mul_trunc_matches_the_schoolbook_product():
+    # signed operands of lengths 1..60 and magnitudes up to 2^70; every
+    # fourth pair has an all-negative a, an all-zero b or an all-negative b
+    # of small magnitude; truncation below, at and above the full degree
+    rng = random.Random(4)
+
+    def poly(low, high):
+        return [rng.randint(low, high) for _ in range(rng.randint(1, 60))]
+
+    for trial in range(400):
+        bits = rng.randint(0, 70)
+        a, b = poly(-(2**70), 2**70), poly(-(2**bits), 2**bits)
+        if trial % 4 == 1:
+            a = [-abs(x) - 1 for x in a]
+        elif trial % 4 == 2:
+            b = [0] * len(b)
+        elif trial % 4 == 3:
+            b = poly(-3, -1)
+        full = len(a) + len(b) - 2
+        for deg in sorted({0, full // 2, max(full - 1, 0), full, full + 1, full + 7}):
+            assert _poly_mul_trunc(a, b, deg) == schoolbook_mul_trunc(a, b, deg), (trial, deg)
+
+
+def _assert_hecke_eigenform(N):
     """a_1 = 1, a_even = 0, the Hecke recursion at odd prime powers,
     multiplicativity on coprime odd pairs and the Deligne bound
-    |a_n| <= d(n) n^(3/2), on a_1..a_N for N = 10^4."""
-    N = 10000
+    |a_n| <= d(n) n^(3/2), on a_1..a_N."""
     a = (0,) + eta_product_expansion(N).coeffs  # a[n] = a_n
     assert a[1] == 1
     assert not any(a[2::2])
@@ -151,3 +227,12 @@ def test_expansion_to_ten_thousand_is_a_hecke_eigenform():
         for n in range(d, N + 1, d):
             divisors[n] += 1
     assert all(a[n] ** 2 <= divisors[n] ** 2 * n**3 for n in range(1, N + 1))
+
+
+def test_expansion_to_ten_thousand_is_a_hecke_eigenform():
+    _assert_hecke_eigenform(10000)
+
+
+@pytest.mark.slow
+def test_expansion_to_the_largest_pmax_is_a_hecke_eigenform():
+    _assert_hecke_eigenform(MAX_PMAX)
