@@ -1,5 +1,5 @@
-"""Exact scalar arithmetic: rationals, Pochhammer products, the central
-ratios and order-2 harmonic sums, primality, p-adic valuations.
+"""Exact scalar arithmetic: rationals, Pochhammer products, primality,
+p-adic valuations.
 
 Every scalar in this package is an exact :class:`fractions.Fraction`; nothing
 here (or anywhere downstream) touches floating point.  ``Fraction`` already
@@ -7,9 +7,7 @@ guarantees the normal form we rely on: positive denominator, gcd removed,
 zero stored as 0/1, so equality is structural and valuations are cheap.
 
 All functions are pure and all values immutable, so everything is safe to
-share between concurrent tasks.  The central ratios (1/2)_k/k! and H2(k) do
-not depend on p, so each is one table per process that grows only when a
-larger index is asked for; a reader always gets a fresh, consistent prefix.
+share between concurrent tasks.
 """
 
 from __future__ import annotations
@@ -75,43 +73,6 @@ def rising_factorial(a, k: int) -> Fraction:
     for i in range(k):
         out *= a + i
     return out
-
-
-class _PrefixTable:
-    """A sequence x_0, x_1, ... that does not depend on p, built once per process.
-
-    ``x_k = step(x_{k-1}, k)``.  The table grows only when a larger index is
-    asked for; a grown table is a new list, never the published one mutated,
-    so every reader gets a consistent prefix.
-    """
-
-    def __init__(self, first, step):
-        self._values = [first]
-        self._step = step
-
-    def prefix(self, kmax: int) -> list:
-        """A fresh list of x_0..x_kmax."""
-        values = self._values
-        if len(values) <= kmax:
-            grown = values[:]
-            for k in range(len(values), kmax + 1):
-                grown.append(self._step(grown[-1], k))
-            self._values = values = grown
-        return values[: kmax + 1]
-
-
-_CENTRAL_RATIOS = _PrefixTable(Fraction(1), lambda c, k: c * Fraction(2 * k - 1, 2 * k))
-_HARMONIC2 = _PrefixTable(Fraction(0), lambda h, j: h + Fraction(1, j * j))
-
-
-def central_ratios(kmax: int) -> list[Fraction]:
-    """c_0..c_kmax with c_k = (1/2)_k / k!, read off one table per process."""
-    return _CENTRAL_RATIOS.prefix(kmax)
-
-
-def harmonic2_table(kmax: int) -> list[Fraction]:
-    """H2(0)..H2(kmax), H2(k) = sum_{j<=k} 1/j^2, read off one table per process."""
-    return _HARMONIC2.prefix(kmax)
 
 
 def is_prime(n: int) -> bool:

@@ -16,6 +16,7 @@ Congruence cases (pass iff the achieved valuation meets the bound):
   THM4         sum_{k<=m} (6k+1) c_k^3 (-1/8)^k vs e(p) p              v >= 2
   THM4_STRONG  same sum and target                                     v >= 3   (conjectural)
   COMCONJ2     sum_{k<=m} (6k+1) c_k^3 (OH2(k) - H2(k)/16) (-1/8)^k    v >= 1   (conjectural)
+               read as -[x^2] of the z = -1/8 deformation (thm3_deformed_spec)
   CAI(r)       (-1)^M binom(p^r-1, M), M=(p^r-1)/2  vs c_M^2           v >= 3
   BINOM_NEG(r) (-1)^k binom(M, k)      vs c_k   for 1 <= k <= M        v >= 1 each
   BINOM_POS(r) binom(M+k, k)           vs c_k   for 1 <= k <= M        v >= 1 each
@@ -24,6 +25,7 @@ Congruence cases (pass iff the achieved valuation meets the bound):
   ODDH2_HALF   OH2(m)                  vs 0                            v >= 1
   H2_REFLECT   H2(k) + H2(p-1-k)       vs 0     for 1 <= k <= p-2      v >= 1 each
   THMKEY(s)    sum_{k<=m} c_k^(2s) H2(2k) vs 0                         v >= 1
+               read as -[x^2] of sum c_k^(2s) prod_{j<=2k} (1 - x^2/j^2)
 
 where a_n is the eta-product coefficient (modular_form module) and
 e(p) = (-1)^((p^2-1)/8 + (p-1)/2).
@@ -49,8 +51,9 @@ Series cases (x-deformations, expanded to order 4):
                     upper (1-p)/2 and 1, extra lower 1+p/2) has v >= 1, and
                     its constant term matches EQ10's constant term mod p
   LEM_THM1_B2K      per-term x^2 coefficient of the conjugate-deformed
-                    quartic sum equals -c_k^4 H2(2k) exactly, and the summed
-                    x^2 coefficient has v >= 1
+                    quartic sum equals -c_k^4 H2(2k) exactly, the summed x^2
+                    coefficient equals that of THMKEY(2)'s deformation, and
+                    it has v >= 1
   THM3_QUOTIENT_X2  deformed (6k+1) 4^-k sum divided by its scalar value is
                     even in x with p-integral coefficients and its x^2
                     coefficient has v >= 1
@@ -78,16 +81,7 @@ from functools import lru_cache, partial
 from math import comb, factorial
 from typing import Callable, Sequence
 
-from .exact_core import (
-    INFINITY,
-    Valuation,
-    central_ratios,
-    check_prime,
-    harmonic2_table,
-    is_prime,
-    padic_valuation,
-    rising_factorial,
-)
+from .exact_core import INFINITY, Valuation, check_prime, is_prime, padic_valuation, rising_factorial
 from .hypergeometric import (
     HypSum,
     IdentityId,
@@ -270,15 +264,36 @@ def six_f_five_series_spec(p: int) -> HypSum:
     )
 
 
-def thm3_deformed_spec(p: int) -> HypSum:
-    """Deformed (6k+1) 4^-k sum; numerator of the quotient-series case."""
+def thm3_deformed_spec(p: int, z=QUARTER) -> HypSum:
+    """Deformed (6k+1) z^k sum; at z = 1/4 the numerator of the quotient-series case.
+
+    Term k is (6k+1) c_k^3 z^k prod_{j<=k} (1 - x^2/(2j-1)^2) / (1 - x^2/(16j^2)),
+    so its x^2 coefficient is -(6k+1) c_k^3 z^k (OH2(k) - H2(k)/16).
+    """
     return hyp_sum(
         [HALF, (HALF, -HALF), (HALF, HALF)],
         [(1, QUARTER), (1, -QUARTER)],
-        z=QUARTER,
+        z=z,
         K=(p - 1) // 2,
         weight=(6, 1),
     )
+
+
+def thmkey_series_spec(p: int, s: int) -> HypSum:
+    """Deformed sum of c_k^(2s) prod_{j<=2k} (1 - x^2/j^2), whose x^2 coefficient is -THMKEY(s).
+
+    (1/2 -+ x/2)_k (1 -+ x/2)_k multiply out to (1/2)_k^2 k!^2 prod_{j<=2k} (1 - x^2/j^2).
+    """
+    return hyp_sum(
+        [HALF] * (2 * s - 2) + [(HALF, -HALF), (HALF, HALF), (1, -HALF), (1, HALF)],
+        [1] * (2 * s + 1),
+        z=1,
+        K=(p - 1) // 2,
+    )
+
+
+def _x2_coefficient(spec: HypSum) -> Fraction:
+    return coefficient(eval_hyp_sum_series(spec, 2), 2)
 
 
 # --------------------------------------------------------------------------
@@ -317,28 +332,23 @@ def _thm4(p, _param, _budget):
 
 
 def _comconj2(p, _param, _budget):
-    m = (p - 1) // 2
-    ratios = central_ratios(m)
-    h2 = harmonic2_table(2 * m)
-    total = Fraction(0)
-    zk = Fraction(1)  # (-1/8)^k
-    for k in range(m + 1):
-        # OH2(k) - H2(k)/16 with OH2(k) = H2(2k) - H2(k)/4
-        total += (6 * k + 1) * ratios[k] ** 3 * (h2[2 * k] - h2[k] * Fraction(5, 16)) * zk
-        zk *= Fraction(-1, 8)
-    return total, ZERO
+    # Long's z = -1/8 deformation; thm3_deformed_spec gives the x^2 coefficient of each term
+    return -_x2_coefficient(thm3_deformed_spec(p, z=Fraction(-1, 8))), ZERO
 
 
 def _cai(p, r, _budget):
     m = (p**r - 1) // 2
     lhs = Fraction((-1) ** m * comb(p**r - 1, m))
-    return lhs, central_ratios(m)[m] ** 2
+    return lhs, Fraction(comb(2 * m, m), 4**m) ** 2
 
 
 def _binom_family(p, r, make_pair):
     m = (p**r - 1) // 2
-    ratios = central_ratios(m)
-    return _weakest([make_pair(m, k, ratios[k]) for k in range(1, m + 1)], p)
+    pairs, c = [], Fraction(1)
+    for k in range(1, m + 1):
+        c *= Fraction(2 * k - 1, 2 * k)  # c_k
+        pairs.append(make_pair(m, k, c))
+    return _weakest(pairs, p)
 
 
 def _binom_neg(p, r, _budget):
@@ -354,28 +364,25 @@ def _binom_prod(p, r, _budget):
 
 
 def _h2_half(p, _param, _budget):
-    m = (p - 1) // 2
-    return harmonic2_table(m)[m], ZERO
+    # term k is 1/(k+1)^2, so k <= m - 1 = (p-3)/2 sums to H2(m)
+    return eval_hyp_sum(hyp_sum([1, 1, 1], [2, 2], 1, K=(p - 3) // 2)), ZERO
 
 
 def _oddh2_half(p, _param, _budget):
-    m = (p - 1) // 2
-    h2 = harmonic2_table(2 * m)
-    # OH2(m) = H2(2m) - H2(m)/4: the even squares 1/(2j)^2 are H2(m)/4
-    return h2[2 * m] - h2[m] / 4, ZERO
+    # term k is 1/(2k+1)^2, so k <= m - 1 sums to OH2(m)
+    return eval_hyp_sum(hyp_sum([HALF, HALF, 1], [Fraction(3, 2), Fraction(3, 2)], 1, K=(p - 3) // 2)), ZERO
 
 
 def _h2_reflect(p, _param, _budget):
+    h2 = [ZERO]  # H2(0..p-2)
+    for j in range(1, p - 1):
+        h2.append(h2[-1] + Fraction(1, j * j))
     # k and p-1-k give the same sum, so k <= (p-1)/2 meets every pair once
-    table = harmonic2_table(p - 2)
-    return _weakest([(table[k] + table[p - 1 - k], ZERO) for k in range(1, (p - 1) // 2 + 1)], p)
+    return _weakest([(h2[k] + h2[p - 1 - k], ZERO) for k in range(1, (p - 1) // 2 + 1)], p)
 
 
 def _thmkey(p, s, _budget):
-    m = (p - 1) // 2
-    ratios = central_ratios(m)
-    table = harmonic2_table(2 * m)
-    return sum((ratios[k] ** (2 * s) * table[2 * k] for k in range(m + 1)), Fraction(0)), ZERO
+    return -_x2_coefficient(thmkey_series_spec(p, s)), ZERO
 
 
 # --------------------------------------------------------------------------
@@ -461,21 +468,22 @@ def _lem_thm1_ratio(k: int) -> tuple[list[int], list[int]]:
 
 def _lem_thm1_b2k(p):
     m = (p - 1) // 2
-    ratios = central_ratios(m)
-    h2 = harmonic2_table(2 * m)
     # term_k / c_k^4 = prod_{j<k} (1 - x^2/(2j+1)^2) / (1 + x^2/(2j+2)^2),
     # whose x^2 coefficient is -H2(2k).  The check reads x^2 and the odd
     # coefficients below x^4, and no coefficient depends on higher ones, so
     # the product is kept mod x^4, where its denominators stay small.
     norm = [Fraction(1), ZERO, ZERO, ZERO]
+    h2 = ZERO  # H2(2k)
     per_term_exact = True
     for k in range(m + 1):
-        if norm[2] != -h2[2 * k] or any(norm[1::2]):
+        if norm[2] != -h2 or any(norm[1::2]):
             per_term_exact = False
         mul_binomial(norm, 1, Fraction(-1, (2 * k + 1) ** 2), lag=2)
         div_binomial(norm, 1, Fraction(1, (2 * k + 2) ** 2), lag=2)
+        h2 += Fraction(1, (2 * k + 1) ** 2) + Fraction(1, (2 * k + 2) ** 2)
     a2 = _split_series(_lem_thm1_ratio, m, SERIES_ORDER, (ZERO, Fraction(1)))[2]
-    expected = -sum((ratios[k] ** 4 * h2[2 * k] for k in range(m + 1)), ZERO)
+    # sum -c_k^4 H2(2k), read off the other deformation, prod (1 - x^2/j^2)
+    expected = _x2_coefficient(thmkey_series_spec(p, 2))
     return a2, expected, padic_valuation(a2, p), per_term_exact and a2 == expected
 
 

@@ -1,18 +1,20 @@
 """Reference implementations the tests compare the package against, and
 helpers that only the tests use.
 
-The harness reads c_k and H2(k) off its shared per-process tables; the tests
-check those tables, and the cases built on them, against the direct sums
-here.  The series helpers rebuild what the package computes by binary
-splitting: term by term, by stepping each term by its ratio, or from
-Pochhammer products over an inverted denominator.  The eta helpers expand
-the product from its Euler factors, multiplied out one binomial at a time or
-written down by the pentagonal theorem and multiplied by seven Kronecker
-products, where the package takes one product of pentagonal-times-Jacobi
-series.
+The harness reads its harmonic-weighted sums (THMKEY, COMCONJ2 and
+LEM_THM1_B2K's expected side) off the x^2 coefficients of deformed sums; the
+tests check them against the term-by-term sums here, built from the direct
+definitions of c_k, H2(k) and OH2(k).  The series helpers rebuild what the
+package computes by binary splitting: term by term, by stepping each term by
+its ratio, or from Pochhammer products over an inverted denominator.  The
+eta helpers expand the product from its Euler factors, multiplied out one
+binomial at a time or written down by the pentagonal theorem and multiplied
+by seven Kronecker products, where the package takes one product of
+pentagonal-times-Jacobi series.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 from typing import Mapping
 
@@ -46,6 +48,25 @@ def odd_harmonic2(k: int) -> Fraction:
     if k < 0:
         raise ValueError("harmonic sum needs k >= 0")
     return sum((Fraction(1, (2 * j - 1) ** 2) for j in range(1, k + 1)), Fraction(0))
+
+
+def thmkey_partial_sums(kmax: int, s: int) -> list[Fraction]:
+    """sum_{k<=m} c_k^(2s) H2(2k) for every m <= kmax, one term at a time.
+
+    These are THMKEY(s) at m = (p-1)/2; LEM_THM1_B2K's expected side is minus
+    the s = 2 entry.
+    """
+    return list(accumulate(central_half_ratio(k) ** (2 * s) * harmonic2(2 * k) for k in range(kmax + 1)))
+
+
+def comconj2_partial_sums(kmax: int) -> list[Fraction]:
+    """sum_{k<=m} (6k+1) c_k^3 (OH2(k) - H2(k)/16) (-1/8)^k for every m <= kmax."""
+    return list(
+        accumulate(
+            (6 * k + 1) * central_half_ratio(k) ** 3 * (odd_harmonic2(k) - harmonic2(k) / 16) * Fraction(-1, 8) ** k
+            for k in range(kmax + 1)
+        )
+    )
 
 
 def congruent_mod_power(a, b, p: int, n: int) -> bool:

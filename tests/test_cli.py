@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from supercong.cli import MAX_PMAX, _print_summary, main, render_csv, render_json, suite_exit_code
 from supercong.harness import CASES, run_suite
@@ -207,3 +209,17 @@ def test_module_invocation_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads(out.read_text())) == 4
+
+
+def test_cli_imports_only_the_standard_library():
+    # the runtime declares dependencies = []; a fresh interpreter shows what the CLI pulls in
+    probe = (
+        "import sys; before = set(sys.modules); import supercong.cli; "
+        "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "supercong" in loaded
+    assert [name for name in loaded if name != "supercong" and name not in sys.stdlib_module_names] == []

@@ -12,6 +12,7 @@ import sympy as sp
 from supercong.exact_core import (
     INFINITY,
     NotPrimeError,
+    is_prime,
     padic_valuation,
     rising_factorial,
 )
@@ -159,6 +160,36 @@ def test_binom_family_records():
     assert rec.achieved == 2 and rec.passed
     # weakest pair is k = 1: -C(2,1)C(3,1) = -6 vs (1/2)^2, difference -25/4
     assert rec.lhs == -6 and rec.rhs == F(1, 4)
+
+
+def _closed_binom_pair(tag, M, k):
+    c = F(comb(2 * k, k), 4**k)
+    if tag == "BINOM_NEG":
+        return F((-1) ** k * comb(M, k)), c
+    if tag == "BINOM_POS":
+        return F(comb(M + k, k)), c
+    return F((-1) ** k * comb(M, k) * comb(M + k, k)), c * c
+
+
+@pytest.mark.parametrize("r, pmax", [(1, 199), (2, 31)])
+def test_binomial_records_match_closed_forms(r, pmax):
+    # c_k = C(2k, k)/4^k; a family record keeps the first k of least valuation
+    for p in range(5, pmax + 1):
+        if not is_prime(p):
+            continue
+        M = (p**r - 1) // 2
+        cai = verify_congruence_case("CAI", p, r)
+        lhs, rhs = F((-1) ** M * comb(p**r - 1, M)), F(comb(2 * M, M), 4**M) ** 2
+        assert (cai.lhs, cai.rhs, cai.achieved) == (lhs, rhs, padic_valuation(lhs - rhs, p)), p
+        for tag in ("BINOM_NEG", "BINOM_POS", "BINOM_PROD"):
+            weakest = None
+            for k in range(1, M + 1):
+                lhs, rhs = _closed_binom_pair(tag, M, k)
+                v = padic_valuation(lhs - rhs, p)
+                if weakest is None or v < weakest[2]:
+                    weakest = (lhs, rhs, v)
+            rec = verify_congruence_case(tag, p, r)
+            assert (rec.lhs, rec.rhs, rec.achieved) == weakest, (tag, p)
 
 
 def test_harmonic_case_records():

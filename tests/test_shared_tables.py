@@ -1,20 +1,16 @@
-"""The per-process tables: central ratios, H2 and the eta expansion.
+"""The per-process eta expansion, and the harmonic cases that once shared a table.
 
-Each table is shared by every prime and case of a process, so a result must
-not depend on the order in which the tables grew or on what earlier callers
-did with the lists they were handed.
+The eta expansion is shared by every prime and case of a process, so a result
+must not depend on the order in which it grew or on what earlier callers did.
+The half-range harmonic cases are checked against the direct sums.
 """
 
 import random
-import sys
-import threading
-from fractions import Fraction as F
-from math import comb, lcm
 
 import pytest
 
-from supercong import exact_core, modular_form
-from supercong.exact_core import central_ratios, harmonic2_table, is_prime
+from supercong import modular_form
+from supercong.exact_core import is_prime, padic_valuation
 from supercong.harness import run_suite, verify_congruence_case
 from supercong.modular_form import (
     BudgetError,
@@ -26,109 +22,20 @@ from supercong.modular_form import (
 
 from oracles import harmonic2, odd_harmonic2
 
-K = 1000
-TABLES = (
-    ("central", central_ratios, exact_core._CENTRAL_RATIOS),
-    ("harmonic2", harmonic2_table, exact_core._HARMONIC2),
-)
 ODD_PRIMES = [p for p in range(3, 500) if is_prime(p)]
 
 
-def _harmonic2_closed(k):
-    """H2(k) over the common denominator L = lcm(1..k)^2, one sum per k."""
-    L = lcm(*range(1, k + 1)) ** 2
-    return F(sum(L // (j * j) for j in range(1, k + 1)), L)
-
-
-@pytest.fixture(scope="module")
-def oracle():
-    # closed forms, computed independently of the tables under test
-    return {
-        "central": [F(comb(2 * k, k), 4**k) for k in range(K + 1)],
-        "harmonic2": [_harmonic2_closed(k) for k in range(K + 1)],
-    }
-
-
-def _fresh(monkeypatch, table):
-    monkeypatch.setattr(table, "_values", table._values[:1])
-
-
-@pytest.mark.parametrize("name, read, table", TABLES, ids=[t[0] for t in TABLES])
-def test_table_grown_large_then_small(monkeypatch, oracle, name, read, table):
-    _fresh(monkeypatch, table)
-    want = oracle[name]
-    assert read(K) == want
-    for k in (K, 999, 500, 37, 1, 0):
-        assert read(k) == want[: k + 1]
-
-
-@pytest.mark.parametrize("name, read, table", TABLES, ids=[t[0] for t in TABLES])
-def test_table_grown_small_then_large(monkeypatch, oracle, name, read, table):
-    _fresh(monkeypatch, table)
-    want = oracle[name]
-    for k in range(K + 1):
-        got = read(k)
-        assert len(got) == k + 1 and got[k] == want[k]
-    assert read(K) == want
-
-
-@pytest.mark.parametrize("name, read, table", TABLES, ids=[t[0] for t in TABLES])
-def test_table_grown_in_shuffled_steps(monkeypatch, oracle, name, read, table):
-    _fresh(monkeypatch, table)
-    want = oracle[name]
-    sizes = list(range(0, K + 1, 7)) + [K]
-    random.Random(4).shuffle(sizes)
-    for k in sizes:
-        assert read(k) == want[: k + 1]
-
-
-@pytest.mark.parametrize("name, read, table", TABLES, ids=[t[0] for t in TABLES])
-def test_mutating_a_returned_table_changes_no_later_result(monkeypatch, oracle, name, read, table):
-    _fresh(monkeypatch, table)
-    want = oracle[name]
-    handed_out = read(20)
-    handed_out[3] = F(-7)
-    handed_out.append(F(99))
-    del handed_out[0]
-    assert read(20) == want[:21]
-    assert read(40) == want[:41]
-
-
-def test_concurrent_growth_hands_every_reader_a_correct_prefix(monkeypatch, oracle):
-    table = exact_core._HARMONIC2
-    want = oracle["harmonic2"]
-    wrong = []
-
-    def reader(start, offset):
-        start.wait()
-        for k in range(offset, K + 1, 20):
-            got = harmonic2_table(k)
-            if len(got) != k + 1 or got[k] != want[k]:
-                wrong.append(k)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _round in range(10):
-            _fresh(monkeypatch, table)
-            start = threading.Barrier(4, timeout=60)
-            threads = [threading.Thread(target=reader, args=(start, offset)) for offset in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert wrong == []
-    assert harmonic2_table(K) == want
-
-
 def test_half_range_harmonic_records_match_the_direct_sums():
-    for p in ODD_PRIMES[1:]:  # both cases start at p = 5
+    h2 = [harmonic2(k) for k in range(ODD_PRIMES[-1] - 1)]
+    for p in ODD_PRIMES[1:]:  # the cases start at p = 5
         m = (p - 1) // 2
         assert verify_congruence_case("ODDH2_HALF", p).lhs == odd_harmonic2(m)
-        assert verify_congruence_case("H2_HALF", p).lhs == harmonic2(m)
+        assert verify_congruence_case("H2_HALF", p).lhs == h2[m]
+        # H2_REFLECT keeps the first k of least valuation of H2(k) + H2(p-1-k)
+        sums = [h2[k] + h2[p - 1 - k] for k in range(1, p - 1)]
+        weakest = min(sums, key=lambda x: padic_valuation(x, p))
+        rec = verify_congruence_case("H2_REFLECT", p)
+        assert (rec.lhs, rec.achieved) == (weakest, padic_valuation(weakest, p)), p
 
 
 @pytest.fixture(scope="module")
