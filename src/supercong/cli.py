@@ -9,6 +9,8 @@ Exit codes: 0 all non-conjectural cases pass (or nothing applicable),
 1 some non-conjectural case failed, 2 usage error, 3 I/O error.  A case
 instance that raised a domain error is a failed record; ``verify`` also
 prints its exception type and message on stderr, one line per record.
+Warnings go to stderr too: an --r beyond the supported exponents, exponent
+caps that cut the requested run, and a prime range with nothing to run.
 
 The environment variable SUPERCONG_BUDGET sets the ceiling on the
 eta-product expansion.  The default, DEFAULT_BUDGET = MAX_PMAX = 100000,
@@ -131,13 +133,21 @@ def cmd_verify(args) -> int:
         )
 
     primes = [p for p in range(max(pmin, 2), pmax + 1) if is_prime(p)]
+    cut = [
+        f"{tag} r={r} p<={cap}"
+        for tag in select_cases(cases)
+        for r, cap in R_CAPS.get(tag, {}).items()
+        if r <= args.r and cap is not None and primes and primes[-1] > cap
+    ]
+    if cut:
+        print(f"warning: exponent caps skip the primes above them: {', '.join(cut)}", file=sys.stderr)
     records = run_suite(primes, rs=range(1, args.r + 1), budget=budget, cases=cases)
     for rec in records:
         if rec.error is not None:
             kind = rec.achieved.removeprefix("error:")
             print(f"error: {rec.case} p={rec.p} param={rec.param}: {kind}: {rec.error}", file=sys.stderr)
     if not records:
-        print(f"warning: no applicable cases for primes in [{pmin}, {pmax}]")
+        print(f"warning: no applicable cases for primes in [{pmin}, {pmax}]", file=sys.stderr)
     else:
         _print_summary(records)
 

@@ -28,7 +28,9 @@ Congruence cases (pass iff the achieved valuation meets the bound):
                read as -[x^2] of sum c_k^(2s) prod_{j<=2k} (1 - x^2/j^2)
 
 where a_n is the eta-product coefficient (modular_form module) and
-e(p) = (-1)^((p^2-1)/8 + (p-1)/2).
+e(p) = (-1)^((p^2-1)/8 + (p-1)/2).  A per-k family record keeps the first k
+of least valuation; BINOM_* find it on p-adic residues (exact_core.Residue)
+and build only that k's lhs and rhs as exact fractions.
 
 Exact cases (pass iff both sides agree exactly):
 
@@ -81,7 +83,7 @@ from functools import lru_cache, partial
 from math import comb, factorial
 from typing import Callable, Sequence
 
-from .exact_core import INFINITY, Valuation, check_prime, is_prime, padic_valuation, rising_factorial
+from .exact_core import INFINITY, Residue, Valuation, check_prime, is_prime, padic_valuation, rising_factorial
 from .hypergeometric import (
     HypSum,
     IdentityId,
@@ -342,25 +344,59 @@ def _cai(p, r, _budget):
     return lhs, Fraction(comb(2 * m, m), 4**m) ** 2
 
 
-def _binom_family(p, r, make_pair):
+def _binom_pair(uppers, k: int) -> tuple[Fraction, Fraction]:
+    """A BINOM_* family's exact lhs = prod over a in ``uppers`` of (a)_k/k! and rhs = c_k^len(uppers)."""
+    lhs = 1
+    for a in uppers:
+        # (a)_k/k! is C(a+k-1, k), or (-1)^k C(-a, k) for a <= 0
+        lhs *= comb(a + k - 1, k) if a > 0 else (-1) ** k * comb(-a, k)
+    return Fraction(lhs), Fraction(comb(2 * k, k), 4**k) ** len(uppers)
+
+
+def _binom_family(p, r, uppers_of):
+    """The first k <= M of least v_p(lhs - rhs), with that k's exact lhs, rhs and valuation.
+
+    ``uppers_of(M)`` gives the family's upper parameters (see _binom_pair).
+    lhs_k and rhs_k are stepped by their term ratios as residues mod p^N.  A
+    k whose two sides agree in all N digits takes its valuation from its
+    exact pair.  Only the weakest k is then built exactly, and its valuation
+    must match the search's; a mismatch is a bug and raises AssertionError.
+    """
     m = (p**r - 1) // 2
-    pairs, c = [], Fraction(1)
+    uppers = uppers_of(m)
+    e = len(uppers)
+    lhs = rhs = Residue.of(1, p)
+    weakest = None  # (valuation, k)
     for k in range(1, m + 1):
-        c *= Fraction(2 * k - 1, 2 * k)  # c_k
-        pairs.append(make_pair(m, k, c))
-    return _weakest(pairs, p)
+        num = 1
+        for a in uppers:
+            num *= a + k - 1
+        lhs = lhs.scaled(num, k**e)
+        rhs = rhs.scaled((2 * k - 1) ** e, (2 * k) ** e)
+        v = lhs.difference_valuation(rhs)
+        if v is None:
+            exact_lhs, exact_rhs = _binom_pair(uppers, k)
+            v = padic_valuation(exact_lhs - exact_rhs, p)
+        if weakest is None or v < weakest[0]:
+            weakest = (v, k)
+    v, k = weakest
+    lhs, rhs = _binom_pair(uppers, k)
+    achieved = padic_valuation(lhs - rhs, p)
+    if achieved != v:
+        raise AssertionError(f"p={p} r={r} k={k}: residue valuation {v}, exact valuation {achieved}")
+    return lhs, rhs, achieved
 
 
 def _binom_neg(p, r, _budget):
-    return _binom_family(p, r, lambda m, k, c: (Fraction((-1) ** k * comb(m, k)), c))
+    return _binom_family(p, r, lambda m: (-m,))  # (-M)_k/k! = (-1)^k C(M, k)
 
 
 def _binom_pos(p, r, _budget):
-    return _binom_family(p, r, lambda m, k, c: (Fraction(comb(m + k, k)), c))
+    return _binom_family(p, r, lambda m: (m + 1,))  # (M+1)_k/k! = C(M+k, k)
 
 
 def _binom_prod(p, r, _budget):
-    return _binom_family(p, r, lambda m, k, c: (Fraction((-1) ** k * comb(m, k) * comb(m + k, k)), c * c))
+    return _binom_family(p, r, lambda m: (-m, m + 1))
 
 
 def _h2_half(p, _param, _budget):

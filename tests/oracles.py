@@ -4,7 +4,9 @@ helpers that only the tests use.
 The harness reads its harmonic-weighted sums (THMKEY, COMCONJ2 and
 LEM_THM1_B2K's expected side) off the x^2 coefficients of deformed sums; the
 tests check them against the term-by-term sums here, built from the direct
-definitions of c_k, H2(k) and OH2(k).  The series helpers rebuild what the
+definitions of c_k, H2(k) and OH2(k).  The BINOM_* records are checked
+against the exact loop that valuates every k's pair as a ``Fraction``, where
+the harness searches on p-adic residues.  The series helpers rebuild what the
 package computes by binary splitting: term by term, by stepping each term by
 its ratio, or from Pochhammer products over an inverted denominator.  The
 eta helpers expand the product from its Euler factors, multiplied out one
@@ -15,7 +17,7 @@ pentagonal-times-Jacobi series.
 
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial
+from math import comb, factorial
 from typing import Mapping
 
 from supercong.exact_core import padic_valuation, rising_factorial
@@ -67,6 +69,32 @@ def comconj2_partial_sums(kmax: int) -> list[Fraction]:
             for k in range(kmax + 1)
         )
     )
+
+
+def binom_pair(tag: str, M: int, k: int) -> tuple[Fraction, Fraction]:
+    """The exact (lhs, rhs) of a BINOM_* family at k, from the closed forms."""
+    c = Fraction(comb(2 * k, k), 4**k)
+    if tag == "BINOM_NEG":
+        return Fraction((-1) ** k * comb(M, k)), c
+    if tag == "BINOM_POS":
+        return Fraction(comb(M + k, k)), c
+    return Fraction((-1) ** k * comb(M, k) * comb(M + k, k)), c * c
+
+
+def weakest_binom_pair(tag: str, p: int, r: int) -> tuple[Fraction, Fraction, object]:
+    """(lhs, rhs, v_p(lhs - rhs)) of the first k <= M = (p^r-1)/2 of least valuation.
+
+    Every k's pair is built and valuated exactly, O(M^2) bit work in all;
+    the harness finds the same k on residues mod p^N.
+    """
+    M = (p**r - 1) // 2
+    weakest = None
+    for k in range(1, M + 1):
+        lhs, rhs = binom_pair(tag, M, k)
+        v = padic_valuation(lhs - rhs, p)
+        if weakest is None or v < weakest[2]:
+            weakest = (lhs, rhs, v)
+    return weakest
 
 
 def congruent_mod_power(a, b, p: int, n: int) -> bool:

@@ -25,7 +25,9 @@ def test_verify_empty_applicable_set_warns(tmp_path, capsys):
     out = tmp_path / "empty.json"
     code = main(["verify", "--cases", "all", "--pmax", "4", "--out", str(out)])
     assert code == 0
-    assert "warning" in capsys.readouterr().out.lower()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "warning: no applicable cases for primes in [5, 4]\n"
     assert json.loads(out.read_text()) == []
 
 
@@ -59,6 +61,21 @@ def test_verify_r_beyond_caps_warns_on_stderr_only(tmp_path, capsys):
         "warning: --r 3 exceeds the largest supported exponent; only r = 1, 2 run"
     ]
     assert (out3, report3) == (out2, report2)
+
+
+def test_verify_names_the_exponent_caps_that_cut_the_run_on_stderr(tmp_path, capsys):
+    def run(r, pmax):
+        out = tmp_path / f"r{r}-{pmax}.json"
+        args = ["verify", "--cases", "eq0,cai,conj1", "--pmin", "17", "--pmax", str(pmax), "--r", str(r)]
+        assert main(args + ["--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        return captured.err, out.read_text()
+
+    err, report = run(2, 37)
+    assert err.splitlines() == ["warning: exponent caps skip the primes above them: CONJ1 r=2 p<=19, CAI r=2 p<=31"]
+    assert report == render_json(run_suite([17, 19, 23, 29, 31, 37], rs=(1, 2), cases=["EQ0", "CAI", "CONJ1"]))
+    assert run(2, 19)[0] == ""  # no prime above a cap
+    assert run(1, 37)[0] == ""
 
 
 def test_verify_report_json_roundtrips_byte_identically(tmp_path):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
+from supercong import exact_core, harness
 from supercong.exact_core import (
     INFINITY,
     NotPrimeError,
@@ -41,6 +42,7 @@ from oracles import (
     scalarized,
     series_case_specs,
     specialize,
+    weakest_binom_pair,
 )
 
 HALF = F(1, 2)
@@ -162,34 +164,60 @@ def test_binom_family_records():
     assert rec.lhs == -6 and rec.rhs == F(1, 4)
 
 
-def _closed_binom_pair(tag, M, k):
-    c = F(comb(2 * k, k), 4**k)
-    if tag == "BINOM_NEG":
-        return F((-1) ** k * comb(M, k)), c
-    if tag == "BINOM_POS":
-        return F(comb(M + k, k)), c
-    return F((-1) ** k * comb(M, k) * comb(M + k, k)), c * c
+BINOM_TAGS = ("BINOM_NEG", "BINOM_POS", "BINOM_PROD")
+
+
+def _primes(lo, hi):
+    return [p for p in range(lo, hi + 1) if is_prime(p)]
 
 
 @pytest.mark.parametrize("r, pmax", [(1, 199), (2, 31)])
 def test_binomial_records_match_closed_forms(r, pmax):
     # c_k = C(2k, k)/4^k; a family record keeps the first k of least valuation
-    for p in range(5, pmax + 1):
-        if not is_prime(p):
-            continue
+    for p in _primes(5, pmax):
         M = (p**r - 1) // 2
         cai = verify_congruence_case("CAI", p, r)
         lhs, rhs = F((-1) ** M * comb(p**r - 1, M)), F(comb(2 * M, M), 4**M) ** 2
         assert (cai.lhs, cai.rhs, cai.achieved) == (lhs, rhs, padic_valuation(lhs - rhs, p)), p
-        for tag in ("BINOM_NEG", "BINOM_POS", "BINOM_PROD"):
-            weakest = None
-            for k in range(1, M + 1):
-                lhs, rhs = _closed_binom_pair(tag, M, k)
-                v = padic_valuation(lhs - rhs, p)
-                if weakest is None or v < weakest[2]:
-                    weakest = (lhs, rhs, v)
+        for tag in BINOM_TAGS:
             rec = verify_congruence_case(tag, p, r)
-            assert (rec.lhs, rec.rhs, rec.achieved) == weakest, (tag, p)
+            assert (rec.lhs, rec.rhs, rec.achieved) == weakest_binom_pair(tag, p, r), (tag, p)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_binomial_records_with_every_k_resolved_exactly(monkeypatch, r):
+    # Residues of one digit agree at every k whose congruence holds mod p, so
+    # each such k takes its valuation from its exact pair.
+    monkeypatch.setattr(exact_core, "_RESIDUE_DIGITS", 1)
+    resolved = []
+
+    def counting_valuation(x, p):
+        resolved.append(p)
+        return padic_valuation(x, p)
+
+    monkeypatch.setattr(harness, "padic_valuation", counting_valuation)
+    for p in _primes(5, 31):
+        for tag in BINOM_TAGS:
+            rec = verify_congruence_case(tag, p, r)
+            assert (rec.lhs, rec.rhs, rec.achieved) == weakest_binom_pair(tag, p, r), (tag, p)
+    assert len(resolved) > 3 * len(_primes(5, 31)), "no k was resolved exactly"
+
+
+def test_binomial_residue_mismatch_is_a_bug(monkeypatch):
+    # A residue valuation the exact pair contradicts raises AssertionError,
+    # which run_suite does not turn into a record.
+    monkeypatch.setattr(exact_core.Residue, "difference_valuation", lambda self, other: 0)
+    with pytest.raises(AssertionError, match="residue valuation 0, exact valuation 1"):
+        run_suite([5], cases=["BINOM_NEG"])
+
+
+@pytest.mark.slow
+def test_binomial_records_match_closed_forms_above_the_r2_caps():
+    # r = 2 runs above p = 31 only through direct calls; the oracle takes seconds here
+    for p in _primes(37, 61):
+        for tag in BINOM_TAGS:
+            rec = verify_congruence_case(tag, p, 2)
+            assert (rec.lhs, rec.rhs, rec.achieved) == weakest_binom_pair(tag, p, 2), (tag, p)
 
 
 def test_harmonic_case_records():
