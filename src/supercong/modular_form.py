@@ -9,13 +9,15 @@ The coefficients come from two classical series identities on exact big
 integers.  F(q) = prod (1 - q^n)^4 is Euler's pentagonal series times
 Jacobi's series for prod (1 - q^n)^3, each with O(sqrt(N)) nonzero terms,
 so F is a sparse by sparse product.  The form is q * F(q^2) * F(q^4) =
-q * G(q^2) with G = F(q) * F(q^2), a half-length product taken by one
-Kronecker substitution; a_{2m+1} = g_m.  The result is identical to naive
-sequential factor-by-factor expansion and to the seven-product chain of
-Euler factors; the tests keep both as their oracles.  A bound of 10**4
-takes under a tenth of a second, 10**5 a few seconds.  The weight-4 Hecke
-recursion a_{p^2} = a_p^2 - p^3 is an external consistency fact, used only
-as a cross-check, never as a source of coefficients.
+q * G(q^2) with G = F(q) * F(q^2); a_{2m+1} = g_m.  G splits by the parity
+of its index into the products of F with the even and with the odd half of
+F's coefficients, two half-length Kronecker substitutions on signed slots.
+The result is identical to naive sequential factor-by-factor expansion and
+to the seven-product chain of Euler factors; the tests keep both as their
+oracles.  A bound of 10**4 takes about 0.02 s, 10**5 about 0.4 s (CPython
+3.11, one core of a 2-vCPU host).  The weight-4 Hecke recursion
+a_{p^2} = a_p^2 - p^3 is an external consistency fact, used only as a
+cross-check, never as a source of coefficients.
 
 The coefficients do not depend on the bound they were expanded to, so one
 expansion serves every smaller index: ``prime_power_coefficient`` reads from
@@ -114,10 +116,15 @@ def _eta_fourth_power(deg: int) -> list[int]:
 def _poly_mul_trunc(a: list[int], b: list[int], deg: int) -> list[int]:
     """Exact product of integer polynomials, truncated at q^deg.
 
-    Kronecker substitution: coefficients are packed into fixed-width slots of
-    one big integer per sign part, multiplied with Python's big-int
-    multiplication, and unpacked.  The slot width is chosen so no convolution
-    sum can overflow its slot, which makes the result exact.
+    Kronecker substitution with signed slots (Schoenhage 1982; Harvey, JSC
+    2009): each operand is packed as one signed big integer sum x_i 2^(s*i),
+    its positive part minus its negative part, and the two are multiplied
+    once with Python's big-int multiplication.  The slot width s leaves one
+    bit above the largest possible convolution sum, so every coefficient c of
+    the product satisfies |c| < 2^(s-1).  Adding 2^(s-1) to every slot makes
+    all digits nonnegative, so the slots read back without borrows, each
+    less 2^(s-1).  The offset spans every slot of the product and every slot
+    read, which makes the result exact also for deg beyond the full degree.
     """
     n = deg + 1
     max_a = max((abs(x) for x in a), default=0)
@@ -126,28 +133,18 @@ def _poly_mul_trunc(a: list[int], b: list[int], deg: int) -> list[int]:
         return [0] * n
     bits = max_a.bit_length() + max_b.bit_length() + min(len(a), len(b)).bit_length() + 1
     width = (bits + 7) // 8
+    half = 1 << (8 * width - 1)
+    zero = bytes(width)
 
     def pack(poly: list[int]) -> int:
-        return int.from_bytes(
-            b"".join(x.to_bytes(width, "little") for x in poly), "little"
-        )
+        pos = b"".join(x.to_bytes(width, "little") if x > 0 else zero for x in poly)
+        neg = b"".join((-x).to_bytes(width, "little") if x < 0 else zero for x in poly)
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
-    def unpack(value: int) -> list[int]:
-        raw = value.to_bytes(max((value.bit_length() + 7) // 8, n * width), "little")
-        return [
-            int.from_bytes(raw[i * width : (i + 1) * width], "little")
-            for i in range(n)
-        ]
-
-    a_pos = [x if x > 0 else 0 for x in a]
-    a_neg = [-x if x < 0 else 0 for x in a]
-    b_pos = [x if x > 0 else 0 for x in b]
-    b_neg = [-x if x < 0 else 0 for x in b]
-    pp = unpack(pack(a_pos) * pack(b_pos))
-    nn = unpack(pack(a_neg) * pack(b_neg))
-    pn = unpack(pack(a_pos) * pack(b_neg))
-    np_ = unpack(pack(a_neg) * pack(b_pos))
-    return [pp[i] + nn[i] - pn[i] - np_[i] for i in range(n)]
+    slots = max(len(a) + len(b), n)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    raw = (pack(a) * pack(b) + offset).to_bytes(slots * width, "little")
+    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") - half for i in range(n)]
 
 
 @lru_cache(maxsize=None)
@@ -156,19 +153,21 @@ def eta_product_expansion(N: int) -> QExpansion:
 
     With F(q) = prod (1-q^n)^4 the form is q * F(q^2) * F(q^4) = q * G(q^2),
     G = F(q) * F(q^2), so a_{2m+1} = g_m and a_{2m} = 0.  G is needed up to
-    degree M = (N-1)//2; F comes from ``_eta_fourth_power`` and G is one
-    Kronecker product.  Results are cached per bound; a QExpansion is
-    immutable.
+    degree M = (N-1)//2.  Splitting F(q) = E(q^2) + q * O(q^2) into its even
+    and odd halves gives G(q) = (E*F)(q^2) + q * (O*F)(q^2): g_{2i} is the
+    i-th coefficient of E*F and g_{2i+1} that of O*F, two half-length
+    Kronecker products that skip the zero slots of F(q^2).  So
+    a_{4i+1} = (E*F)_i and a_{4i+3} = (O*F)_i.  Results are cached per
+    bound; a QExpansion is immutable.
     """
     if N < 1:
         raise ValueError("expansion bound must be >= 1")
     M = (N - 1) // 2
     f = _eta_fourth_power(M)
-    f_q2 = [0] * (M + 1)
-    f_q2[::2] = f[: M // 2 + 1]
-    g = _poly_mul_trunc(f, f_q2, M)
     coeffs = [0] * N
-    coeffs[::2] = g
+    coeffs[::4] = _poly_mul_trunc(f[::2], f[: M // 2 + 1], M // 2)
+    if M:
+        coeffs[2::4] = _poly_mul_trunc(f[1::2], f[: (M + 1) // 2], (M - 1) // 2)
     return QExpansion(bound=N, coeffs=tuple(coeffs))
 
 

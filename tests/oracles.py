@@ -11,8 +11,11 @@ package computes by binary splitting: term by term, by stepping each term by
 its ratio, or from Pochhammer products over an inverted denominator.  The
 eta helpers expand the product from its Euler factors, multiplied out one
 binomial at a time or written down by the pentagonal theorem and multiplied
-by seven Kronecker products, where the package takes one product of
-pentagonal-times-Jacobi series.
+by seven Kronecker products, where the package takes two half-length products
+of pentagonal-times-Jacobi series.  The package's Kronecker product packs
+signed coefficients into one big integer per operand; the tests check it
+against the schoolbook product and against the older kernel that split each
+operand by sign and made four unsigned products.
 """
 
 from fractions import Fraction
@@ -339,6 +342,47 @@ def schoolbook_mul_trunc(a: list[int], b: list[int], deg: int) -> list[int]:
             for j, y in enumerate(b[: deg + 1 - i]):
                 out[i + j] += x * y
     return out
+
+
+def sign_split_mul_trunc(a: list[int], b: list[int], deg: int) -> list[int]:
+    """Product of integer polynomials truncated at q^deg, by four unsigned
+    Kronecker products.
+
+    Each operand is split into its positive and negative parts; each part is
+    packed into fixed-width slots of one nonnegative big integer, the four
+    cross products are multiplied and unpacked, and their slots are combined
+    with signs.  The slot width is the package's, so the two kernels face the
+    same slot bound.
+    """
+    n = deg + 1
+    max_a = max((abs(x) for x in a), default=0)
+    max_b = max((abs(x) for x in b), default=0)
+    if max_a == 0 or max_b == 0:
+        return [0] * n
+    bits = max_a.bit_length() + max_b.bit_length() + min(len(a), len(b)).bit_length() + 1
+    width = (bits + 7) // 8
+
+    def pack(poly: list[int]) -> int:
+        return int.from_bytes(
+            b"".join(x.to_bytes(width, "little") for x in poly), "little"
+        )
+
+    def unpack(value: int) -> list[int]:
+        raw = value.to_bytes(max((value.bit_length() + 7) // 8, n * width), "little")
+        return [
+            int.from_bytes(raw[i * width : (i + 1) * width], "little")
+            for i in range(n)
+        ]
+
+    a_pos = [x if x > 0 else 0 for x in a]
+    a_neg = [-x if x < 0 else 0 for x in a]
+    b_pos = [x if x > 0 else 0 for x in b]
+    b_neg = [-x if x < 0 else 0 for x in b]
+    pp = unpack(pack(a_pos) * pack(b_pos))
+    nn = unpack(pack(a_neg) * pack(b_neg))
+    pn = unpack(pack(a_pos) * pack(b_neg))
+    np_ = unpack(pack(a_neg) * pack(b_pos))
+    return [pp[i] + nn[i] - pn[i] - np_[i] for i in range(n)]
 
 
 def eta_coefficients_from_factors(N: int) -> list[int]:

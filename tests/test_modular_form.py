@@ -25,6 +25,7 @@ from oracles import (
     kronecker_eta_coefficients,
     pentagonal_factor_product,
     schoolbook_mul_trunc,
+    sign_split_mul_trunc,
 )
 
 
@@ -169,8 +170,10 @@ def test_expansion_matches_the_seven_product_chain(N):
     assert list(eta_product_expansion(N).coeffs) == kronecker_eta_coefficients(N)
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 500])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 500, 501])
 def test_each_expansion_makes_one_kronecker_product(monkeypatch, N):
+    # G = F(q) * F(q^2) to degree M is E*F to degree M//2 and O*F to degree
+    # (M-1)//2; at M = 0 there is no odd half and so one product
     calls = []
 
     def counted(a, b, deg):
@@ -179,7 +182,8 @@ def test_each_expansion_makes_one_kronecker_product(monkeypatch, N):
 
     monkeypatch.setattr(modular_form, "_poly_mul_trunc", counted)
     expansion = eta_product_expansion.__wrapped__(N)
-    assert calls == [(N - 1) // 2]
+    M = (N - 1) // 2
+    assert calls == ([M // 2, (M - 1) // 2] if M else [0])
     assert expansion == eta_product_expansion(N)
 
 
@@ -203,6 +207,99 @@ def test_poly_mul_trunc_matches_the_schoolbook_product():
             b = poly(-3, -1)
         full = len(a) + len(b) - 2
         for deg in sorted({0, full // 2, max(full - 1, 0), full, full + 1, full + 7}):
+            assert _poly_mul_trunc(a, b, deg) == schoolbook_mul_trunc(a, b, deg), (trial, deg)
+
+
+def test_poly_mul_trunc_matches_the_sign_split_kernel_on_the_eta_operands():
+    # the operands of an expansion to n = 10001 (M = 5000), where the
+    # schoolbook product is too slow: the two half-length products and the
+    # full-length F(q) * F(q^2) they replace
+    M = 5000
+    f = _eta_fourth_power(M)
+    f_q2 = [0] * (M + 1)
+    f_q2[::2] = f[: M // 2 + 1]
+    for a, b, deg in (
+        (f[::2], f[: M // 2 + 1], M // 2),
+        (f[1::2], f[: (M + 1) // 2], (M - 1) // 2),
+        (f, f_q2, M),
+    ):
+        assert _poly_mul_trunc(a, b, deg) == sign_split_mul_trunc(a, b, deg)
+
+
+_signed_polys = st.lists(st.integers(min_value=-(2**200), max_value=2**200), min_size=1, max_size=80)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_signed_polys, _signed_polys, st.integers(min_value=0, max_value=200))
+def test_poly_mul_trunc_matches_the_sign_split_kernel_on_wide_operands(a, b, deg):
+    assert _poly_mul_trunc(a, b, deg) == sign_split_mul_trunc(a, b, deg)
+
+
+#: (length, bits of max|a|, bits of max|b|) with length = 2^j - 1 and a slot
+#: width of bits_a + bits_b + j + 1 bits.  Where that is a multiple of 8, no
+#: padding bit is left over and the largest convolution sum,
+#: length * max|a| * max|b|, comes within a factor length / 2^j of the
+#: bound; where it is one more, a width without the sign bit would have no
+#: padding either, and its slots would overflow.
+_TIGHT_SLOTS = [
+    (2**j - 1, total // 3, total - total // 3)
+    for j in range(1, 7)
+    for width in (16, 64, 128)
+    for total in (width - j - 1, width - j)
+]
+
+
+@pytest.mark.parametrize("length, bits_a, bits_b", _TIGHT_SLOTS)
+def test_poly_mul_trunc_at_the_slot_bound(length, bits_a, bits_b):
+    # every coefficient +-(2^k - 1): the middle convolution sums reach
+    # min(len) * max|a| * max|b|; with one sign they are all positive or all
+    # negative, with alternating signs they alternate between both extremes
+    top_a, top_b = 2**bits_a - 1, 2**bits_b - 1
+    alternating_a = [(-1) ** i * top_a for i in range(length)]
+    alternating_b = [(-1) ** i * top_b for i in range(length + 3)]
+    full = 2 * length + 1
+    for a, b in (
+        ([top_a] * length, [top_b] * (length + 3)),
+        ([-top_a] * length, [top_b] * (length + 3)),
+        ([-top_a] * length, [-top_b] * (length + 3)),
+        (alternating_a, alternating_b),
+        (alternating_a, [-x for x in alternating_b]),
+    ):
+        for deg in (0, length - 1, full - 1, full, full + 1, full + 5):
+            assert _poly_mul_trunc(a, b, deg) == schoolbook_mul_trunc(a, b, deg), (a, b, deg)
+            assert _poly_mul_trunc(b, a, deg) == schoolbook_mul_trunc(b, a, deg), (a, b, deg)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([5], [-3]),
+        ([-1], [-1]),
+        ([2**90], [7, -8, 9]),
+        ([-(2**33) + 1], [0, 0, 0, 1]),
+        ([1, -2, 3], [-(2**64)]),
+        ([0, 0, -1], [0, 0, 0, 0, -1]),
+    ],
+)
+def test_poly_mul_trunc_of_one_term_operands(a, b):
+    full = len(a) + len(b) - 2
+    for deg in range(full + 6):
+        assert _poly_mul_trunc(a, b, deg) == schoolbook_mul_trunc(a, b, deg), deg
+
+
+def test_poly_mul_trunc_across_long_zero_runs():
+    # one to four nonzero coefficients of either sign in operands of up to
+    # 700 slots, so most slots of the product lie in runs of zeros that
+    # must read back as zero
+    rng = random.Random(13)
+    for trial in range(60):
+        a = [0] * rng.randint(1, 700)
+        b = [0] * rng.randint(1, 700)
+        for poly in (a, b):
+            for _ in range(rng.randint(1, 4)):
+                poly[rng.randrange(len(poly))] = rng.choice((-1, 1)) * rng.randint(1, 2 ** rng.randint(1, 80))
+        full = len(a) + len(b) - 2
+        for deg in (full // 3, full, full + 1 + trial):
             assert _poly_mul_trunc(a, b, deg) == schoolbook_mul_trunc(a, b, deg), (trial, deg)
 
 
@@ -233,6 +330,5 @@ def test_expansion_to_ten_thousand_is_a_hecke_eigenform():
     _assert_hecke_eigenform(10000)
 
 
-@pytest.mark.slow
 def test_expansion_to_the_largest_pmax_is_a_hecke_eigenform():
     _assert_hecke_eigenform(MAX_PMAX)
