@@ -6,9 +6,10 @@ form re-serializes byte-identically after a round trip, and the CSV column
 order is fixed for diff-friendly CI artifacts.
 
 Exit codes: 0 all non-conjectural cases pass (or nothing applicable),
-1 some non-conjectural case failed, 2 usage error, 3 I/O error.  A case
-instance that raised a domain error is a failed record; ``verify`` also
-prints its exception type and message on stderr, one line per record.
+1 some non-conjectural case failed, 2 usage error (a --cases that names no
+case is one), 3 I/O error.  A case instance that raised a domain error is a
+failed record; ``verify`` also prints its exception type and message on
+stderr, one line per record.
 Warnings go to stderr too: an --r beyond the supported exponents, exponent
 caps that cut the requested run, and a prime range with nothing to run.
 
@@ -117,6 +118,9 @@ def cmd_verify(args) -> int:
             cases = select_cases(name for name in args.cases.split(",") if name.strip())
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
+            return 2
+        if not cases:
+            print("error: --cases selects no case", file=sys.stderr)
             return 2
     try:
         budget = _env_budget()

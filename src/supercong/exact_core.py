@@ -5,6 +5,7 @@ Every scalar in this package is an exact :class:`fractions.Fraction`; nothing
 here (or anywhere downstream) touches floating point.  ``Fraction`` already
 guarantees the normal form we rely on: positive denominator, gcd removed,
 zero stored as 0/1, so equality is structural and valuations are cheap.
+A Pochhammer product is one integer product over d^k, with a single gcd.
 
 :class:`Residue` is the p-adic residue layer: a nonzero rational written as
 p^v * u with u a unit kept mod p^N (N = ``_RESIDUE_DIGITS``).  Its parts are
@@ -19,7 +20,7 @@ share between concurrent tasks.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from typing import Union
 
 Rational = Fraction
@@ -72,17 +73,12 @@ Valuation = Union[int, _Infinity]
 
 
 def rising_factorial(a, k: int) -> Fraction:
-    """Rising factorial (a)_k = a(a+1)...(a+k-1); the empty product 1 for k=0.
-
-    Zero factors are legal and make the product 0.
-    """
+    """(a)_k = a(a+1)...(a+k-1), 1 for k = 0 and 0 if a factor is 0; with a = n/d
+    it is the integer product n(n+d)...(n+(k-1)d) over d^k, normalised by one gcd."""
     if k < 0:
         raise ValueError("rising factorial needs k >= 0")
-    a = Fraction(a)
-    out = Fraction(1)
-    for i in range(k):
-        out *= a + i
-    return out
+    n, d = Fraction(a).as_integer_ratio()
+    return Fraction(prod(range(n, n + k * d, d)), d**k)
 
 
 def is_prime(n: int) -> bool:

@@ -35,6 +35,7 @@ and build only that k's lhs and rhs as exact fractions.
 Exact cases (pass iff both sides agree exactly):
 
   COMIDEN0(n)  (2n+1) sum_{k<=n} (-1)^k binom(n,k) binom(n+k,k)/(2k+1) = 1,  n >= 2
+               evaluated as (2n+1) 3F2(-n, n+1, 1/2; 1, 3/2; 1) by binary splitting
   COMIDEN1(n)  (3/2-n/4)_m (1-n/2)_m / ((2-n/2)_m (1-n/4)_m) = (-1)^m n,  odd n, m=(n-1)/2
   COMIDEN2(n)  (3/2-n/4)_m / (2-n/2)_m * 2^m = e(n) n,  odd n
   LEMMA10      sum_{k<=m} (6k+1) (1/2)_k (1/2-p/2)_k (1/2+p/2)_k
@@ -427,8 +428,7 @@ def _thmkey(p, s, _budget):
 
 
 def _comiden0(_p, n, _params):
-    terms = (Fraction((-1) ** k * comb(n, k) * comb(n + k, k), 2 * k + 1) for k in range(n + 1))
-    return (2 * n + 1) * sum(terms, Fraction(0)), Fraction(1)
+    return (2 * n + 1) * eval_hyp_sum(hyp_sum([-n, n + 1, HALF], [1, Fraction(3, 2)], 1, K=n)), Fraction(1)
 
 
 def _comiden_ratio(n: int, m: int) -> Fraction:

@@ -6,7 +6,10 @@ LEM_THM1_B2K's expected side) off the x^2 coefficients of deformed sums; the
 tests check them against the term-by-term sums here, built from the direct
 definitions of c_k, H2(k) and OH2(k).  The BINOM_* records are checked
 against the exact loop that valuates every k's pair as a ``Fraction``, where
-the harness searches on p-adic residues.  The series helpers rebuild what the
+the harness searches on p-adic residues.  Rising factorials are multiplied
+out one factor at a time, where the package takes one integer product, and
+COMIDEN0's sum is summed term by term, where the harness evaluates it as a
+3F2 by binary splitting.  The series helpers rebuild what the
 package computes by binary splitting: term by term, by stepping each term by
 its ratio, or from Pochhammer products over an inverted denominator.  The
 eta helpers expand the product from its Euler factors, multiplied out one
@@ -23,7 +26,7 @@ from itertools import accumulate
 from math import comb, factorial
 from typing import Mapping
 
-from supercong.exact_core import padic_valuation, rising_factorial
+from supercong.exact_core import padic_valuation
 from supercong.harness import eq10_series_spec, six_f_five_series_spec, thm3_deformed_spec
 from supercong.hypergeometric import (
     AffineParam,
@@ -36,9 +39,26 @@ from supercong.modular_form import _poly_mul_trunc
 from supercong.power_series import TruncSeries, div_binomial, mul_binomial, series
 
 
+def stepwise_rising_factorial(a, k: int) -> Fraction:
+    """(a)_k multiplied out one ``Fraction`` factor at a time, with a gcd per factor."""
+    if k < 0:
+        raise ValueError("rising factorial needs k >= 0")
+    a = Fraction(a)
+    out = Fraction(1)
+    for i in range(k):
+        out *= a + i
+    return out
+
+
 def central_half_ratio(k: int) -> Fraction:
     """(1/2)_k / k!, which also equals 4**-k * C(2k, k)."""
-    return rising_factorial(Fraction(1, 2), k) / factorial(k)
+    return stepwise_rising_factorial(Fraction(1, 2), k) / factorial(k)
+
+
+def comiden0_term_sum(n: int) -> Fraction:
+    """sum_{k<=n} (-1)^k C(n,k) C(n+k,k)/(2k+1), summed term by term; COMIDEN0 is (2n+1) times it."""
+    terms = (Fraction((-1) ** k * comb(n, k) * comb(n + k, k), 2 * k + 1) for k in range(n + 1))
+    return sum(terms, Fraction(0))
 
 
 def harmonic2(k: int) -> Fraction:

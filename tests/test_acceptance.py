@@ -16,7 +16,6 @@ from supercong.cli import main
 from supercong.exact_core import (
     is_prime,
     padic_valuation,
-    rising_factorial,
 )
 from supercong.harness import (
     verify_congruence_case,
@@ -27,7 +26,7 @@ from supercong.hypergeometric import IdentityId, sample_identity_params
 from supercong.modular_form import prime_power_coefficient
 from supercong.power_series import coefficient
 
-from oracles import check_identity, harmonic2, odd_harmonic2, pochhammer_series, ps_mul
+from oracles import check_identity, harmonic2, odd_harmonic2, pochhammer_series, ps_mul, stepwise_rising_factorial
 
 PRIMES = [p for p in range(5, 98) if is_prime(p)]
 HALF = F(1, 2)
@@ -128,7 +127,7 @@ def test_criterion_08_deformation_suite():
     with criterion(8, "deformation coefficient formulas and series divisibility", 60.0):
         for k in range(41):
             odd_h1 = sum((F(1, 2 * j - 1) for j in range(1, k + 1)), F(0))
-            rf = rising_factorial(HALF, k)
+            rf = stepwise_rising_factorial(HALF, k)
             assert coefficient(pochhammer_series(HALF, 1, k, 1), 1) == rf * 2 * odd_h1
             pair = ps_mul(
                 pochhammer_series(HALF, 1, k, 4), pochhammer_series(HALF, -1, k, 4)
@@ -196,3 +195,20 @@ def test_contract_report_is_pinned(tmp_path):
         assert hashlib.sha256(data).hexdigest() == (
             "b6783f24fc95e65ea301121c22b1e5619ae642dd87b8c7b0a2ce215234ca8686"
         )
+
+
+def test_exact_case_report_over_the_sweep_window_is_pinned(tmp_path):
+    # The exact cases over the primes 5..499; the contract stops at p = 97.
+    out = tmp_path / "exact.json"
+    code = main([
+        "verify", "--cases",
+        "COMIDEN0,COMIDEN1,COMIDEN2,EXACT_DIV_P,WHIPPLE_4F3,WHIPPLE_6F5,WHIPPLE_7F6,"
+        "GESSEL_31_1,GOSPER_STRANGE,GESSEL_P544",
+        "--pmin", "5", "--pmax", "499", "--r", "1", "--format", "json", "--out", str(out),
+    ])
+    assert code == 0
+    data = out.read_bytes()
+    assert len(data) == 196552
+    assert hashlib.sha256(data).hexdigest() == (
+        "c2e5accda0f8e64357c42a246573a86377760c357329836ccb6c275625db8d35"
+    )

@@ -39,6 +39,16 @@ def test_verify_unknown_case_is_usage_error():
     assert main(["verify", "--cases", "definitely_not_a_case"]) == 2
 
 
+def test_verify_empty_case_selection_is_usage_error(tmp_path, capsys):
+    for spelling in ("", ",", " , "):
+        out = tmp_path / "never.json"
+        assert main(["verify", "--cases", spelling, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --cases selects no case\n"
+        assert not out.exists()
+
+
 def test_verify_bad_flag_is_usage_error():
     assert main(["verify", "--pmin", "not_an_int"]) == 2
     assert main(["no_such_command"]) == 2

@@ -16,7 +16,7 @@ from supercong.exact_core import (
     rising_factorial,
 )
 
-from oracles import central_half_ratio, congruent_mod_power, harmonic2, odd_harmonic2
+from oracles import central_half_ratio, congruent_mod_power, harmonic2, odd_harmonic2, stepwise_rising_factorial
 
 PRIMES_TO_97 = [p for p in range(5, 98) if is_prime(p)]
 PRIMES_3_TO_2000 = [p for p in range(3, 2001) if is_prime(p)]
@@ -32,6 +32,35 @@ def test_rising_factorial_trivials():
 def test_rising_factorial_rejects_negative_k():
     with pytest.raises(ValueError):
         rising_factorial(F(1, 2), -1)
+    for a in (0, -3, 7, F(-5, 4), F(11, 12)):
+        for k in (-1, -2, -80):
+            with pytest.raises(ValueError):
+                rising_factorial(a, k)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(-60, 60), st.integers(1, 12), st.integers(0, 80))
+def test_rising_factorial_matches_stepwise_product(n, d, k):
+    a = F(n, d)
+    got = rising_factorial(a, k)
+    assert type(got) is F
+    assert got == stepwise_rising_factorial(a, k)
+
+
+def test_rising_factorial_negative_and_zero_hitting_bases():
+    # a = -j is a factor-zero base once k > j; a negative base with d > 1 never hits zero
+    for j in range(0, 61):
+        for k in sorted({0, 1, j, j + 1, 80}):
+            got = rising_factorial(-j, k)
+            assert got == stepwise_rising_factorial(-j, k)
+            assert (got == 0) == (k > j)
+    for d in range(2, 13):
+        for n in range(-60, 0):
+            a = F(n, d)
+            for k in (1, 2, 17, 80):
+                got = rising_factorial(a, k)
+                assert got == stepwise_rising_factorial(a, k)
+                assert (got == 0) == (a.denominator == 1 and k > -a)
 
 
 def test_central_half_ratio_examples():

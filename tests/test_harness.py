@@ -15,7 +15,6 @@ from supercong.exact_core import (
     NotPrimeError,
     is_prime,
     padic_valuation,
-    rising_factorial,
 )
 from supercong.harness import (
     CASE_ORDER,
@@ -37,11 +36,13 @@ from supercong.power_series import coefficient
 
 from oracles import (
     central_half_ratio,
+    comiden0_term_sum,
     harmonic2,
     lem_thm1_term_series,
     scalarized,
     series_case_specs,
     specialize,
+    stepwise_rising_factorial,
     weakest_binom_pair,
 )
 
@@ -262,6 +263,15 @@ def test_comiden0_records():
         verify_exact_case("COMIDEN0", 1)
 
 
+@pytest.mark.parametrize("ns", [range(2, 401), [2000]], ids=["n=2..400", "n=2000"])
+def test_comiden0_matches_term_by_term_sum(ns):
+    # (-n)_k/k! = (-1)^k C(n,k), (n+1)_k/k! = C(n+k,k), (1/2)_k/(3/2)_k = 1/(2k+1): the 3F2 is the sum term for term
+    for n in ns:
+        rec = verify_exact_case("COMIDEN0", n)
+        assert rec.lhs == (2 * n + 1) * comiden0_term_sum(n)
+        assert rec.passed
+
+
 def test_comiden1_spot_record():
     rec = verify_exact_case("COMIDEN1", 5)
     assert rec.lhs == (F(5, 16) * F(3, 4)) / (F(-1, 4) * F(-3, 16)) == 5
@@ -272,7 +282,7 @@ def test_comiden1_spot_record():
 
 def test_comiden2_spot_record():
     rec = verify_exact_case("COMIDEN2", 5)
-    assert rec.lhs == rising_factorial(F(1, 4), 2) / rising_factorial(F(-1, 2), 2) * 4 == -5
+    assert rec.lhs == stepwise_rising_factorial(F(1, 4), 2) / stepwise_rising_factorial(F(-1, 2), 2) * 4 == -5
     assert rec.rhs == -5 and rec.passed
 
 
