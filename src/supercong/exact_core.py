@@ -23,8 +23,6 @@ from fractions import Fraction
 from math import isqrt, prod
 from typing import Union
 
-Rational = Fraction
-
 # Trial division by divisors up to 10**6 certifies primality below this bound.
 _PRIMALITY_CERTIFIED_BOUND = 10**12
 

@@ -53,8 +53,10 @@ Series cases (x-deformations, expanded to order 4):
   SIX_F_FIVE_COEFFS every coefficient of the companion deformed sum (extra
                     upper (1-p)/2 and 1, extra lower 1+p/2) has v >= 1, and
                     its constant term matches EQ10's constant term mod p
-  LEM_THM1_B2K      per-term x^2 coefficient of the conjugate-deformed
-                    quartic sum equals -c_k^4 H2(2k) exactly, the summed x^2
+  LEM_THM1_B2K      every term ratio the split sums is even in x, with
+                    constant ((2k-1)/(2k))^4 and x^2 step -(1/(2k-1)^2 +
+                    1/(2k)^2), so term k of the conjugate-deformed quartic
+                    sum is c_k^4 (1 - H2(2k) x^2) mod x^4; the summed x^2
                     coefficient equals that of THMKEY(2)'s deformation, and
                     it has v >= 1
   THM3_QUOTIENT_X2  deformed (6k+1) 4^-k sum divided by its scalar value is
@@ -97,7 +99,7 @@ from .hypergeometric import (
     sample_identity_params,
 )
 from .modular_form import DEFAULT_BUDGET, prime_power_coefficient, widest_expansion
-from .power_series import TruncSeries, coefficient, div_binomial, mul_binomial
+from .power_series import TruncSeries, coefficient
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -466,8 +468,8 @@ def _identity(identity, _p, index, params):
 # --------------------------------------------------------------------------
 
 
-def _odd_coeffs_vanish(ser) -> bool:
-    return all(c == 0 for c in ser.coeffs[1::2])
+def _odd_coeffs_vanish(coeffs) -> bool:
+    return all(c == 0 for c in coeffs[1::2])
 
 
 @lru_cache(maxsize=None)
@@ -479,7 +481,7 @@ def _eq10_series(p: int) -> TruncSeries:
 def _eq10_a2(p):
     ser = _eq10_series(p)
     a2 = coefficient(ser, 2)
-    return a2, ZERO, padic_valuation(a2, p), _odd_coeffs_vanish(ser)
+    return a2, ZERO, padic_valuation(a2, p), _odd_coeffs_vanish(ser.coeffs)
 
 
 def _six_f_five(p):
@@ -487,7 +489,7 @@ def _six_f_five(p):
     ser65 = eval_hyp_sum_series(six_f_five_series_spec(p), SERIES_ORDER)
     vals = [padic_valuation(c, p) for c in ser65.coeffs]
     vals.append(padic_valuation(ser10.coeffs[0] - ser65.coeffs[0], p))
-    return ser65.coeffs[0], ser10.coeffs[0], min(vals), _odd_coeffs_vanish(ser65)
+    return ser65.coeffs[0], ser10.coeffs[0], min(vals), _odd_coeffs_vanish(ser65.coeffs)
 
 
 def _lem_thm1_ratio(k: int) -> tuple[list[int], list[int]]:
@@ -502,21 +504,28 @@ def _lem_thm1_ratio(k: int) -> tuple[list[int], list[int]]:
     return [a * a, 0, -a, *pad], [b * b, 0, b, *pad]
 
 
+def _lem_thm1_step_exact(k: int) -> bool:
+    """Whether ratio k is even in x, with constant ((2k-1)/(2k))^4 and x^2
+    step num[2]/num[0] - den[2]/den[0] = -(1/(2k-1)^2 + 1/(2k)^2).
+
+    Both equalities are checked with denominators cleared, on integers.
+    """
+    num, den = _lem_thm1_ratio(k)
+    a, b = (2 * k - 1) ** 2, (2 * k) ** 2
+    return (
+        not any(num[1::2])
+        and not any(den[1::2])
+        and den[0] != 0
+        and num[0] * b * b == den[0] * a * a
+        and (num[2] * den[0] - den[2] * num[0]) * a * b == -(a + b) * num[0] * den[0]
+    )
+
+
 def _lem_thm1_b2k(p):
     m = (p - 1) // 2
-    # term_k / c_k^4 = prod_{j<k} (1 - x^2/(2j+1)^2) / (1 + x^2/(2j+2)^2),
-    # whose x^2 coefficient is -H2(2k).  The check reads x^2 and the odd
-    # coefficients below x^4, and no coefficient depends on higher ones, so
-    # the product is kept mod x^4, where its denominators stay small.
-    norm = [Fraction(1), ZERO, ZERO, ZERO]
-    h2 = ZERO  # H2(2k)
-    per_term_exact = True
-    for k in range(m + 1):
-        if norm[2] != -h2 or any(norm[1::2]):
-            per_term_exact = False
-        mul_binomial(norm, 1, Fraction(-1, (2 * k + 1) ** 2), lag=2)
-        div_binomial(norm, 1, Fraction(1, (2 * k + 2) ** 2), lag=2)
-        h2 += Fraction(1, (2 * k + 1) ** 2) + Fraction(1, (2 * k + 2) ** 2)
+    # Mod x^4, term k is the product of the ratios up to k (t_0 = 1), so it
+    # equals c_k^4 (1 - H2(2k) x^2) exactly when every step passes.
+    per_term_exact = all(_lem_thm1_step_exact(k) for k in range(1, m + 1))
     a2 = _split_series(_lem_thm1_ratio, m, SERIES_ORDER, (ZERO, Fraction(1)))[2]
     # sum -c_k^4 H2(2k), read off the other deformation, prod (1 - x^2/j^2)
     expected = _x2_coefficient(thmkey_series_spec(p, 2))
@@ -524,11 +533,10 @@ def _lem_thm1_b2k(p):
 
 
 def _thm3_quotient(p):
-    num = eval_hyp_sum_series(thm3_deformed_spec(p), SERIES_ORDER)
-    scalar = coefficient(num, 0)
-    quotient = num.scale(1 / scalar)
-    integral = all(padic_valuation(c, p) >= 0 for c in quotient.coeffs)
-    c2 = coefficient(quotient, 2)
+    num = eval_hyp_sum_series(thm3_deformed_spec(p), SERIES_ORDER).coeffs
+    quotient = [c / num[0] for c in num]
+    integral = all(padic_valuation(c, p) >= 0 for c in quotient)
+    c2 = quotient[2]
     return c2, ZERO, padic_valuation(c2, p), integral and _odd_coeffs_vanish(quotient)
 
 
@@ -648,8 +656,6 @@ CASE_ORDER = tuple(CASES)
 
 #: Largest prime run_suite verifies per exponent r, for the cases that take r.
 R_CAPS = {tag: case.r_caps for tag, case in CASES.items() if case.r_caps is not None}
-
-CONJECTURAL_CASES = frozenset(tag for tag, case in CASES.items() if case.conjectural)
 
 
 # --------------------------------------------------------------------------

@@ -67,8 +67,8 @@ def param(value) -> AffineParam:
         return value
     if isinstance(value, tuple):
         base, slope = value
-        return AffineParam(Fraction(base), Fraction(slope))
-    return AffineParam(Fraction(value))
+        return AffineParam(base, slope)
+    return AffineParam(value)
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,9 @@ def hyp_sum(upper, lower, z, K: int, weight=(0, 1)) -> HypSum:
     return HypSum(
         upper=tuple(param(u) for u in upper),
         lower=tuple(param(l) for l in lower),
-        argument=Fraction(z),
+        argument=z,
         truncation=K,
-        weight=(Fraction(weight[0]), Fraction(weight[1])),
+        weight=weight,
     )
 
 

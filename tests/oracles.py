@@ -12,6 +12,9 @@ COMIDEN0's sum is summed term by term, where the harness evaluates it as a
 3F2 by binary splitting.  The series helpers rebuild what the
 package computes by binary splitting: term by term, by stepping each term by
 its ratio, or from Pochhammer products over an inverted denominator.  The
+package's ``TruncSeries`` is a plain value, so the series algebra these
+helpers need (construction, sums, scalar multiples, products, inverses and
+in-place binomial steps) lives here too.  The
 eta helpers expand the product from its Euler factors, multiplied out one
 binomial at a time or written down by the pentagonal theorem and multiplied
 by seven Kronecker products, where the package takes two half-length products
@@ -36,7 +39,7 @@ from supercong.hypergeometric import (
     identity_sides,
 )
 from supercong.modular_form import _poly_mul_trunc
-from supercong.power_series import TruncSeries, div_binomial, mul_binomial, series
+from supercong.power_series import TruncSeries
 
 
 def stepwise_rising_factorial(a, k: int) -> Fraction:
@@ -135,9 +138,31 @@ def congruent_mod_power(a, b, p: int, n: int) -> bool:
 # --------------------------------------------------------------------------
 
 
+def series(coeffs, order: int | None = None) -> TruncSeries:
+    """Build a TruncSeries from an iterable, zero-padding/truncating to ``order``."""
+    cs = [Fraction(c) for c in coeffs]
+    if order is not None:
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        cs = (cs + [Fraction(0)] * (order + 1))[: order + 1]
+    return TruncSeries(tuple(cs))
+
+
 def constant(c, order: int) -> TruncSeries:
     """The constant c as a series of the given order."""
     return series([c], order)
+
+
+def ps_add(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    """Sum truncated at min(order(a), order(b))."""
+    d = min(a.order, b.order)
+    return TruncSeries(tuple(a.coeffs[i] + b.coeffs[i] for i in range(d + 1)))
+
+
+def ps_scale(a: TruncSeries, c) -> TruncSeries:
+    """The scalar multiple c * a."""
+    c = Fraction(c)
+    return TruncSeries(tuple(c * x for x in a.coeffs))
 
 
 def ps_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
@@ -167,6 +192,25 @@ def ps_invert(a: TruncSeries) -> TruncSeries:
             acc += a.coeffs[i] * out[d - i]
         out[d] = -inv0 * acc
     return TruncSeries(tuple(out))
+
+
+def mul_binomial(coeffs: list, c, s, lag: int = 1) -> None:
+    """Multiply the dense coefficient list in place by c + s*x^lag, mod x^len."""
+    for d in range(len(coeffs) - 1, lag - 1, -1):
+        coeffs[d] = c * coeffs[d] + s * coeffs[d - lag]
+    for d in range(min(lag, len(coeffs))):
+        coeffs[d] = c * coeffs[d]
+
+
+def div_binomial(coeffs: list, c, s, lag: int = 1) -> None:
+    """Divide the dense coefficient list in place by c + s*x^lag, mod x^len.
+
+    Back-substitution from the constant term up: q_d = (a_d - s*q_{d-lag})/c;
+    a zero c raises ZeroDivisionError.
+    """
+    for d in range(len(coeffs)):
+        a = coeffs[d] - s * coeffs[d - lag] if d >= lag else coeffs[d]
+        coeffs[d] = a / c
 
 
 def pochhammer_series(a0, slope, k: int, order: int) -> TruncSeries:

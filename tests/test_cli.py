@@ -238,6 +238,27 @@ def test_module_invocation_subprocess(tmp_path):
     assert len(json.loads(out.read_text())) == 4
 
 
+def test_traced_run_writes_the_untraced_report(tmp_path):
+    # perfbench's tracer wraps every public function of the layer modules,
+    # power_series among them, and reads .coeffs off each series sum
+    root = Path(__file__).resolve().parents[1]
+    args = ["verify", "--cases", "eq0,eq10_a2,six_f_five_coeffs,lem_thm1_b2k,thm3_quotient_x2",
+            "--pmin", "5", "--pmax", "13"]
+    untraced, traced, trace = tmp_path / "untraced.json", tmp_path / "traced.json", tmp_path / "trace.json"
+    assert main([*args, "--out", str(untraced)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(trace), "--", *args, "--out", str(traced)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert traced.read_bytes() == untraced.read_bytes()
+    names = json.loads(trace.read_text())["names"]
+    assert {"power_series.coefficient", "hypergeometric.eval_hyp_sum_series"} <= set(names)
+
+
 def test_cli_imports_only_the_standard_library():
     # the runtime declares dependencies = []; a fresh interpreter shows what the CLI pulls in
     probe = (

@@ -19,7 +19,6 @@ from supercong.exact_core import (
 from supercong.harness import (
     CASE_ORDER,
     CASES,
-    CONJECTURAL_CASES,
     IDENTITY_DRAWS,
     R_CAPS,
     Requirement,
@@ -389,6 +388,28 @@ def test_lem_thm1_case_record():
     assert rec.passed and rec.lhs == rec.rhs and rec.achieved >= 1
 
 
+def _odd_x3_step(num, den):
+    num[3] = 1  # never reaches x^2, so the summed coefficient stays right
+
+
+def _wrong_x2_step(num, den):
+    den[2] += 1
+
+
+@pytest.mark.parametrize("edit", [_odd_x3_step, _wrong_x2_step])
+def test_lem_thm1_rejects_a_wrong_term_ratio(monkeypatch, edit):
+    ratio = harness._lem_thm1_ratio
+
+    def perturbed(k):
+        num, den = ratio(k)
+        if k == 2:
+            edit(num, den)
+        return num, den
+
+    monkeypatch.setattr(harness, "_lem_thm1_ratio", perturbed)
+    assert not verify_series_case("LEM_THM1_B2K", 11).passed
+
+
 def test_thm3_quotient_matches_sympy_expansion():
     p = 5
     expr, x = sympy_deformed_sum(
@@ -472,7 +493,9 @@ def test_run_suite_small_range_all_pass():
     assert len(by_case["THMKEY"]) == 6  # s in {1,2,3} at two primes
     assert len(by_case["COMIDEN0"]) == 199
     assert len(by_case["WHIPPLE_7F6"]) == IDENTITY_DRAWS
-    for tag in CONJECTURAL_CASES:
+    conjectural = {tag for tag, case in CASES.items() if case.conjectural}
+    assert conjectural == {"CONJ1", "THM4_STRONG", "COMCONJ2"}
+    for tag in conjectural:
         assert all(r.conjectural for r in by_case[tag])
     assert all(not r.conjectural for r in by_case["EQ0"])
 

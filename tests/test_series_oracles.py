@@ -28,8 +28,10 @@ from oracles import (
     lem_thm1_term_series,
     pochhammer_norm_series,
     pochhammer_series,
+    ps_add,
     ps_invert,
     ps_mul,
+    ps_scale,
     series_case_specs,
     stepping_eval_hyp_sum_series,
 )
@@ -55,7 +57,7 @@ def slow_eval_hyp_sum_series(s: HypSum, order: int) -> TruncSeries:
             inv = ps_invert(den)
         except ZeroDivisionError as exc:
             raise PoleError(f"denominator of term {k} vanishes at x = 0") from exc
-        total = total + ((w1 * k + w0) * zk) * ps_mul(num, inv)
+        total = ps_add(total, ps_scale(ps_mul(num, inv), (w1 * k + w0) * zk))
         zk *= s.argument
     return total
 
@@ -68,7 +70,7 @@ def slow_lem_thm1_term_series(k: int, order: int = 4) -> TruncSeries:
         pochhammer_series(HALF, -HALF, k, order),
     )
     den = pochhammer_norm_series(1, HALF, k, order)
-    return scalar * ps_mul(num, ps_invert(den))
+    return ps_scale(ps_mul(num, ps_invert(den)), scalar)
 
 
 def _outcome(evaluate, spec, order):
