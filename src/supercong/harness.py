@@ -42,8 +42,10 @@ Exact cases (pass iff both sides agree exactly):
                / ((1)_k (1+p/4)_k (1-p/4)_k) * 4^-k  =  (-1)^m p
   LEMMA12      same weights with argument -1/8      =  e(p) p
   WHIPPLE_4F3, WHIPPLE_6F5, WHIPPLE_7F6, GESSEL_31_1, GOSPER_STRANGE,
-  GESSEL_P544  randomized exact checks of the six evaluation identities,
-               one record per fixed-seed draw (param = draw index, p = 0)
+  GESSEL_P544  randomized exact checks of the six evaluation identities of
+               hypergeometric.IDENTITIES, one record per fixed-seed draw
+               (param = draw index, p = 0); a record reports the sides that
+               rejection sampling evaluated at its draw
 
 Series cases (x-deformations, expanded to order 4):
 
@@ -88,8 +90,9 @@ from typing import Callable, Sequence
 
 from .exact_core import INFINITY, Residue, Valuation, check_prime, is_prime, padic_valuation, rising_factorial
 from .hypergeometric import (
+    IDENTITIES,
+    IDENTITY_DRAWS,
     HypSum,
-    IdentityId,
     PoleError,
     _split_series,
     eval_hyp_sum,
@@ -108,9 +111,6 @@ ZERO = Fraction(0)
 #: Truncation order used for all deformation series (x^2 is what matters;
 #: x^3 and x^4 are kept so parity assertions actually see something).
 SERIES_ORDER = 4
-
-#: Number of fixed-seed draws per identity in the randomized suite.
-IDENTITY_DRAWS = 50
 
 #: COMIDEN0 instances run over this n range in the full suite.
 COMIDEN0_RANGE = range(2, 201)
@@ -301,6 +301,14 @@ def _x2_coefficient(spec: HypSum) -> Fraction:
     return coefficient(eval_hyp_sum_series(spec, 2), 2)
 
 
+@lru_cache(maxsize=None)
+def _thmkey_x2(p: int, s: int) -> Fraction:
+    # THMKEY(2) and LEM_THM1_B2K's expected side read this sum at the same p.
+    # Keyed on (p, s), not on the spec: 372 HypSum keys held 0.9 MB on a
+    # sweep to p = 499 that never reads them again.
+    return _x2_coefficient(thmkey_series_spec(p, s))
+
+
 # --------------------------------------------------------------------------
 # Congruence cases: compute(p, param, budget) -> (lhs, rhs[, achieved[, ok]])
 # --------------------------------------------------------------------------
@@ -421,7 +429,7 @@ def _h2_reflect(p, _param, _budget):
 
 
 def _thmkey(p, s, _budget):
-    return -_x2_coefficient(thmkey_series_spec(p, s)), ZERO
+    return -_thmkey_x2(p, s), ZERO
 
 
 # --------------------------------------------------------------------------
@@ -457,10 +465,12 @@ def _lemma12(p, _param, _params):
     return eval_hyp_sum(sum_lemma10(p, z=Fraction(-1, 8))), Fraction(_sign_eight(p) * p)
 
 
-def _identity(identity, _p, index, params):
-    if params is None:
-        params = sample_identity_params(identity, IDENTITY_DRAWS)[index]
-    return identity_sides(identity, params)
+def _identity(tag, _p, index, params):
+    # A draw keeps the sides that rejection sampling evaluated at it.
+    if params is not None:
+        return identity_sides(tag, params)
+    _params, lhs, rhs = sample_identity_params(tag)[index]
+    return lhs, rhs
 
 
 # --------------------------------------------------------------------------
@@ -528,7 +538,7 @@ def _lem_thm1_b2k(p):
     per_term_exact = all(_lem_thm1_step_exact(k) for k in range(1, m + 1))
     a2 = _split_series(_lem_thm1_ratio, m, SERIES_ORDER, (ZERO, Fraction(1)))[2]
     # sum -c_k^4 H2(2k), read off the other deformation, prod (1 - x^2/j^2)
-    expected = _x2_coefficient(thmkey_series_spec(p, 2))
+    expected = _thmkey_x2(p, 2)
     return a2, expected, padic_valuation(a2, p), per_term_exact and a2 == expected
 
 
@@ -638,10 +648,10 @@ CASES = {
         Case("LEMMA12", "exact", _lemma12, _EXACT),
         *(
             Case(
-                i.value, "exact", partial(_identity, i), _EXACT, min_prime=0, domain=range(IDENTITY_DRAWS),
+                tag, "exact", partial(_identity, tag), _EXACT, min_prime=0, domain=range(IDENTITY_DRAWS),
                 takes_params=True, suite=range(IDENTITY_DRAWS),
             )
-            for i in IdentityId
+            for tag in IDENTITIES
         ),
         Case("EQ10_A2", "series", _eq10_a2, _ge(1)),
         Case("SIX_F_FIVE_COEFFS", "series", _six_f_five, _ge(1)),
@@ -701,7 +711,10 @@ def _prepare(tag: str, kind: str, p, param) -> tuple[Case, int]:
         raise ValueError(f"case {tag} takes no prime p")
     if param is None and case.needs_param:
         raise ValueError(f"{tag} needs the integer parameter n")
-    param = case.domain.start if param is None else int(param)
+    if param is None:
+        param = case.domain.start
+    elif not isinstance(param, int) or isinstance(param, bool):
+        raise ValueError(f"case {tag} takes an integer param, got {param!r}")
     if param not in case.domain:
         shown = ", ".join(map(str, case.domain[:3])) + (", ..." if len(case.domain) > 3 else "")
         raise ValueError(f"case {tag} takes param in {{{shown}}}, got {param}")

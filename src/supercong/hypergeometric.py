@@ -22,19 +22,23 @@ lists because a weight encoded as a parameter pair would not survive
 deformation of those parameters.
 
 The module also evaluates Gamma-function ratios whose arguments pair up to
-integer shifts (reducing each pair by the recurrence G(x+1) = x*G(x)), and
-checks six classical evaluation identities by exact rational arithmetic at
-sampled parameter points.
+integer shifts (reducing each pair by the recurrence G(x+1) = x*G(x)).  The
+table ``IDENTITIES`` holds six classical evaluation identities, Gosper's
+strange evaluation among them, each as its free parameter names and a
+function giving both sides exactly.  ``identity_sides`` checks a parameter
+record against that table, and ``sample_identity_params`` draws the
+fixed-seed, pole-free points of the randomized suite and keeps the sides it
+evaluated at each.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
+from types import MappingProxyType
 from typing import Mapping
 
 from .power_series import TruncSeries
@@ -279,37 +283,26 @@ def eval_hyp_sum_series(s: HypSum, order: int) -> TruncSeries:
     return TruncSeries(_split_series(ratio, s.truncation, order, s.weight))
 
 
-@dataclass(frozen=True)
-class GammaRatioExpr:
-    """A ratio of Gamma values, prod G(numerator) / prod G(denominator)."""
-
-    numerator_args: tuple[Fraction, ...]
-    denominator_args: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "numerator_args", tuple(Fraction(a) for a in self.numerator_args))
-        object.__setattr__(self, "denominator_args", tuple(Fraction(a) for a in self.denominator_args))
-
-
 def _fractional_part(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
 
-def gamma_ratio_value(g: GammaRatioExpr) -> Fraction:
-    """Exact rational value of a Gamma ratio whose arguments pair by fractional part.
+def gamma_ratio_value(numerator_args, denominator_args) -> Fraction:
+    """Exact value of prod G(numerator_args) / prod G(denominator_args).
 
-    Arguments are grouped by fractional part; each group is sorted and paired
-    in order, and each pair G(d + m)/G(d) telescopes to a rising factorial
-    (or its reciprocal).  Validity does not depend on the pairing choice.
-    Nonpositive-integer arguments are refused outright.
+    The arguments are rationals (int or Fraction) that must pair by
+    fractional part.  They are grouped by fractional part; each group is
+    sorted and paired in order, and each pair G(d + m)/G(d) telescopes to a
+    rising factorial (or its reciprocal).  Validity does not depend on the
+    pairing choice.  Nonpositive-integer arguments are refused outright.
     """
-    for x in g.numerator_args + g.denominator_args:
+    for x in (*numerator_args, *denominator_args):
         if x.denominator == 1 and x <= 0:
             raise PoleError(f"Gamma argument {x} is a nonpositive integer")
     groups: dict[Fraction, tuple[list[Fraction], list[Fraction]]] = {}
-    for x in g.numerator_args:
+    for x in numerator_args:
         groups.setdefault(_fractional_part(x), ([], []))[0].append(x)
-    for x in g.denominator_args:
+    for x in denominator_args:
         groups.setdefault(_fractional_part(x), ([], []))[1].append(x)
     value = Fraction(1)
     for frac, (nums, dens) in groups.items():
@@ -326,50 +319,23 @@ def gamma_ratio_value(g: GammaRatioExpr) -> Fraction:
     return value
 
 
-class IdentityId(str, Enum):
-    """The six hypergeometric evaluation identities verified pointwise."""
-
-    WHIPPLE_4F3 = "WHIPPLE_4F3"
-    WHIPPLE_6F5 = "WHIPPLE_6F5"
-    WHIPPLE_7F6 = "WHIPPLE_7F6"
-    GESSEL_31_1 = "GESSEL_31_1"
-    GOSPER_STRANGE = "GOSPER_STRANGE"
-    GESSEL_P544 = "GESSEL_P544"
-
-
-def _terminating_n(params: Mapping) -> int:
-    n = params["n"]
+def _terminating_n(n) -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("the terminating parameter n must be a nonnegative integer")
     return n
 
 
-def _whipple_4f3_sides(params):
+def _whipple_4f3_sides(a, c, n):
     # 4F3[a, 1+a/2, c, -n ; a/2, 1+a-c, 1+a+n ; -1]
     #   = G(1+a-c) G(1+a+n) / (G(1+a) G(1+a-c+n))
-    a, c = Fraction(params["a"]), Fraction(params["c"])
-    n = _terminating_n(params)
-    lhs = eval_hyp_sum(
-        hyp_sum(
-            [a, 1 + a / 2, c, -n],
-            [a / 2, 1 + a - c, 1 + a + n],
-            z=-1,
-            K=n,
-        )
-    )
-    rhs = gamma_ratio_value(
-        GammaRatioExpr((1 + a - c, 1 + a + n), (1 + a, 1 + a - c + n))
-    )
-    return lhs, rhs
+    lhs = eval_hyp_sum(hyp_sum([a, 1 + a / 2, c, -n], [a / 2, 1 + a - c, 1 + a + n], z=-1, K=n))
+    return lhs, gamma_ratio_value((1 + a - c, 1 + a + n), (1 + a, 1 + a - c + n))
 
 
-def _whipple_6f5_sides(params):
+def _whipple_6f5_sides(a, b, c, d, n):
     # 6F5[a, 1+a/2, b, c, d, -n ; a/2, 1+a-b, 1+a-c, 1+a-d, 1+a+n ; -1]
     #   = G(1+a-d) G(1+a+n) / (G(1+a) G(1+a-d+n))
     #     * 3F2[1+a-b-c, d, -n ; 1+a-b, 1+a-c ; 1]
-    a, b = Fraction(params["a"]), Fraction(params["b"])
-    c, d = Fraction(params["c"]), Fraction(params["d"])
-    n = _terminating_n(params)
     e = Fraction(-n)
     lhs = eval_hyp_sum(
         hyp_sum(
@@ -379,24 +345,18 @@ def _whipple_6f5_sides(params):
             K=n,
         )
     )
-    rhs = gamma_ratio_value(
-        GammaRatioExpr((1 + a - d, 1 + a - e), (1 + a, 1 + a - d - e))
-    ) * eval_hyp_sum(
+    rhs = gamma_ratio_value((1 + a - d, 1 + a - e), (1 + a, 1 + a - d - e)) * eval_hyp_sum(
         hyp_sum([1 + a - b - c, d, e], [1 + a - b, 1 + a - c], z=1, K=n)
     )
     return lhs, rhs
 
 
-def _whipple_7f6_sides(params):
+def _whipple_7f6_sides(a, c, d, e, f, n):
     # 7F6[a, 1+a/2, c, d, e, f, -n ; a/2, 1+a-c, 1+a-d, 1+a-e, 1+a-f, 1+a+n ; 1]
     #   = G(1+a-e) G(1+a-f) G(1+a-g) G(1+a-e-f-g)
     #     / (G(1+a) G(1+a-f-g) G(1+a-e-g) G(1+a-e-f))
     #     * 4F3[1+a-c-d, e, f, g ; e+f+g-a, 1+a-c, 1+a-d ; 1],     g = -n.
     # Both Gamma lists sum to 4 + 4a - 2(e+f+g): the ratio is balanced.
-    a, c = Fraction(params["a"]), Fraction(params["c"])
-    d, e = Fraction(params["d"]), Fraction(params["e"])
-    f = Fraction(params["f"])
-    n = _terminating_n(params)
     g = Fraction(-n)
     lhs = eval_hyp_sum(
         hyp_sum(
@@ -407,10 +367,8 @@ def _whipple_7f6_sides(params):
         )
     )
     prefactor = gamma_ratio_value(
-        GammaRatioExpr(
-            (1 + a - e, 1 + a - f, 1 + a - g, 1 + a - e - f - g),
-            (1 + a, 1 + a - f - g, 1 + a - e - g, 1 + a - e - f),
-        )
+        (1 + a - e, 1 + a - f, 1 + a - g, 1 + a - e - f - g),
+        (1 + a, 1 + a - f - g, 1 + a - e - g, 1 + a - e - f),
     )
     rhs = prefactor * eval_hyp_sum(
         hyp_sum(
@@ -423,12 +381,10 @@ def _whipple_7f6_sides(params):
     return lhs, rhs
 
 
-def _gessel_31_1_sides(params):
+def _gessel_31_1_sides(a, c, n):
     # 5F4[1/2+a-c, -n, n+1, 2-2c+n, 5/3-2c/3+n/3 ;
     #     2-c+n, 2/3-2c/3+n/3, n-2a+2, 3/2-c ; 1/4]
     #   = (2-c)_n (2-2a)_n / ((3-2c)_n (3/2-a)_n)
-    a, c = Fraction(params["a"]), Fraction(params["c"])
-    n = _terminating_n(params)
     lhs = eval_hyp_sum(
         hyp_sum(
             [
@@ -449,19 +405,15 @@ def _gessel_31_1_sides(params):
         )
     )
     rhs = gamma_ratio_value(
-        GammaRatioExpr(
-            (2 - c + n, 2 - 2 * a + n, 3 - 2 * c, Fraction(3, 2) - a),
-            (2 - c, 2 - 2 * a, 3 - 2 * c + n, Fraction(3, 2) - a + n),
-        )
+        (2 - c + n, 2 - 2 * a + n, 3 - 2 * c, Fraction(3, 2) - a),
+        (2 - c, 2 - 2 * a, 3 - 2 * c + n, Fraction(3, 2) - a + n),
     )
     return lhs, rhs
 
 
-def _gosper_strange_sides(params):
+def _gosper_strange_sides(a, b, n):
     # 5F4[2a, 2b, 1-2b, 1+2a/3, -n ; a-b+1, a+b+1/2, 2a/3, 1+2a+2n ; 1/4]
     #   = (a+1/2)_n (a+1)_n / ((a+b+1/2)_n (a-b+1)_n)
-    a, b = Fraction(params["a"]), Fraction(params["b"])
-    n = _terminating_n(params)
     lhs = eval_hyp_sum(
         hyp_sum(
             [2 * a, 2 * b, 1 - 2 * b, 1 + 2 * a / 3, -n],
@@ -471,19 +423,15 @@ def _gosper_strange_sides(params):
         )
     )
     rhs = gamma_ratio_value(
-        GammaRatioExpr(
-            (a + Fraction(1, 2) + n, a + 1 + n, a + b + Fraction(1, 2), a - b + 1),
-            (a + Fraction(1, 2), a + 1, a + b + Fraction(1, 2) + n, a - b + 1 + n),
-        )
+        (a + Fraction(1, 2) + n, a + 1 + n, a + b + Fraction(1, 2), a - b + 1),
+        (a + Fraction(1, 2), a + 1, a + b + Fraction(1, 2) + n, a - b + 1 + n),
     )
     return lhs, rhs
 
 
-def _gessel_p544_sides(params):
+def _gessel_p544_sides(a, n):
     # 4F3[2a+n+1, n+1, 2a/3+n/3+4/3, -n ; a+3/2+n, 2a/3+n/3+1/3, 1+a ; -1/8]
     #   = 2^n (a+3/2)_n / (2a+2)_n
-    a = Fraction(params["a"])
-    n = _terminating_n(params)
     third = Fraction(n, 3)
     lhs = eval_hyp_sum(
         hyp_sum(
@@ -494,71 +442,70 @@ def _gessel_p544_sides(params):
         )
     )
     rhs = Fraction(2) ** n * gamma_ratio_value(
-        GammaRatioExpr(
-            (a + Fraction(3, 2) + n, 2 * a + 2),
-            (a + Fraction(3, 2), 2 * a + 2 + n),
-        )
+        (a + Fraction(3, 2) + n, 2 * a + 2), (a + Fraction(3, 2), 2 * a + 2 + n)
     )
     return lhs, rhs
 
 
-_IDENTITY_SIDES = {
-    IdentityId.WHIPPLE_4F3: _whipple_4f3_sides,
-    IdentityId.WHIPPLE_6F5: _whipple_6f5_sides,
-    IdentityId.WHIPPLE_7F6: _whipple_7f6_sides,
-    IdentityId.GESSEL_31_1: _gessel_31_1_sides,
-    IdentityId.GOSPER_STRANGE: _gosper_strange_sides,
-    IdentityId.GESSEL_P544: _gessel_p544_sides,
-}
-
-_IDENTITY_FREE_PARAMS = {
-    IdentityId.WHIPPLE_4F3: ("a", "c"),
-    IdentityId.WHIPPLE_6F5: ("a", "b", "c", "d"),
-    IdentityId.WHIPPLE_7F6: ("a", "c", "d", "e", "f"),
-    IdentityId.GESSEL_31_1: ("a", "c"),
-    IdentityId.GOSPER_STRANGE: ("a", "b"),
-    IdentityId.GESSEL_P544: ("a",),
+#: The six evaluation identities checked pointwise: tag -> (free parameter
+#: names, sides function).  A sides function takes the free parameters as
+#: Fractions, in this order, then the terminating n, and returns (lhs, rhs).
+IDENTITIES = {
+    "WHIPPLE_4F3": (("a", "c"), _whipple_4f3_sides),
+    "WHIPPLE_6F5": (("a", "b", "c", "d"), _whipple_6f5_sides),
+    "WHIPPLE_7F6": (("a", "c", "d", "e", "f"), _whipple_7f6_sides),
+    "GESSEL_31_1": (("a", "c"), _gessel_31_1_sides),
+    "GOSPER_STRANGE": (("a", "b"), _gosper_strange_sides),
+    "GESSEL_P544": (("a",), _gessel_p544_sides),
 }
 
 #: Seed of the reproducible randomized identity suite.
 IDENTITY_SUITE_SEED = 112358
 
-
-def identity_sides(identity: IdentityId, params: Mapping) -> tuple[Fraction, Fraction]:
-    """Evaluate both sides of the identity exactly at the given parameters."""
-    return _IDENTITY_SIDES[IdentityId(identity)](params)
+#: Number of fixed-seed draws per identity in the randomized suite.
+IDENTITY_DRAWS = 50
 
 
-def draw_identity_params(identity: IdentityId, rng: random.Random) -> dict:
-    """One raw random parameter record: small rationals plus a terminating n."""
-    params = {
-        name: Fraction(rng.randint(-20, 20), rng.randint(1, 20))
-        for name in _IDENTITY_FREE_PARAMS[IdentityId(identity)]
-    }
-    params["n"] = rng.randint(0, 8)
-    return params
+def identity_sides(tag: str, params: Mapping) -> tuple[Fraction, Fraction]:
+    """Evaluate both sides of identity ``tag`` exactly at a parameter record.
+
+    The record must hold exactly the identity's free parameter names, each
+    an exact rational (a float is refused), plus a nonnegative integer ``n``.
+    """
+    names, sides = IDENTITIES[tag]
+    if set(params) != {*names, "n"}:
+        got = ", ".join(map(str, params))
+        raise ValueError(f"{tag} takes the parameters {', '.join(names)} and n, got {got}")
+    floats = [name for name in names if isinstance(params[name], float)]
+    if floats:
+        raise ValueError(f"{tag} takes exact rational parameters, got a float for {', '.join(floats)}")
+    return sides(*(Fraction(params[name]) for name in names), _terminating_n(params["n"]))
 
 
-@lru_cache(maxsize=len(IdentityId))
-def _identity_suite_cached(identity: IdentityId, count: int, seed: int):
-    rng = random.Random(f"{seed}:{identity.value}")
+@lru_cache(maxsize=None)
+def sample_identity_params(
+    tag: str, count: int = IDENTITY_DRAWS, seed: int = IDENTITY_SUITE_SEED
+) -> tuple[tuple[Mapping, Fraction, Fraction], ...]:
+    """Reproducible pole-free draws for the randomized identity suite.
+
+    Each draw is ``(params, lhs, rhs)``: small random rationals for the free
+    parameters plus a terminating n, as a read-only mapping since the draws
+    are cached, and the two sides evaluated there.  A draw at which a side
+    hits a pole or an unpairable Gamma ratio is rejected.
+    """
+    names = IDENTITIES[tag][0]
+    rng = random.Random(f"{seed}:{tag}")
     out = []
     attempts = 0
     while len(out) < count:
         attempts += 1
         if attempts > 500 * count:
-            raise RuntimeError(f"rejection sampling for {identity.value} stalled")
-        params = draw_identity_params(identity, rng)
+            raise RuntimeError(f"rejection sampling for {tag} stalled")
+        params = {name: Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for name in names}
+        params["n"] = rng.randint(0, 8)
         try:
-            identity_sides(identity, params)
+            lhs, rhs = identity_sides(tag, params)
         except (PoleError, UnpairableError, ZeroDivisionError):
             continue
-        out.append(params)
+        out.append((MappingProxyType(params), lhs, rhs))
     return tuple(out)
-
-
-def sample_identity_params(
-    identity: IdentityId, count: int = 50, seed: int = IDENTITY_SUITE_SEED
-) -> tuple[dict, ...]:
-    """Reproducible pole-free parameter draws for the randomized identity suite."""
-    return _identity_suite_cached(IdentityId(identity), count, seed)

@@ -34,7 +34,6 @@ from supercong.harness import eq10_series_spec, six_f_five_series_spec, thm3_def
 from supercong.hypergeometric import (
     AffineParam,
     HypSum,
-    IdentityId,
     _check_lower_poles,
     identity_sides,
 )
@@ -278,9 +277,9 @@ def scalarized(s: HypSum) -> HypSum:
     return specialize(s, 0)
 
 
-def check_identity(identity: IdentityId, params: Mapping) -> bool:
+def check_identity(tag: str, params: Mapping) -> bool:
     """True iff both sides of the identity agree exactly at the parameters."""
-    lhs, rhs = identity_sides(identity, params)
+    lhs, rhs = identity_sides(tag, params)
     return lhs == rhs
 
 

@@ -22,7 +22,7 @@ from supercong.harness import (
     verify_exact_case,
     verify_series_case,
 )
-from supercong.hypergeometric import IdentityId, sample_identity_params
+from supercong.hypergeometric import IDENTITIES, sample_identity_params
 from supercong.modular_form import prime_power_coefficient
 from supercong.power_series import coefficient
 
@@ -117,10 +117,10 @@ def test_criterion_07_exact_identities():
         for p in PRIMES:
             assert verify_exact_case("LEMMA10", p=p).passed
             assert verify_exact_case("LEMMA12", p=p).passed
-        for identity in IdentityId:
-            draws = sample_identity_params(identity, 50)
+        for tag in IDENTITIES:
+            draws = sample_identity_params(tag)
             assert len(draws) == 50
-            assert all(check_identity(identity, params) for params in draws)
+            assert all(check_identity(tag, params) for params, _lhs, _rhs in draws)
 
 
 def test_criterion_08_deformation_suite():

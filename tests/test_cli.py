@@ -240,10 +240,11 @@ def test_module_invocation_subprocess(tmp_path):
 
 def test_traced_run_writes_the_untraced_report(tmp_path):
     # perfbench's tracer wraps every public function of the layer modules,
-    # power_series among them, and reads .coeffs off each series sum
+    # power_series among them, reads .coeffs off each series sum, and sums
+    # the self time of the identity functions, which must stay public
     root = Path(__file__).resolve().parents[1]
-    args = ["verify", "--cases", "eq0,eq10_a2,six_f_five_coeffs,lem_thm1_b2k,thm3_quotient_x2",
-            "--pmin", "5", "--pmax", "13"]
+    cases = "eq0,eq10_a2,six_f_five_coeffs,lem_thm1_b2k,thm3_quotient_x2,whipple_4f3,gosper_strange"
+    args = ["verify", "--cases", cases, "--pmin", "5", "--pmax", "13"]
     untraced, traced, trace = tmp_path / "untraced.json", tmp_path / "traced.json", tmp_path / "trace.json"
     assert main([*args, "--out", str(untraced)]) == 0
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -257,6 +258,8 @@ def test_traced_run_writes_the_untraced_report(tmp_path):
     assert traced.read_bytes() == untraced.read_bytes()
     names = json.loads(trace.read_text())["names"]
     assert {"power_series.coefficient", "hypergeometric.eval_hyp_sum_series"} <= set(names)
+    identity = {"identity_sides", "gamma_ratio_value", "sample_identity_params"}
+    assert {f"hypergeometric.{name}" for name in identity} <= set(names)
 
 
 def test_cli_imports_only_the_standard_library():

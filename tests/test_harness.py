@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
-from supercong import exact_core, harness
+from supercong import exact_core, harness, hypergeometric
 from supercong.exact_core import (
     INFINITY,
     NotPrimeError,
@@ -30,7 +30,14 @@ from supercong.harness import (
     verify_series_case,
 )
 from supercong.harness import eq10_series_spec, sum_lemma10, thm3_deformed_spec
-from supercong.hypergeometric import PoleError, eval_hyp_sum, eval_hyp_sum_series
+from supercong.hypergeometric import (
+    IDENTITIES,
+    PoleError,
+    eval_hyp_sum,
+    eval_hyp_sum_series,
+    identity_sides,
+    sample_identity_params,
+)
 from supercong.power_series import coefficient
 
 from oracles import (
@@ -325,13 +332,70 @@ def test_identity_cases_by_draw_and_explicit_params():
         ("COMIDEN1", {"param": 5, "params": {"a": 1}}, "case COMIDEN1 takes no parameter record"),
         ("LEMMA10", {"p": 5, "params": {"a": 1}}, "case LEMMA10 takes no parameter record"),
         ("GOSPER_STRANGE", {"param": IDENTITY_DRAWS}, "case GOSPER_STRANGE takes param in"),
+        ("COMIDEN0", {"param": 2.7}, "case COMIDEN0 takes an integer param, got 2.7"),
+        ("COMIDEN1", {"param": True}, "case COMIDEN1 takes an integer param, got True"),
+        ("COMIDEN0", {"param": "3"}, "case COMIDEN0 takes an integer param, got '3'"),
+        ("WHIPPLE_4F3", {"param": 1.0}, "case WHIPPLE_4F3 takes an integer param, got 1.0"),
     ],
-    ids=["COMIDEN0-p", "COMIDEN1-p", "WHIPPLE_4F3-p", "COMIDEN1-params", "LEMMA10-params", "GOSPER_STRANGE-index"],
+    ids=[
+        "COMIDEN0-p", "COMIDEN1-p", "WHIPPLE_4F3-p", "COMIDEN1-params", "LEMMA10-params", "GOSPER_STRANGE-index",
+        "COMIDEN0-float", "COMIDEN1-bool", "COMIDEN0-str", "WHIPPLE_4F3-float-index",
+    ],
 )
 def test_exact_case_rejects_inputs_it_does_not_use(tag, kwargs, message):
-    # each once passed while ignoring the input, or drew the suite again
+    # each once passed while ignoring the input, drew the suite again, or
+    # truncated a non-integer param with int() (2.7 ran n = 2)
     with pytest.raises(ValueError, match=re.escape(message)):
         verify_exact_case(tag, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "tag, p, param",
+    [("THM1", 5, 1.9), ("THM1", 5, True), ("THMKEY", 5, "2"), ("EQ0", 5, 0.0)],
+    ids=["THM1-float", "THM1-bool", "THMKEY-str", "EQ0-float"],
+)
+def test_congruence_case_rejects_a_param_that_is_not_an_int(tag, p, param):
+    # int() once turned r = 1.9 into r = 1 and recorded it
+    with pytest.raises(ValueError, match=re.escape(f"case {tag} takes an integer param, got {param!r}")):
+        verify_congruence_case(tag, p, param)
+
+
+def test_identity_records_keep_the_sides_of_their_draws(monkeypatch):
+    # every draw's record holds the sides a fresh evaluation gives
+    for tag in IDENTITIES:
+        for i, (params, _lhs, _rhs) in enumerate(sample_identity_params(tag)):
+            rec = verify_exact_case(tag, i)
+            assert (rec.lhs, rec.rhs) == identity_sides(tag, params), (tag, i)
+    # with the sampler's cache warm, a suite run evaluates no identity again
+    calls = []
+
+    def counting(tag, params):
+        calls.append(tag)
+        return identity_sides(tag, params)
+
+    monkeypatch.setattr(hypergeometric, "identity_sides", counting)
+    monkeypatch.setattr(harness, "identity_sides", counting)
+    records = run_suite([5], cases=list(IDENTITIES))
+    assert len(records) == 6 * IDENTITY_DRAWS and all(r.passed for r in records)
+    assert calls == []
+    # an explicit record is still evaluated, once
+    assert verify_exact_case("WHIPPLE_4F3", params={"a": HALF, "c": F(3), "n": 2}).lhs == 5
+    assert calls == ["WHIPPLE_4F3"]
+
+
+def test_thmkey2_x2_sum_is_evaluated_once_per_prime(monkeypatch):
+    # LEM_THM1_B2K's expected side is THMKEY(2)'s x^2 sum at the same p
+    harness._thmkey_x2.cache_clear()
+    specs = []
+
+    def counting(spec, order):
+        specs.append(spec)
+        return eval_hyp_sum_series(spec, order)
+
+    monkeypatch.setattr(harness, "eval_hyp_sum_series", counting)
+    records = run_suite([7, 11], cases=["THMKEY", "LEM_THM1_B2K"])
+    assert all(r.passed for r in records)
+    assert [specs.count(harness.thmkey_series_spec(p, 2)) for p in (7, 11)] == [1, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from math import factorial
 
@@ -6,13 +7,12 @@ import pytest
 
 from supercong.exact_core import rising_factorial
 from supercong.hypergeometric import (
+    IDENTITIES,
+    IDENTITY_DRAWS,
     AffineParam,
-    GammaRatioExpr,
     HypSum,
-    IdentityId,
     PoleError,
     UnpairableError,
-    draw_identity_params,
     eval_hyp_sum,
     eval_hyp_sum_series,
     gamma_ratio_value,
@@ -122,35 +122,34 @@ def test_param_coercion():
 
 
 def test_gamma_ratio_trivial():
-    assert gamma_ratio_value(GammaRatioExpr((F(1, 3),), (F(1, 3),))) == 1
+    assert gamma_ratio_value((F(1, 3),), (F(1, 3),)) == 1
+    assert gamma_ratio_value((4,), (1,)) == 6  # integer arguments: G(4)/G(1) = 3!
 
 
 def test_gamma_ratio_paired_shift_values():
     # G(1-5/2) G(1+5/2) / (G(1/2) G(3/2)) = (4/3)(15/4) = 5
-    g = GammaRatioExpr((F(-3, 2), F(7, 2)), (HALF, F(3, 2)))
-    assert gamma_ratio_value(g) == 5
+    assert gamma_ratio_value((F(-3, 2), F(7, 2)), (HALF, F(3, 2))) == 5
     # G(1-5/2) G(1+5/2) G(-1/2) / (G(3/2) G(-5/2) G(5/2)) = (-5/2)(5/2)(-4) = 25
-    g = GammaRatioExpr((F(-3, 2), F(7, 2), F(-1, 2)), (F(3, 2), F(-5, 2), F(5, 2)))
-    assert gamma_ratio_value(g) == 25
+    assert gamma_ratio_value((F(-3, 2), F(7, 2), F(-1, 2)), (F(3, 2), F(-5, 2), F(5, 2))) == 25
 
 
 def test_gamma_ratio_unpairable():
     with pytest.raises(UnpairableError):
-        gamma_ratio_value(GammaRatioExpr((F(1, 3),), (F(1, 4),)))
+        gamma_ratio_value((F(1, 3),), (F(1, 4),))
     with pytest.raises(UnpairableError):
-        gamma_ratio_value(GammaRatioExpr((F(1, 3), F(4, 3)), (F(1, 3),)))
+        gamma_ratio_value((F(1, 3), F(4, 3)), (F(1, 3),))
 
 
 def test_gamma_ratio_pole():
     with pytest.raises(PoleError):
-        gamma_ratio_value(GammaRatioExpr((F(0),), (F(1),)))
+        gamma_ratio_value((F(0),), (F(1),))
     with pytest.raises(PoleError):
-        gamma_ratio_value(GammaRatioExpr((F(2),), (F(-3),)))
+        gamma_ratio_value((F(2),), (F(-3),))
 
 
 def test_whipple_4f3_known_point():
     # a = 1/2, c = 3, n = 2: the sum is 1 - 20/7 + 48/7 = 5 and the Gamma side agrees
-    lhs, rhs = identity_sides(IdentityId.WHIPPLE_4F3, {"a": HALF, "c": F(3), "n": 2})
+    lhs, rhs = identity_sides("WHIPPLE_4F3", {"a": HALF, "c": F(3), "n": 2})
     assert lhs == 1 - F(20, 7) + F(48, 7) == 5
     assert rhs == 5
 
@@ -158,43 +157,71 @@ def test_whipple_4f3_known_point():
 def test_gessel_31_1_known_point():
     # a = c = 1/2 + 5/4, n = 2 gives the odd-prime value 5 on both sides
     a = HALF + F(5, 4)
-    lhs, rhs = identity_sides(IdentityId.GESSEL_31_1, {"a": a, "c": a, "n": 2})
+    lhs, rhs = identity_sides("GESSEL_31_1", {"a": a, "c": a, "n": 2})
     assert lhs == rhs == 5
 
 
 def test_whipple_7f6_empty_sum():
     params = {"a": F(1, 3), "c": F(1, 5), "d": F(2, 5), "e": F(1, 7), "f": F(3, 7), "n": 0}
-    lhs, rhs = identity_sides(IdentityId.WHIPPLE_7F6, params)
+    lhs, rhs = identity_sides("WHIPPLE_7F6", params)
     assert lhs == rhs == 1
 
 
 def test_whipple_6f5_known_point():
     params = {"a": HALF, "b": HALF, "c": HALF, "d": F(1), "n": 2}
-    lhs, rhs = identity_sides(IdentityId.WHIPPLE_6F5, params)
+    lhs, rhs = identity_sides("WHIPPLE_6F5", params)
     assert lhs == rhs
 
 
 def test_identity_requires_nonnegative_integer_n():
     with pytest.raises(ValueError):
-        identity_sides(IdentityId.GESSEL_P544, {"a": HALF, "n": -1})
+        identity_sides("GESSEL_P544", {"a": HALF, "n": -1})
     with pytest.raises(ValueError):
-        identity_sides(IdentityId.GESSEL_P544, {"a": HALF, "n": F(1, 2)})
+        identity_sides("GESSEL_P544", {"a": HALF, "n": F(1, 2)})
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"a": HALF, "n": 2}, "GOSPER_STRANGE takes the parameters a, b and n, got a, n"),
+        ({"a": HALF, "b": HALF, "c": HALF, "n": 2}, "GOSPER_STRANGE takes the parameters a, b and n"),
+        ({"a": 0.1, "b": HALF, "n": 2}, "GOSPER_STRANGE takes exact rational parameters, got a float for a"),
+        ({"a": HALF, "b": HALF, "n": 2.0}, "the terminating parameter n must be a nonnegative integer"),
+        ({"a": HALF, "b": HALF, "n": True}, "the terminating parameter n must be a nonnegative integer"),
+    ],
+    ids=["missing-name", "extra-name", "float", "float-n", "bool-n"],
+)
+def test_identity_rejects_a_malformed_parameter_record(params, message):
+    # a missing name once raised KeyError, an extra one was ignored and a
+    # float entered as the exact value of a binary fraction
+    with pytest.raises(ValueError, match=re.escape(message)):
+        identity_sides("GOSPER_STRANGE", params)
+
+
+def test_identity_coerces_free_parameters_to_fractions():
+    # ints and strings are exact, so they name the same point as their Fractions
+    assert identity_sides("GESSEL_P544", {"a": "1/3", "n": 3}) == identity_sides(
+        "GESSEL_P544", {"a": F(1, 3), "n": 3}
+    )
+    assert identity_sides("WHIPPLE_4F3", {"a": HALF, "c": 3, "n": 2}) == (5, 5)
 
 
 def test_randomized_identity_suite():
-    # 50 pole-free fixed-seed draws per identity, all exactly true
-    for identity in IdentityId:
-        draws = sample_identity_params(identity, 50)
-        assert len(draws) == 50
-        for params in draws:
-            assert check_identity(identity, params), (identity, params)
+    # 50 pole-free fixed-seed draws per identity, all exactly true, and the
+    # sides kept with each draw are those of a fresh evaluation
+    for tag in IDENTITIES:
+        draws = sample_identity_params(tag)
+        assert len(draws) == IDENTITY_DRAWS == 50
+        for params, lhs, rhs in draws:
+            assert check_identity(tag, params), (tag, params)
+            assert identity_sides(tag, params) == (lhs, rhs)
 
 
 def test_sampling_is_reproducible():
-    a = sample_identity_params(IdentityId.GOSPER_STRANGE, 5)
-    b = sample_identity_params(IdentityId.GOSPER_STRANGE, 5)
-    assert a == b
-    rng1, rng2 = random.Random("x"), random.Random("x")
-    assert draw_identity_params(IdentityId.WHIPPLE_7F6, rng1) == draw_identity_params(
-        IdentityId.WHIPPLE_7F6, rng2
-    )
+    a = sample_identity_params("GOSPER_STRANGE", 5)
+    assert sample_identity_params.__wrapped__("GOSPER_STRANGE", 5) == a  # a fresh draw, past the cache
+    # a prefix of the draws does not depend on how many are asked for
+    assert sample_identity_params("GOSPER_STRANGE", 8)[:5] == a
+    # the cached draws are shared, so a caller cannot edit them
+    with pytest.raises(TypeError):
+        a[0][0]["n"] = 3
