@@ -13,12 +13,11 @@ stderr, one line per record.
 Warnings go to stderr too: an --r beyond the supported exponents, exponent
 caps that cut the requested run, and a prime range with nothing to run.
 
-The environment variable SUPERCONG_BUDGET sets the ceiling on the
-eta-product expansion.  The default, DEFAULT_BUDGET = MAX_PMAX = 100000,
-covers a_p at every prime --pmax admits.  It is a ceiling, not a size: a run
-expands once, to the largest p^r its cases need, and a case that needs an
-index above the ceiling gets an error:BudgetError record.  ``coeffs`` obeys
-the same ceiling: an --n above it, or a malformed value, is a usage error.
+The eta-product expansion has one fixed ceiling, EXPANSION_CEILING =
+MAX_PMAX = 100000, which covers a_p at every prime --pmax admits.  It is a
+ceiling, not a size: a run expands once, to the largest p^r its cases need,
+and a case that needs an index above the ceiling gets an error:BudgetError
+record.  ``coeffs`` obeys the same ceiling: an --n above it is a usage error.
 """
 
 from __future__ import annotations
@@ -27,12 +26,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .exact_core import is_prime
 from .harness import CASE_ORDER, R_CAPS, VerificationRecord, report_entry, run_suite, select_cases
-from .modular_form import DEFAULT_BUDGET, coefficient_at, eta_product_expansion
+from .modular_form import EXPANSION_CEILING, coefficient_at, eta_product_expansion
 
 REPORT_COLUMNS = ("case", "p", "param", "required", "achieved", "lhs", "rhs", "pass", "conjectural")
 
@@ -40,9 +38,9 @@ DEFAULT_PMIN = 5
 DEFAULT_PMAX = 97
 
 # hard ceiling on the scanned prime range; keeps a typo like --pmax 1e9 from
-# looking like a hang.  It is the default eta budget, so that every a_p a run
-# reads at r = 1 lies within that budget.
-MAX_PMAX = DEFAULT_BUDGET
+# looking like a hang.  It is the eta expansion ceiling, so that every a_p a
+# run reads at r = 1 lies within it.
+MAX_PMAX = EXPANSION_CEILING
 
 
 def render_json(records: list[VerificationRecord]) -> str:
@@ -85,19 +83,6 @@ def _print_summary(records: list[VerificationRecord]) -> None:
         print(f"{tag:<18} {good}/{len(recs)} pass{counts}{note}")
 
 
-def _env_budget() -> int:
-    raw = os.environ.get("SUPERCONG_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0  # reported below, like any value under 1
-    if value < 1:
-        raise ValueError(f"SUPERCONG_BUDGET must be a positive integer, got {raw!r}")
-    return value
-
-
 def cmd_verify(args) -> int:
     explicit_range = args.pmin is not None and args.pmax is not None
     pmin = DEFAULT_PMIN if args.pmin is None else args.pmin
@@ -122,11 +107,6 @@ def cmd_verify(args) -> int:
         if not cases:
             print("error: --cases selects no case", file=sys.stderr)
             return 2
-    try:
-        budget = _env_budget()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     supported_rs = sorted({r for caps in R_CAPS.values() for r in caps})
     if args.r > supported_rs[-1]:
@@ -145,7 +125,7 @@ def cmd_verify(args) -> int:
     ]
     if cut:
         print(f"warning: exponent caps skip the primes above them: {', '.join(cut)}", file=sys.stderr)
-    records = run_suite(primes, rs=range(1, args.r + 1), budget=budget, cases=cases)
+    records = run_suite(primes, rs=range(1, args.r + 1), cases=cases)
     for rec in records:
         if rec.error is not None:
             kind = rec.achieved.removeprefix("error:")
@@ -170,13 +150,8 @@ def cmd_coeffs(args) -> int:
     if args.n < 1:
         print("error: --n must be >= 1", file=sys.stderr)
         return 2
-    try:
-        budget = _env_budget()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.n > budget:
-        print(f"error: --n {args.n} exceeds the eta expansion ceiling {budget}", file=sys.stderr)
+    if args.n > EXPANSION_CEILING:
+        print(f"error: --n {args.n} exceeds the eta expansion ceiling {EXPANSION_CEILING}", file=sys.stderr)
         return 2
     expansion = eta_product_expansion(args.n)
     lines = []

@@ -98,10 +98,9 @@ from .hypergeometric import (
     eval_hyp_sum,
     eval_hyp_sum_series,
     hyp_sum,
-    identity_sides,
     sample_identity_params,
 )
-from .modular_form import DEFAULT_BUDGET, prime_power_coefficient, widest_expansion
+from .modular_form import EXPANSION_CEILING, prime_power_coefficient, widest_expansion
 from .power_series import TruncSeries, coefficient
 
 HALF = Fraction(1, 2)
@@ -310,46 +309,52 @@ def _thmkey_x2(p: int, s: int) -> Fraction:
 
 
 # --------------------------------------------------------------------------
-# Congruence cases: compute(p, param, budget) -> (lhs, rhs[, achieved[, ok]])
+# Congruence cases
 # --------------------------------------------------------------------------
 
 
-def _eq0(p, _param, _budget):
+def _eq0(p, _param):
     return eval_hyp_sum(sum_eq0(p)), Fraction(_sign_half(p) * p)
 
 
-def _thm1(p, r, _budget):
+def _thm1(p, r):
     return eval_hyp_sum(sum_thm1(p, r)), Fraction(p**r)
 
 
-def _thm2(p, _param, budget):
-    return eval_hyp_sum(sum_sixth_power(p, 1)), Fraction(p * prime_power_coefficient(p, 1, budget))
+# THM2, KILBOURN and CONJ1 read a_{p^r} before the sum, so that an index
+# above the expansion ceiling fails before (p^r-1)/2 terms are summed.
 
 
-def _kilbourn(p, _param, budget):
-    return eval_hyp_sum(sum_kilbourn(p)), Fraction(prime_power_coefficient(p, 1, budget))
+def _thm2(p, _param):
+    rhs = Fraction(p * prime_power_coefficient(p, 1))
+    return eval_hyp_sum(sum_sixth_power(p, 1)), rhs
 
 
-def _conj1(p, r, budget):
-    lhs = eval_hyp_sum(sum_sixth_power(p, r))
-    return lhs, Fraction(p**r * prime_power_coefficient(p, r, budget))
+def _kilbourn(p, _param):
+    rhs = Fraction(prime_power_coefficient(p, 1))
+    return eval_hyp_sum(sum_kilbourn(p)), rhs
 
 
-def _thm3(p, _param, _budget):
+def _conj1(p, r):
+    rhs = Fraction(p**r * prime_power_coefficient(p, r))
+    return eval_hyp_sum(sum_sixth_power(p, r)), rhs
+
+
+def _thm3(p, _param):
     return eval_hyp_sum(sum_thm3(p)), Fraction(_sign_half(p) * p)
 
 
-def _thm4(p, _param, _budget):
+def _thm4(p, _param):
     # THM4 and THM4_STRONG: the same sum and target under different bounds
     return eval_hyp_sum(sum_thm4(p)), Fraction(_sign_eight(p) * p)
 
 
-def _comconj2(p, _param, _budget):
+def _comconj2(p, _param):
     # Long's z = -1/8 deformation; thm3_deformed_spec gives the x^2 coefficient of each term
     return -_x2_coefficient(thm3_deformed_spec(p, z=Fraction(-1, 8))), ZERO
 
 
-def _cai(p, r, _budget):
+def _cai(p, r):
     m = (p**r - 1) // 2
     lhs = Fraction((-1) ** m * comb(p**r - 1, m))
     return lhs, Fraction(comb(2 * m, m), 4**m) ** 2
@@ -398,29 +403,29 @@ def _binom_family(p, r, uppers_of):
     return lhs, rhs, achieved
 
 
-def _binom_neg(p, r, _budget):
+def _binom_neg(p, r):
     return _binom_family(p, r, lambda m: (-m,))  # (-M)_k/k! = (-1)^k C(M, k)
 
 
-def _binom_pos(p, r, _budget):
+def _binom_pos(p, r):
     return _binom_family(p, r, lambda m: (m + 1,))  # (M+1)_k/k! = C(M+k, k)
 
 
-def _binom_prod(p, r, _budget):
+def _binom_prod(p, r):
     return _binom_family(p, r, lambda m: (-m, m + 1))
 
 
-def _h2_half(p, _param, _budget):
+def _h2_half(p, _param):
     # term k is 1/(k+1)^2, so k <= m - 1 = (p-3)/2 sums to H2(m)
     return eval_hyp_sum(hyp_sum([1, 1, 1], [2, 2], 1, K=(p - 3) // 2)), ZERO
 
 
-def _oddh2_half(p, _param, _budget):
+def _oddh2_half(p, _param):
     # term k is 1/(2k+1)^2, so k <= m - 1 sums to OH2(m)
     return eval_hyp_sum(hyp_sum([HALF, HALF, 1], [Fraction(3, 2), Fraction(3, 2)], 1, K=(p - 3) // 2)), ZERO
 
 
-def _h2_reflect(p, _param, _budget):
+def _h2_reflect(p, _param):
     h2 = [ZERO]  # H2(0..p-2)
     for j in range(1, p - 1):
         h2.append(h2[-1] + Fraction(1, j * j))
@@ -428,16 +433,16 @@ def _h2_reflect(p, _param, _budget):
     return _weakest([(h2[k] + h2[p - 1 - k], ZERO) for k in range(1, (p - 1) // 2 + 1)], p)
 
 
-def _thmkey(p, s, _budget):
+def _thmkey(p, s):
     return -_thmkey_x2(p, s), ZERO
 
 
 # --------------------------------------------------------------------------
-# Exact cases: compute(p, param, params) -> (lhs, rhs)
+# Exact cases
 # --------------------------------------------------------------------------
 
 
-def _comiden0(_p, n, _params):
+def _comiden0(_p, n):
     return (2 * n + 1) * eval_hyp_sum(hyp_sum([-n, n + 1, HALF], [1, Fraction(3, 2)], 1, K=n)), Fraction(1)
 
 
@@ -446,35 +451,33 @@ def _comiden_ratio(n: int, m: int) -> Fraction:
     return rising_factorial(Fraction(3, 2) - Fraction(n, 4), m) / rising_factorial(2 - Fraction(n, 2), m)
 
 
-def _comiden1(_p, n, _params):
+def _comiden1(_p, n):
     m = (n - 1) // 2
     rest = rising_factorial(1 - Fraction(n, 2), m) / rising_factorial(1 - Fraction(n, 4), m)
     return _comiden_ratio(n, m) * rest, Fraction(_sign_half(n) * n)
 
 
-def _comiden2(_p, n, _params):
+def _comiden2(_p, n):
     m = (n - 1) // 2
     return _comiden_ratio(n, m) * Fraction(2) ** m, Fraction(_sign_eight(n) * n)
 
 
-def _lemma10(p, _param, _params):
+def _lemma10(p, _param):
     return eval_hyp_sum(sum_lemma10(p)), Fraction(_sign_half(p) * p)
 
 
-def _lemma12(p, _param, _params):
+def _lemma12(p, _param):
     return eval_hyp_sum(sum_lemma10(p, z=Fraction(-1, 8))), Fraction(_sign_eight(p) * p)
 
 
-def _identity(tag, _p, index, params):
+def _identity(tag, _p, index):
     # A draw keeps the sides that rejection sampling evaluated at it.
-    if params is not None:
-        return identity_sides(tag, params)
     _params, lhs, rhs = sample_identity_params(tag)[index]
     return lhs, rhs
 
 
 # --------------------------------------------------------------------------
-# Series cases: compute(p) -> (lhs, rhs[, achieved[, ok]])
+# Series cases
 # --------------------------------------------------------------------------
 
 
@@ -488,13 +491,13 @@ def _eq10_series(p: int) -> TruncSeries:
     return eval_hyp_sum_series(eq10_series_spec(p), SERIES_ORDER)
 
 
-def _eq10_a2(p):
+def _eq10_a2(p, _param):
     ser = _eq10_series(p)
     a2 = coefficient(ser, 2)
     return a2, ZERO, padic_valuation(a2, p), _odd_coeffs_vanish(ser.coeffs)
 
 
-def _six_f_five(p):
+def _six_f_five(p, _param):
     ser10 = _eq10_series(p)
     ser65 = eval_hyp_sum_series(six_f_five_series_spec(p), SERIES_ORDER)
     vals = [padic_valuation(c, p) for c in ser65.coeffs]
@@ -531,7 +534,7 @@ def _lem_thm1_step_exact(k: int) -> bool:
     )
 
 
-def _lem_thm1_b2k(p):
+def _lem_thm1_b2k(p, _param):
     m = (p - 1) // 2
     # Mod x^4, term k is the product of the ratios up to k (t_0 = 1), so it
     # equals c_k^4 (1 - H2(2k) x^2) exactly when every step passes.
@@ -542,7 +545,7 @@ def _lem_thm1_b2k(p):
     return a2, expected, padic_valuation(a2, p), per_term_exact and a2 == expected
 
 
-def _thm3_quotient(p):
+def _thm3_quotient(p, _param):
     num = eval_hyp_sum_series(thm3_deformed_spec(p), SERIES_ORDER).coeffs
     quotient = [c / num[0] for c in num]
     integral = all(padic_valuation(c, p) >= 0 for c in quotient)
@@ -550,7 +553,7 @@ def _thm3_quotient(p):
     return c2, ZERO, padic_valuation(c2, p), integral and _odd_coeffs_vanish(quotient)
 
 
-def _exact_div_p(p):
+def _exact_div_p(p, _param):
     m = (p - 1) // 2
     numerator = rising_factorial(Fraction(3, 4), m) * rising_factorial(Fraction(5, 4), m)
     return numerator / factorial(m) ** 2, ZERO
@@ -577,9 +580,8 @@ def _ge(bound: int) -> Requirement:
 class Case:
     """Everything the harness knows about one case tag.
 
-    ``compute`` takes ``(p, param, budget)`` for a congruence, ``(p, param,
-    params)`` for an exact case and ``(p)`` for a series case, and returns
-    ``(lhs, rhs[, achieved[, ok]])``.  ``achieved`` defaults to v_p(lhs - rhs)
+    ``compute(p, param)`` returns ``(lhs, rhs[, achieved[, ok]])``, with p = 0
+    for a case that takes no prime.  ``achieved`` defaults to v_p(lhs - rhs)
     or EQUAL/UNEQUAL; a record passes iff ``ok`` and ``requirement(param)`` hold.
     """
 
@@ -595,8 +597,6 @@ class Case:
     domain: range = _NO_PARAM
     #: COMIDEN*: a direct call must give n.
     needs_param: bool = False
-    #: The identity tags: a direct call may give an explicit parameter record.
-    takes_params: bool = False
     #: Params run_suite runs at each prime (once without a prime); None: n runs over the primes >= 5.
     suite: Sequence[int] | None = (0,)
     #: Exponent r -> largest prime run_suite runs it at (None: no cap); run_suite skips other r.
@@ -649,7 +649,7 @@ CASES = {
         *(
             Case(
                 tag, "exact", partial(_identity, tag), _EXACT, min_prime=0, domain=range(IDENTITY_DRAWS),
-                takes_params=True, suite=range(IDENTITY_DRAWS),
+                suite=range(IDENTITY_DRAWS),
             )
             for tag in IDENTITIES
         ),
@@ -721,43 +721,33 @@ def _prepare(tag: str, kind: str, p, param) -> tuple[Case, int]:
     return case, param
 
 
-def verify_congruence_case(
-    tag: str, p: int, param: int | None = None, *, budget: int = DEFAULT_BUDGET
-) -> VerificationRecord:
+def verify_congruence_case(tag: str, p: int, param: int | None = None) -> VerificationRecord:
     """Run one congruence case at prime p.
 
     ``param`` is the exponent r for THM1/CONJ1/CAI/BINOM_*, the power s for
     THMKEY (both default to 1), and 0 or None elsewhere.
     """
     case, param = _prepare(tag, "congruence", p, param)
-    return _record(case, p, param, *case.compute(p, param, budget))
+    return _record(case, p, param, *case.compute(p, param))
 
 
-def verify_exact_case(
-    tag: str,
-    param: int | None = None,
-    *,
-    p: int | None = None,
-    params: dict | None = None,
-) -> VerificationRecord:
+def verify_exact_case(tag: str, param: int | None = None, *, p: int | None = None) -> VerificationRecord:
     """Run one exact-equality case.
 
     COMIDEN* take ``param`` = n; LEMMA10/12 take ``p``; the six identity tags
-    take either an explicit parameter record ``params`` or a fixed-seed draw
-    index ``param`` in 0..IDENTITY_DRAWS-1.  An input the case does not use
-    raises ``ValueError``.
+    take a fixed-seed draw index ``param`` in 0..IDENTITY_DRAWS-1 (to check an
+    identity at a point of one's own, call ``hypergeometric.identity_sides``).
+    An input the case does not use raises ``ValueError``.
     """
     case, param = _prepare(tag, "exact", p, param)
-    if params is not None and not case.takes_params:
-        raise ValueError(f"case {tag} takes no parameter record")
     p = p if case.min_prime else 0
-    return _record(case, p, param, *case.compute(p, param, params))
+    return _record(case, p, param, *case.compute(p, param))
 
 
 def verify_series_case(tag: str, p: int) -> VerificationRecord:
     """Run one deformation-series case at prime p."""
     case, param = _prepare(tag, "series", p, None)
-    return _record(case, p, param, *case.compute(p))
+    return _record(case, p, param, *case.compute(p, param))
 
 
 def _instances(case: Case, primes: list[int], rs: list[int]) -> list[tuple[int, int]]:
@@ -773,10 +763,10 @@ def _instances(case: Case, primes: list[int], rs: list[int]) -> list[tuple[int, 
     return [(p, r) for p in applicable for r in rs if r in caps and (caps[r] is None or p <= caps[r])]
 
 
-def _run(case: Case, p: int, param: int, budget: int) -> VerificationRecord:
+def _run(case: Case, p: int, param: int) -> VerificationRecord:
     # Looked up as module globals at call time, so a wrapped entry point is used.
     if case.kind == "congruence":
-        return verify_congruence_case(case.tag, p, param, budget=budget)
+        return verify_congruence_case(case.tag, p, param)
     if case.kind == "series":
         return verify_series_case(case.tag, p)
     return verify_exact_case(case.tag, param, p=p if case.min_prime else None)
@@ -795,40 +785,46 @@ def select_cases(names) -> list[str]:
     return [tag for tag in CASE_ORDER if tag in wanted]
 
 
-def run_suite(
-    primes,
-    rs=(1,),
-    budget: int = DEFAULT_BUDGET,
-    cases=None,
-) -> list[VerificationRecord]:
+def _integers(values, what: str) -> list[int]:
+    """``values`` as a list, refusing any value that is not an int (a bool is not)."""
+    values = list(values)
+    for value in values:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"run_suite takes integer {what}, got {value!r}")
+    return values
+
+
+def run_suite(primes, rs=(1,), cases=None) -> list[VerificationRecord]:
     """Run every applicable case instance, in canonical order.
 
     ``primes`` is any iterable of candidate integers; non-primes and p < 3
     are dropped (p = 3 reaches only KILBOURN).  ``rs`` selects the exponents
-    for the cases that take one, subject to R_CAPS.  Domain errors (a
-    ``ValueError`` such as ``BudgetError`` or ``NotPrimeError``, or a
+    for the cases that take one, subject to R_CAPS.  A prime or exponent that
+    is not an int (a bool, float or str) raises ``ValueError``.  Domain errors
+    (a ``ValueError`` such as ``BudgetError`` or ``NotPrimeError``, or a
     ``PoleError``) become failed records that keep the message; any other
     exception is a bug and propagates.  An empty prime selection yields an
     empty record list.  Before any case runs, the eta expansion is widened
-    once to the largest a_{p^r} the run reads within ``budget``.
+    once to the largest a_{p^r} the run reads within EXPANSION_CEILING; a
+    case that needs an index above it gets an ``error:BudgetError`` record.
     """
-    prime_list = sorted({int(p) for p in primes if int(p) >= 3 and is_prime(int(p))})
+    prime_list = sorted({p for p in _integers(primes, "primes") if p >= 3 and is_prime(p)})
+    r_list = sorted(set(_integers(rs, "exponents")))
     tags = select_cases(cases)
     if not prime_list:
         return []
-    r_list = sorted({int(r) for r in rs})
     instances = [
         (CASES[tag], p, param) for tag in tags for p, param in _instances(CASES[tag], prime_list, r_list)
     ]
-    # One eta expansion serves the whole run: the largest p^r within budget.
+    # One eta expansion serves the whole run: the largest p^r within the ceiling.
     eta_indices = [case.eta_index(p, param) for case, p, param in instances if case.eta_index]
-    widest = max((n for n in eta_indices if n <= budget), default=None)
+    widest = max((n for n in eta_indices if n <= EXPANSION_CEILING), default=None)
     if widest is not None:
         widest_expansion(widest)
     records: list[VerificationRecord] = []
     for case, p, param in instances:
         try:
-            records.append(_run(case, p, param, budget))
+            records.append(_run(case, p, param))
         except (ValueError, PoleError) as exc:
             records.append(_record(case, p, param, error=exc))
     return records

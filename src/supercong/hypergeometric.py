@@ -483,10 +483,9 @@ def identity_sides(tag: str, params: Mapping) -> tuple[Fraction, Fraction]:
 
 
 @lru_cache(maxsize=None)
-def sample_identity_params(
-    tag: str, count: int = IDENTITY_DRAWS, seed: int = IDENTITY_SUITE_SEED
-) -> tuple[tuple[Mapping, Fraction, Fraction], ...]:
-    """Reproducible pole-free draws for the randomized identity suite.
+def sample_identity_params(tag: str) -> tuple[tuple[Mapping, Fraction, Fraction], ...]:
+    """The IDENTITY_DRAWS reproducible pole-free draws of the randomized
+    identity suite, drawn from IDENTITY_SUITE_SEED.
 
     Each draw is ``(params, lhs, rhs)``: small random rationals for the free
     parameters plus a terminating n, as a read-only mapping since the draws
@@ -494,12 +493,12 @@ def sample_identity_params(
     hits a pole or an unpairable Gamma ratio is rejected.
     """
     names = IDENTITIES[tag][0]
-    rng = random.Random(f"{seed}:{tag}")
+    rng = random.Random(f"{IDENTITY_SUITE_SEED}:{tag}")
     out = []
     attempts = 0
-    while len(out) < count:
+    while len(out) < IDENTITY_DRAWS:
         attempts += 1
-        if attempts > 500 * count:
+        if attempts > 500 * IDENTITY_DRAWS:
             raise RuntimeError(f"rejection sampling for {tag} stalled")
         params = {name: Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for name in names}
         params["n"] = rng.randint(0, 8)

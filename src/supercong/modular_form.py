@@ -33,17 +33,17 @@ from functools import lru_cache
 
 from .exact_core import check_prime
 
-#: Default expansion ceiling.  At r = 1 a run reads a_p for primes p up to
-#: the CLI's largest --pmax, cli.MAX_PMAX, which is defined as this value;
-#: the r = 2 reads stop at a_{19^2} by the harness's R_CAPS.
-DEFAULT_BUDGET = 100000
+#: The largest coefficient index ever expanded.  At r = 1 a run reads a_p for
+#: primes p up to the CLI's largest --pmax, cli.MAX_PMAX, which is defined as
+#: this value; the r = 2 reads stop at a_{19^2} by the harness's R_CAPS.
+EXPANSION_CEILING = 100000
 
 #: Primes whose a_{p^2} is cross-checked against the Hecke recursion.
 _HECKE_CHECK_MAX_P = 31
 
 
 class BudgetError(ValueError):
-    """A requested coefficient index exceeds the configured expansion budget."""
+    """A requested coefficient index exceeds EXPANSION_CEILING."""
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,8 @@ _widest: QExpansion | None = None
 def widest_expansion(n: int) -> QExpansion:
     """The widest expansion made so far, first widened to cover a_n if needed.
 
-    Its prefix a_1..a_n equals ``eta_product_expansion(n)``; the budget is the
-    caller's to check.
+    Its prefix a_1..a_n equals ``eta_product_expansion(n)``.  It does not check
+    n against EXPANSION_CEILING; ``prime_power_coefficient`` does.
     """
     global _widest
     expansion = _widest
@@ -188,11 +188,11 @@ def widest_expansion(n: int) -> QExpansion:
     return expansion
 
 
-def prime_power_coefficient(p: int, r: int, budget: int = DEFAULT_BUDGET) -> int:
+def prime_power_coefficient(p: int, r: int) -> int:
     """a_{p^r} for an odd prime p, read off the widest expansion so far.
 
-    The budget is checked against p^r itself, whatever has been expanded
-    already.  For r = 2 and p <= 31 the value is additionally cross-checked
+    p^r itself is checked against EXPANSION_CEILING, whatever has been
+    expanded already; an index above it raises ``BudgetError``.  For r = 2 and p <= 31 the value is additionally cross-checked
     against the weight-4 Hecke recursion a_{p^2} = a_p^2 - p^3; a mismatch
     would mean the expansion itself is broken and raises.
     """
@@ -202,8 +202,8 @@ def prime_power_coefficient(p: int, r: int, budget: int = DEFAULT_BUDGET) -> int
     if r < 1:
         raise ValueError("the exponent r must be a positive integer")
     index = p**r
-    if index > budget:
-        raise BudgetError(f"p^r = {index} exceeds the expansion budget {budget}")
+    if index > EXPANSION_CEILING:
+        raise BudgetError(f"p^r = {index} exceeds the expansion ceiling {EXPANSION_CEILING}")
     expansion = widest_expansion(index)
     value = coefficient_at(expansion, index)
     if r == 2 and p <= _HECKE_CHECK_MAX_P:

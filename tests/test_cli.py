@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -7,7 +8,15 @@ from pathlib import Path
 
 from supercong.cli import MAX_PMAX, _print_summary, main, render_csv, render_json, suite_exit_code
 from supercong.harness import CASES, run_suite
-from supercong.modular_form import DEFAULT_BUDGET
+from supercong.modular_form import EXPANSION_CEILING, BudgetError
+
+
+def _thm2_without_a_p(monkeypatch):
+    # THM2 as a row whose every instance is an error record
+    def no_a_p(p, _param):
+        raise BudgetError(f"no a_{p} in this test")
+
+    monkeypatch.setitem(CASES, "THM2", replace(CASES["THM2"], compute=no_a_p))
 
 
 def test_verify_single_case_small_range(tmp_path, capsys):
@@ -108,9 +117,8 @@ def test_verify_csv_format(tmp_path):
 
 
 def test_verify_failure_exit_code(tmp_path, monkeypatch):
-    # a budget too small for the eta expansion turns THM2 into a failed
-    # (non-conjectural) record, which must flip the exit code
-    monkeypatch.setenv("SUPERCONG_BUDGET", "3")
+    # a failed (non-conjectural) THM2 record must flip the exit code
+    _thm2_without_a_p(monkeypatch)
     code = main(["verify", "--cases", "thm2", "--pmin", "5", "--pmax", "5"])
     assert code == 1
 
@@ -121,17 +129,16 @@ def test_default_budget_covers_every_eta_read_up_to_the_largest_pmax():
             continue
         for param, cap in (case.r_caps or dict.fromkeys(case.suite)).items():
             p = MAX_PMAX if cap is None else min(cap, MAX_PMAX)
-            assert case.eta_index(p, param) <= DEFAULT_BUDGET, (case.tag, param)
+            assert case.eta_index(p, param) <= EXPANSION_CEILING, (case.tag, param)
 
 
-def test_verify_reads_a_p_beyond_ten_thousand_by_default(monkeypatch, capsys):
-    monkeypatch.delenv("SUPERCONG_BUDGET", raising=False)
+def test_verify_reads_a_p_beyond_ten_thousand_by_default(capsys):
     assert main(["verify", "--cases", "thm2", "--pmin", "9990", "--pmax", "10010"]) == 0
     assert capsys.readouterr().out == f"{'THM2':<18} 2/2 pass\n"
 
 
 def test_summary_counts_pass_fail_and_error_per_case(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SUPERCONG_BUDGET", "3")
+    _thm2_without_a_p(monkeypatch)
     out = tmp_path / "report.json"
     code = main(["verify", "--cases", "eq0,thm2", "--pmin", "5", "--pmax", "97", "--out", str(out)])
     assert code == 1
@@ -140,8 +147,8 @@ def test_summary_counts_pass_fail_and_error_per_case(tmp_path, monkeypatch, caps
     assert lines == [f"{'EQ0':<18} 23/23 pass", f"{'THM2':<18} 0/23 pass, 23 error"]
     errors = captured.err.splitlines()
     assert len(errors) == 23
-    assert errors[0] == "error: THM2 p=5 param=0: BudgetError: p^r = 5 exceeds the expansion budget 3"
-    assert all(": BudgetError: p^r = " in line for line in errors)
+    assert errors[0] == "error: THM2 p=5 param=0: BudgetError: no a_5 in this test"
+    assert all(": BudgetError: no a_" in line for line in errors)
     entries = json.loads(out.read_text())
     assert [e["achieved"] for e in entries if e["case"] == "THM2"] == ["error:BudgetError"] * 23
 
@@ -149,13 +156,6 @@ def test_summary_counts_pass_fail_and_error_per_case(tmp_path, monkeypatch, caps
     records[1] = replace(records[1], passed=False)
     _print_summary(records)
     assert capsys.readouterr().out == f"{'THM4_STRONG':<18} 2/3 pass, 1 fail (conjectural)\n"
-
-
-def test_verify_bad_budget_env(monkeypatch):
-    monkeypatch.setenv("SUPERCONG_BUDGET", "zero")
-    assert main(["verify", "--cases", "eq0", "--pmin", "5", "--pmax", "5"]) == 2
-    monkeypatch.setenv("SUPERCONG_BUDGET", "-1")
-    assert main(["verify", "--cases", "eq0", "--pmin", "5", "--pmax", "5"]) == 2
 
 
 def test_verify_write_error_is_io_exit_code(tmp_path):
@@ -187,20 +187,13 @@ def test_coeffs_rejects_nonpositive_bound():
     assert main(["coeffs", "--n", "0"]) == 2
 
 
-def test_coeffs_obeys_the_eta_ceiling(monkeypatch, capsys):
-    monkeypatch.delenv("SUPERCONG_BUDGET", raising=False)
-    assert main(["coeffs", "--n", str(DEFAULT_BUDGET + 1)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: --n {DEFAULT_BUDGET + 1} exceeds the eta expansion ceiling {DEFAULT_BUDGET}\n"
+def test_coeffs_obeys_the_eta_ceiling(capsys):
+    assert main(["coeffs", "--n", str(EXPANSION_CEILING + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --n {EXPANSION_CEILING + 1} exceeds the eta expansion ceiling {EXPANSION_CEILING}\n"
     )
-    monkeypatch.setenv("SUPERCONG_BUDGET", "50")
-    assert main(["coeffs", "--n", "50"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 50
-    assert main(["coeffs", "--n", "51"]) == 2
-    assert "ceiling 50" in capsys.readouterr().err
-    monkeypatch.setenv("SUPERCONG_BUDGET", "fifty")
-    assert main(["coeffs", "--n", "5"]) == 2
-    assert capsys.readouterr().err == "error: SUPERCONG_BUDGET must be a positive integer, got 'fifty'\n"
 
 
 def test_coeffs_out_file(tmp_path):
@@ -212,11 +205,10 @@ def test_coeffs_out_file(tmp_path):
 def test_exit_code_is_function_of_records():
     records = run_suite([5], cases=["EQ0", "CONJ1"])
     assert suite_exit_code(records) == 0
-    failing = run_suite([5], cases=["THM2"], budget=3)
-    assert suite_exit_code(failing) == 1
-    conj_failing = run_suite([5], cases=["CONJ1"], rs=(2,), budget=3)
-    assert all(r.conjectural for r in conj_failing)
-    assert suite_exit_code(conj_failing) == 0  # conjectural failures do not gate
+    eq0, conj1 = records
+    assert not eq0.conjectural and conj1.conjectural
+    assert suite_exit_code([replace(eq0, passed=False), conj1]) == 1
+    assert suite_exit_code([eq0, replace(conj1, passed=False)]) == 0  # conjectural failures do not gate
 
 
 def test_renderers_agree_on_rows():
@@ -274,3 +266,23 @@ def test_cli_imports_only_the_standard_library():
     loaded = proc.stdout.split()
     assert "supercong" in loaded
     assert [name for name in loaded if name != "supercong" and name not in sys.stdlib_module_names] == []
+
+
+def test_no_module_reads_the_environment():
+    # a setting read from the environment is an option the CLI does not show
+    src = Path(__file__).resolve().parents[1] / "src" / "supercong"
+    names = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            attribute = (
+                isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name) and node.value.id == "os"
+            )
+            imported = (
+                isinstance(node, ast.ImportFrom) and node.module == "os"
+                and any(alias.name in names for alias in node.names)
+            )
+            if attribute or imported:
+                reads.append(f"{path.relative_to(src)}:{node.lineno}")
+    assert reads == []

@@ -1,6 +1,7 @@
 import importlib.util
 import re
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 from math import comb
@@ -315,10 +316,11 @@ def test_lemma10_and_lemma12_records():
 def test_identity_cases_by_draw_and_explicit_params():
     rec = verify_exact_case("WHIPPLE_4F3", 0)
     assert rec.passed and rec.p == 0 and rec.param == 0
-    rec = verify_exact_case(
-        "WHIPPLE_4F3", params={"a": HALF, "c": F(3), "n": 2}
-    )
-    assert rec.lhs == rec.rhs == 5
+    # an explicit point goes to the one validator of a record, not to a case,
+    # so no record can hold one point's sides under another draw's index
+    assert identity_sides("WHIPPLE_4F3", {"a": HALF, "c": F(3), "n": 2}) == (5, 5)
+    with pytest.raises(TypeError):
+        verify_exact_case("WHIPPLE_4F3", 7, params={"a": HALF, "c": F(3), "n": 2})
     with pytest.raises(KeyError):
         verify_exact_case("NOT_A_CASE", 0)
 
@@ -329,8 +331,6 @@ def test_identity_cases_by_draw_and_explicit_params():
         ("COMIDEN0", {"param": 2, "p": 7}, "case COMIDEN0 takes no prime p"),
         ("COMIDEN1", {"param": 5, "p": 7}, "case COMIDEN1 takes no prime p"),
         ("WHIPPLE_4F3", {"param": 0, "p": 5}, "case WHIPPLE_4F3 takes no prime p"),
-        ("COMIDEN1", {"param": 5, "params": {"a": 1}}, "case COMIDEN1 takes no parameter record"),
-        ("LEMMA10", {"p": 5, "params": {"a": 1}}, "case LEMMA10 takes no parameter record"),
         ("GOSPER_STRANGE", {"param": IDENTITY_DRAWS}, "case GOSPER_STRANGE takes param in"),
         ("COMIDEN0", {"param": 2.7}, "case COMIDEN0 takes an integer param, got 2.7"),
         ("COMIDEN1", {"param": True}, "case COMIDEN1 takes an integer param, got True"),
@@ -338,7 +338,7 @@ def test_identity_cases_by_draw_and_explicit_params():
         ("WHIPPLE_4F3", {"param": 1.0}, "case WHIPPLE_4F3 takes an integer param, got 1.0"),
     ],
     ids=[
-        "COMIDEN0-p", "COMIDEN1-p", "WHIPPLE_4F3-p", "COMIDEN1-params", "LEMMA10-params", "GOSPER_STRANGE-index",
+        "COMIDEN0-p", "COMIDEN1-p", "WHIPPLE_4F3-p", "GOSPER_STRANGE-index",
         "COMIDEN0-float", "COMIDEN1-bool", "COMIDEN0-str", "WHIPPLE_4F3-float-index",
     ],
 )
@@ -374,13 +374,9 @@ def test_identity_records_keep_the_sides_of_their_draws(monkeypatch):
         return identity_sides(tag, params)
 
     monkeypatch.setattr(hypergeometric, "identity_sides", counting)
-    monkeypatch.setattr(harness, "identity_sides", counting)
     records = run_suite([5], cases=list(IDENTITIES))
     assert len(records) == 6 * IDENTITY_DRAWS and all(r.passed for r in records)
     assert calls == []
-    # an explicit record is still evaluated, once
-    assert verify_exact_case("WHIPPLE_4F3", params={"a": HALF, "c": F(3), "n": 2}).lhs == 5
-    assert calls == ["WHIPPLE_4F3"]
 
 
 def test_thmkey2_x2_sum_is_evaluated_once_per_prime(monkeypatch):
@@ -592,18 +588,40 @@ def test_run_suite_r_caps():
 
 
 def test_run_suite_turns_errors_into_failed_records():
-    records = run_suite([5], cases=["THM2"], budget=3)
-    assert len(records) == 1
-    rec = records[0]
-    assert not rec.passed and rec.achieved == "error:BudgetError"
-    assert rec.lhs is None and rec.rhs is None
-    assert report_entry(rec)["lhs"] == ""
-    assert rec.error == "p^r = 5 exceeds the expansion budget 3"
-    assert "error" not in report_entry(rec)
+    # a_{p^r} is read before the (p^r-1)/2-term sum, so a prime past the eta
+    # ceiling fails at once (it once took 10-22 s per case at p = 100003)
+    start = time.perf_counter()
+    records = run_suite([100003], cases=["THM2", "KILBOURN", "CONJ1"])
+    assert time.perf_counter() - start < 1.0
+    assert [r.case for r in records] == ["THM2", "KILBOURN", "CONJ1"]
+    for rec in records:
+        assert not rec.passed and rec.achieved == "error:BudgetError"
+        assert rec.lhs is None and rec.rhs is None
+        assert report_entry(rec)["lhs"] == ""
+        assert rec.error == "p^r = 100003 exceeds the expansion ceiling 100000"
+        assert "error" not in report_entry(rec)
+
+
+@pytest.mark.parametrize(
+    "primes, rs, what, bad",
+    [
+        ([7.5, 11], (1,), "primes", 7.5),
+        ([True, 11], (1,), "primes", True),
+        (["11"], (1,), "primes", "11"),
+        ([11], (1.9, 2.2), "exponents", 1.9),
+        ([11], (True,), "exponents", True),
+        ([4], ("2",), "exponents", "2"),
+    ],
+    ids=["float-prime", "bool-prime", "str-prime", "float-r", "bool-r", "str-r-no-prime"],
+)
+def test_run_suite_refuses_primes_and_exponents_that_are_not_ints(primes, rs, what, bad):
+    # int() once ran [7.5, True, "11"] as p = 7, 11 and rs = (1.9, 2.2) as r = 1, 2
+    with pytest.raises(ValueError, match=re.escape(f"run_suite takes integer {what}, got {bad!r}")):
+        run_suite(primes, rs=rs, cases=["EQ0", "THM1"])
 
 
 def test_run_suite_turns_pole_errors_into_failed_records(monkeypatch):
-    def pole(p, _param, _budget):
+    def pole(p, _param):
         raise PoleError("lower parameter hits a pole")
 
     monkeypatch.setitem(CASES, "EQ0", replace(CASES["EQ0"], compute=pole))
@@ -615,7 +633,7 @@ def test_run_suite_turns_pole_errors_into_failed_records(monkeypatch):
 
 @pytest.mark.parametrize("exc", [RuntimeError, ZeroDivisionError, RecursionError])
 def test_run_suite_lets_programming_errors_propagate(monkeypatch, exc):
-    def broken(p, _param, _budget):
+    def broken(p, _param):
         raise exc("a bug, not a domain error")
 
     monkeypatch.setitem(CASES, "EQ0", replace(CASES["EQ0"], compute=broken))

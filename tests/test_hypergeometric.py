@@ -218,10 +218,8 @@ def test_randomized_identity_suite():
 
 
 def test_sampling_is_reproducible():
-    a = sample_identity_params("GOSPER_STRANGE", 5)
-    assert sample_identity_params.__wrapped__("GOSPER_STRANGE", 5) == a  # a fresh draw, past the cache
-    # a prefix of the draws does not depend on how many are asked for
-    assert sample_identity_params("GOSPER_STRANGE", 8)[:5] == a
+    a = sample_identity_params("GOSPER_STRANGE")
+    assert sample_identity_params.__wrapped__("GOSPER_STRANGE") == a  # a fresh draw, past the cache
     # the cached draws are shared, so a caller cannot edit them
     with pytest.raises(TypeError):
         a[0][0]["n"] = 3

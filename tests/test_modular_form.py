@@ -94,8 +94,8 @@ def test_prime_power_coefficient_values():
 
 
 def test_prime_power_coefficient_validation():
-    with pytest.raises(BudgetError):
-        prime_power_coefficient(101, 2, budget=10000)
+    with pytest.raises(BudgetError, match="p\\^r = 100489 exceeds the expansion ceiling 100000"):
+        prime_power_coefficient(317, 2)
     with pytest.raises(ValueError):
         prime_power_coefficient(9, 1)
     with pytest.raises(ValueError):

@@ -13,7 +13,9 @@ from supercong import modular_form
 from supercong.exact_core import is_prime, padic_valuation
 from supercong.harness import run_suite, verify_congruence_case
 from supercong.modular_form import (
+    EXPANSION_CEILING,
     BudgetError,
+    QExpansion,
     coefficient_at,
     eta_product_expansion,
     prime_power_coefficient,
@@ -57,17 +59,21 @@ def test_prime_power_coefficient_in_any_order(monkeypatch, eta_oracle, order):
     assert modular_form._widest.bound == 31**2
 
 
-def test_budget_is_checked_against_the_index_not_the_widest_expansion(monkeypatch, eta_oracle):
-    monkeypatch.setattr(modular_form, "_widest", None)
-    assert widest_expansion(2000).bound == 2000
+def test_budget_is_checked_against_the_index_not_the_widest_expansion(monkeypatch):
+    # a stand-in expansion wider than the ceiling, all zeros but a_{31^2},
+    # stays untouched: an index above the ceiling fails, one below is read off it
+    bound = EXPANSION_CEILING + 1000
+    coeffs = [0] * bound
+    coeffs[31**2 - 1] = -31**3  # a_{31^2} = a_31^2 - 31^3 with a_31 read as 0
+    wide = QExpansion(bound=bound, coeffs=tuple(coeffs))
+    monkeypatch.setattr(modular_form, "_widest", wide)
+    with pytest.raises(BudgetError, match=f"p\\^r = 100489 exceeds the expansion ceiling {EXPANSION_CEILING}"):
+        prime_power_coefficient(317, 2)  # 100489 lies inside the stand-in
     with pytest.raises(BudgetError):
-        prime_power_coefficient(37, 2, budget=1000)  # 1369 lies inside the expansion
-    with pytest.raises(BudgetError):
-        prime_power_coefficient(499, 1, budget=498)
-    with pytest.raises(BudgetError):
-        prime_power_coefficient(317, 2)  # 100489, beyond the default budget
-    assert prime_power_coefficient(31, 2, budget=961) == eta_oracle[31, 2]
-    assert modular_form._widest.bound == 2000
+        prime_power_coefficient(100003, 1)
+    assert prime_power_coefficient(99991, 1) == 0
+    assert prime_power_coefficient(31, 2) == -31**3
+    assert modular_form._widest is wide
 
 
 def _fresh_eta(monkeypatch):
@@ -92,10 +98,10 @@ def test_run_suite_expands_to_the_largest_prime_power_its_caps_allow(monkeypatch
 
 
 def test_run_suite_expansion_stays_within_the_budget(monkeypatch):
+    # p = 100003 lies past the ceiling: the run widens only to 97
     _fresh_eta(monkeypatch)
-    records = run_suite(range(5, 500), budget=100, cases=["THM2"])
+    records = run_suite([5, 97, 100003], cases=["THM2"])
     assert eta_product_expansion.cache_info().misses == 1
     assert modular_form._widest.bound == 97
-    errors = [r for r in records if r.achieved == "error:BudgetError"]
-    assert [r.p for r in errors] == [p for p in ODD_PRIMES if p > 100]
-    assert all(r.passed for r in records if r.p < 100)
+    assert [(r.p, r.achieved == "error:BudgetError") for r in records] == [(5, False), (97, False), (100003, True)]
+    assert records[0].passed and records[1].passed
