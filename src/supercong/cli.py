@@ -2,8 +2,9 @@
 
 Reports contain only exact strings and integers (fractions in lowest terms,
 valuations, EQUAL/UNEQUAL); no floating point appears anywhere.  The JSON
-form re-serializes byte-identically after a round trip, and the CSV column
-order is fixed for diff-friendly CI artifacts.
+form re-serializes byte-identically after a round trip, and the CSV columns
+are the keys of a JSON entry, in the same fixed order (harness.REPORT_KEYS),
+for diff-friendly CI artifacts.
 
 Exit codes: 0 all non-conjectural cases pass (or nothing applicable),
 1 some non-conjectural case failed, 2 usage error (a --cases that names no
@@ -29,10 +30,8 @@ import json
 import sys
 
 from .exact_core import is_prime
-from .harness import CASE_ORDER, R_CAPS, VerificationRecord, report_entry, run_suite, select_cases
+from .harness import CASE_ORDER, R_CAPS, REPORT_KEYS, VerificationRecord, report_entry, run_suite, select_cases
 from .modular_form import EXPANSION_CEILING, coefficient_at, eta_product_expansion
-
-REPORT_COLUMNS = ("case", "p", "param", "required", "achieved", "lhs", "rhs", "pass", "conjectural")
 
 DEFAULT_PMIN = 5
 DEFAULT_PMAX = 97
@@ -50,15 +49,9 @@ def render_json(records: list[VerificationRecord]) -> str:
 def render_csv(records: list[VerificationRecord]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
+    writer.writerow(REPORT_KEYS)
     for rec in records:
-        entry = report_entry(rec)
-        writer.writerow(
-            [
-                entry[col] if not isinstance(entry[col], bool) else ("true" if entry[col] else "false")
-                for col in REPORT_COLUMNS
-            ]
-        )
+        writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in report_entry(rec).values()])
     return buf.getvalue()
 
 

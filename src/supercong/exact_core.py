@@ -2,7 +2,8 @@
 p-adic valuations, and p-adic residues.
 
 Every scalar in this package is an exact :class:`fractions.Fraction`; nothing
-here (or anywhere downstream) touches floating point.  ``Fraction`` already
+here (or anywhere downstream) touches floating point, and ``_exact`` refuses a
+float handed to any entry point with ``TypeError``.  ``Fraction`` already
 guarantees the normal form we rely on: positive denominator, gcd removed,
 zero stored as 0/1, so equality is structural and valuations are cheap.
 A Pochhammer product is one integer product over d^k, with a single gcd.
@@ -70,12 +71,19 @@ INFINITY = _Infinity()
 Valuation = Union[int, _Infinity]
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction; a float is refused, since it is a binary fraction, not the rational meant."""
+    if isinstance(x, float):
+        raise TypeError(f"exact arithmetic takes rationals, got the float {x!r}")
+    return Fraction(x)
+
+
 def rising_factorial(a, k: int) -> Fraction:
     """(a)_k = a(a+1)...(a+k-1), 1 for k = 0 and 0 if a factor is 0; with a = n/d
     it is the integer product n(n+d)...(n+(k-1)d) over d^k, normalised by one gcd."""
     if k < 0:
         raise ValueError("rising factorial needs k >= 0")
-    n, d = Fraction(a).as_integer_ratio()
+    n, d = _exact(a).as_integer_ratio()
     return Fraction(prod(range(n, n + k * d, d)), d**k)
 
 
@@ -116,7 +124,7 @@ def _split_power(n: int, p: int) -> tuple[int, int]:
 def padic_valuation(x, p: int) -> Valuation:
     """Exact p-adic valuation of a rational (may be negative); INFINITY iff x = 0."""
     check_prime(p)
-    x = Fraction(x)
+    x = _exact(x)
     if x == 0:
         return INFINITY
     return _split_power(x.numerator, p)[0] - _split_power(x.denominator, p)[0]
@@ -138,7 +146,7 @@ class Residue:
     @classmethod
     def of(cls, x, p: int) -> Residue:
         """The residue of a nonzero rational x at the prime p."""
-        x = Fraction(x)
+        x = _exact(x)
         if x == 0:
             raise ValueError("zero has no p-adic unit part")
         modulus = p**_RESIDUE_DIGITS

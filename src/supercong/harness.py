@@ -28,7 +28,8 @@ Congruence cases (pass iff the achieved valuation meets the bound):
                read as -[x^2] of sum c_k^(2s) prod_{j<=2k} (1 - x^2/j^2)
 
 where a_n is the eta-product coefficient (modular_form module) and
-e(p) = (-1)^((p^2-1)/8 + (p-1)/2).  A per-k family record keeps the first k
+e(p) = (-1)^((p^2-1)/8 + (p-1)/2).  Every sum of c_k^e above is one
+``central_sum(e, K, z, weight)``.  A per-k family record keeps the first k
 of least valuation; BINOM_* find it on p-adic residues (exact_core.Residue)
 and build only that k's lhs and rhs as exact fractions.
 
@@ -40,6 +41,7 @@ Exact cases (pass iff both sides agree exactly):
   COMIDEN2(n)  (3/2-n/4)_m / (2-n/2)_m * 2^m = e(n) n,  odd n
   LEMMA10      sum_{k<=m} (6k+1) (1/2)_k (1/2-p/2)_k (1/2+p/2)_k
                / ((1)_k (1+p/4)_k (1-p/4)_k) * 4^-k  =  (-1)^m p
+               evaluated as thm3_deformed_spec pinned at x = p (specialize)
   LEMMA12      same weights with argument -1/8      =  e(p) p
   WHIPPLE_4F3, WHIPPLE_6F5, WHIPPLE_7F6, GESSEL_31_1, GOSPER_STRANGE,
   GESSEL_P544  randomized exact checks of the six evaluation identities of
@@ -54,7 +56,8 @@ Series cases (x-deformations, expanded to order 4):
                     has v >= 1; odd coefficients must vanish
   SIX_F_FIVE_COEFFS every coefficient of the companion deformed sum (extra
                     upper (1-p)/2 and 1, extra lower 1+p/2) has v >= 1, and
-                    its constant term matches EQ10's constant term mod p
+                    its constant term matches EQ0's sum (EQ10's constant
+                    term) mod p
   LEM_THM1_B2K      every term ratio the split sums is even in x, with
                     constant ((2k-1)/(2k))^4 and x^2 step -(1/(2k-1)^2 +
                     1/(2k)^2), so term k of the conjugate-deformed quartic
@@ -99,9 +102,10 @@ from .hypergeometric import (
     eval_hyp_sum_series,
     hyp_sum,
     sample_identity_params,
+    specialize,
 )
 from .modular_form import EXPANSION_CEILING, prime_power_coefficient, widest_expansion
-from .power_series import TruncSeries, coefficient
+from .power_series import coefficient
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -175,19 +179,24 @@ def _fraction_str(x: Fraction | None) -> str:
     return "" if x is None else str(x)
 
 
+#: The keys of a report entry, in report order (the CSV header).
+REPORT_KEYS = ("case", "p", "param", "required", "achieved", "lhs", "rhs", "pass", "conjectural")
+
+
 def report_entry(rec: VerificationRecord) -> dict:
     """Serialize a record to the fixed report schema (exact strings, no floats)."""
-    return {
-        "case": rec.case,
-        "p": rec.p,
-        "param": rec.param,
-        "required": rec.required.render(),
-        "achieved": rec.achieved_str(),
-        "lhs": _fraction_str(rec.lhs),
-        "rhs": _fraction_str(rec.rhs),
-        "pass": rec.passed,
-        "conjectural": rec.conjectural,
-    }
+    values = (
+        rec.case,
+        rec.p,
+        rec.param,
+        rec.required.render(),
+        rec.achieved_str(),
+        _fraction_str(rec.lhs),
+        _fraction_str(rec.rhs),
+        rec.passed,
+        rec.conjectural,
+    )
+    return dict(zip(REPORT_KEYS, values))
 
 
 def _weakest(pairs, p) -> tuple[Fraction, Fraction, Valuation]:
@@ -206,48 +215,17 @@ def _sign_eight(n: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# Sum specs (data, not code); the deformed ones belong to the series cases
+# Sum specs: the c_k^e family, and Long's x-deformations of it
 # --------------------------------------------------------------------------
 
 
-def sum_eq0(p: int) -> HypSum:
-    return hyp_sum([HALF] * 3, [1, 1], z=-1, K=(p - 1) // 2, weight=(4, 1))
-
-
-def sum_thm1(p: int, r: int) -> HypSum:
-    return hyp_sum([HALF] * 4, [1] * 3, z=1, K=(p**r - 1) // 2, weight=(4, 1))
-
-
-def sum_sixth_power(p: int, r: int) -> HypSum:
-    return hyp_sum([HALF] * 6, [1] * 5, z=1, K=(p**r - 1) // 2, weight=(4, 1))
-
-
-def sum_kilbourn(p: int) -> HypSum:
-    return hyp_sum([HALF] * 4, [1] * 3, z=1, K=(p - 1) // 2, weight=(0, 1))
-
-
-def sum_thm3(p: int) -> HypSum:
-    return hyp_sum([HALF] * 3, [1, 1], z=QUARTER, K=(p - 1) // 2, weight=(6, 1))
-
-
-def sum_thm4(p: int) -> HypSum:
-    return hyp_sum([HALF] * 3, [1, 1], z=Fraction(-1, 8), K=(p - 1) // 2, weight=(6, 1))
-
-
-def sum_lemma10(p: int, z=QUARTER) -> HypSum:
-    half_p = Fraction(p, 2)
-    quarter_p = Fraction(p, 4)
-    return hyp_sum(
-        [HALF, HALF - half_p, HALF + half_p],
-        [1 + quarter_p, 1 - quarter_p],
-        z=z,
-        K=(p - 1) // 2,
-        weight=(6, 1),
-    )
+def central_sum(e: int, K: int, z=1, weight=(0, 1)) -> HypSum:
+    """sum_{k<=K} (w1 k + w0) c_k^e z^k, with (w1, w0) = weight."""
+    return hyp_sum([HALF] * e, [1] * (e - 1), z=z, K=K, weight=weight)
 
 
 def eq10_series_spec(p: int) -> HypSum:
-    """Deformed alternating (4k+1) sum; at x = p its value is (-1)^m p exactly."""
+    """Deformed alternating (4k+1) sum; at x = 0 it is EQ0's sum, at x = p it is (-1)^m p exactly."""
     return hyp_sum(
         [HALF, (HALF, -HALF), (HALF, HALF)],
         [(1, HALF), (1, -HALF)],
@@ -314,11 +292,11 @@ def _thmkey_x2(p: int, s: int) -> Fraction:
 
 
 def _eq0(p, _param):
-    return eval_hyp_sum(sum_eq0(p)), Fraction(_sign_half(p) * p)
+    return eval_hyp_sum(central_sum(3, (p - 1) // 2, -1, (4, 1))), Fraction(_sign_half(p) * p)
 
 
 def _thm1(p, r):
-    return eval_hyp_sum(sum_thm1(p, r)), Fraction(p**r)
+    return eval_hyp_sum(central_sum(4, (p**r - 1) // 2, 1, (4, 1))), Fraction(p**r)
 
 
 # THM2, KILBOURN and CONJ1 read a_{p^r} before the sum, so that an index
@@ -327,26 +305,26 @@ def _thm1(p, r):
 
 def _thm2(p, _param):
     rhs = Fraction(p * prime_power_coefficient(p, 1))
-    return eval_hyp_sum(sum_sixth_power(p, 1)), rhs
+    return eval_hyp_sum(central_sum(6, (p - 1) // 2, 1, (4, 1))), rhs
 
 
 def _kilbourn(p, _param):
     rhs = Fraction(prime_power_coefficient(p, 1))
-    return eval_hyp_sum(sum_kilbourn(p)), rhs
+    return eval_hyp_sum(central_sum(4, (p - 1) // 2)), rhs
 
 
 def _conj1(p, r):
     rhs = Fraction(p**r * prime_power_coefficient(p, r))
-    return eval_hyp_sum(sum_sixth_power(p, r)), rhs
+    return eval_hyp_sum(central_sum(6, (p**r - 1) // 2, 1, (4, 1))), rhs
 
 
 def _thm3(p, _param):
-    return eval_hyp_sum(sum_thm3(p)), Fraction(_sign_half(p) * p)
+    return eval_hyp_sum(central_sum(3, (p - 1) // 2, QUARTER, (6, 1))), Fraction(_sign_half(p) * p)
 
 
 def _thm4(p, _param):
     # THM4 and THM4_STRONG: the same sum and target under different bounds
-    return eval_hyp_sum(sum_thm4(p)), Fraction(_sign_eight(p) * p)
+    return eval_hyp_sum(central_sum(3, (p - 1) // 2, Fraction(-1, 8), (6, 1))), Fraction(_sign_eight(p) * p)
 
 
 def _comconj2(p, _param):
@@ -463,11 +441,11 @@ def _comiden2(_p, n):
 
 
 def _lemma10(p, _param):
-    return eval_hyp_sum(sum_lemma10(p)), Fraction(_sign_half(p) * p)
+    return eval_hyp_sum(specialize(thm3_deformed_spec(p), p)), Fraction(_sign_half(p) * p)
 
 
 def _lemma12(p, _param):
-    return eval_hyp_sum(sum_lemma10(p, z=Fraction(-1, 8))), Fraction(_sign_eight(p) * p)
+    return eval_hyp_sum(specialize(thm3_deformed_spec(p, Fraction(-1, 8)), p)), Fraction(_sign_eight(p) * p)
 
 
 def _identity(tag, _p, index):
@@ -485,24 +463,19 @@ def _odd_coeffs_vanish(coeffs) -> bool:
     return all(c == 0 for c in coeffs[1::2])
 
 
-@lru_cache(maxsize=None)
-def _eq10_series(p: int) -> TruncSeries:
-    # EQ10_A2 reads this series and SIX_F_FIVE_COEFFS compares against it.
-    return eval_hyp_sum_series(eq10_series_spec(p), SERIES_ORDER)
-
-
 def _eq10_a2(p, _param):
-    ser = _eq10_series(p)
+    ser = eval_hyp_sum_series(eq10_series_spec(p), SERIES_ORDER)
     a2 = coefficient(ser, 2)
     return a2, ZERO, padic_valuation(a2, p), _odd_coeffs_vanish(ser.coeffs)
 
 
 def _six_f_five(p, _param):
-    ser10 = _eq10_series(p)
-    ser65 = eval_hyp_sum_series(six_f_five_series_spec(p), SERIES_ORDER)
-    vals = [padic_valuation(c, p) for c in ser65.coeffs]
-    vals.append(padic_valuation(ser10.coeffs[0] - ser65.coeffs[0], p))
-    return ser65.coeffs[0], ser10.coeffs[0], min(vals), _odd_coeffs_vanish(ser65.coeffs)
+    # EQ0's sum is EQ10's constant term, the deformation at x = 0
+    eq0, _target = _eq0(p, 0)
+    ser = eval_hyp_sum_series(six_f_five_series_spec(p), SERIES_ORDER)
+    vals = [padic_valuation(c, p) for c in ser.coeffs]
+    vals.append(padic_valuation(eq0 - ser.coeffs[0], p))
+    return ser.coeffs[0], eq0, min(vals), _odd_coeffs_vanish(ser.coeffs)
 
 
 def _lem_thm1_ratio(k: int) -> tuple[list[int], list[int]]:

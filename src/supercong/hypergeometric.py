@@ -14,9 +14,10 @@ ANTS 1998): the ratios' numerators and denominators are multiplied up a
 balanced tree and exact divisions at the root end the sum, so no gcd is
 taken per term.  Scalar evaluation specializes x = 0 and splits over the
 integers.  Series evaluation splits over Z[x]/(x^(order+1)): each factor
-becomes an integer polynomial, linear for a deformed parameter, and one
-back-substitution through the root's denominator leaves one exact division
-per output coefficient.  The explicit k! matches the usual (r+1)F(r)
+becomes an integer polynomial, linear for a deformed parameter, and the sum
+is the quotient of the root's two polynomials, taken by series division on
+reduced fractions.  ``specialize`` pins x to a value instead, which turns a
+deformed sum into a scalar one.  The explicit k! matches the usual (r+1)F(r)
 normalization, and the affine weight is kept separate from the parameter
 lists because a weight encoded as a parameter pair would not survive
 deformation of those parameters.
@@ -34,7 +35,7 @@ evaluated at each.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
@@ -42,7 +43,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .power_series import TruncSeries
-from .exact_core import rising_factorial
+from .exact_core import _exact, rising_factorial
 
 
 class PoleError(ArithmeticError):
@@ -61,8 +62,8 @@ class AffineParam:
     slope: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "base", Fraction(self.base))
-        object.__setattr__(self, "slope", Fraction(self.slope))
+        object.__setattr__(self, "base", _exact(self.base))
+        object.__setattr__(self, "slope", _exact(self.slope))
 
 
 def param(value) -> AffineParam:
@@ -89,8 +90,8 @@ class HypSum:
         if self.truncation < 0:
             raise ValueError("truncation index must be nonnegative")
         w1, w0 = self.weight
-        object.__setattr__(self, "weight", (Fraction(w1), Fraction(w0)))
-        object.__setattr__(self, "argument", Fraction(self.argument))
+        object.__setattr__(self, "weight", (_exact(w1), _exact(w0)))
+        object.__setattr__(self, "argument", _exact(self.argument))
 
 
 def hyp_sum(upper, lower, z, K: int, weight=(0, 1)) -> HypSum:
@@ -101,6 +102,16 @@ def hyp_sum(upper, lower, z, K: int, weight=(0, 1)) -> HypSum:
         argument=z,
         truncation=K,
         weight=weight,
+    )
+
+
+def specialize(s: HypSum, x0) -> HypSum:
+    """The sum with the deformation variable pinned to the value x0."""
+    x0 = _exact(x0)
+    return replace(
+        s,
+        upper=tuple(AffineParam(u.base + u.slope * x0) for u in s.upper),
+        lower=tuple(AffineParam(l.base + l.slope * x0) for l in s.lower),
     )
 
 
@@ -180,9 +191,8 @@ def _split_series(ratio, truncation: int, order: int, weight) -> tuple[Fraction,
     returns the truncated products P and Q of p and q, and T with T/Q =
     sum_k (a1 k + a0) p(a)...p(k) / (q(a)...q(k)), where (a1, a0) is the
     weight times its common denominator wden; a merge is (P1 P2, Q1 Q2,
-    T1 Q2 + P1 T2).  The sum is T / (Q * wden).  With S = T/Q and q0 = Q_0,
-    N_d = S_d * q0^(d+1) is the integer T_d q0^d - sum_{i>=1} Q_i q0^(i-1)
-    N_{d-i}, so each coefficient is one exact division N_d / (q0^(d+1) wden).
+    T1 Q2 + P1 T2).  The sum S = T / (Q * wden) is one series division:
+    S_d = (T_d - sum_{i=1..d} Q_i wden S_{d-i}) / (Q_0 wden).
     """
     n = order + 1
     a1, a0, wden = _integer_weight(weight)
@@ -215,15 +225,16 @@ def _split_series(ratio, truncation: int, order: int, weight) -> tuple[Fraction,
         return mul(p1, p2), mul(q1, q2), t
 
     _p, q, t = split(0, truncation + 1)
-    q0 = q[0]
-    nums = []
+    lead = q[0] * wden
+    out = []
     for d in range(n):
-        acc = t[d] * q0**d
+        # a Fraction from the start: an int accumulator divided by lead would be a float
+        acc = Fraction(t[d])
         for i in range(1, d + 1):
             if q[i]:
-                acc -= q[i] * q0 ** (i - 1) * nums[d - i]
-        nums.append(acc)
-    return tuple(Fraction(nd, q0 ** (d + 1) * wden) for d, nd in enumerate(nums))
+                acc -= q[i] * wden * out[d - i]
+        out.append(acc / lead)
+    return tuple(out)
 
 
 def _integer_factor(a: AffineParam) -> tuple[int, int, int]:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact_core import _exact
+
 
 @dataclass(frozen=True)
 class TruncSeries:
@@ -22,7 +24,7 @@ class TruncSeries:
     def __post_init__(self):
         if len(self.coeffs) == 0:
             raise ValueError("a truncated series needs at least its constant term")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(_exact(c) for c in self.coeffs))
 
     @property
     def order(self) -> int:

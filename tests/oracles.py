@@ -11,7 +11,9 @@ out one factor at a time, where the package takes one integer product, and
 COMIDEN0's sum is summed term by term, where the harness evaluates it as a
 3F2 by binary splitting.  The series helpers rebuild what the
 package computes by binary splitting: term by term, by stepping each term by
-its ratio, or from Pochhammer products over an inverted denominator.  The
+its ratio, or from Pochhammer products over an inverted denominator; and
+the split's earlier last step, which cleared the root's denominator by
+powers of its constant term, is kept to check the series division.  The
 package's ``TruncSeries`` is a plain value, so the series algebra these
 helpers need (construction, sums, scalar multiples, products, inverses and
 in-place binomial steps) lives here too.  The
@@ -35,6 +37,7 @@ from supercong.hypergeometric import (
     AffineParam,
     HypSum,
     _check_lower_poles,
+    _integer_weight,
     identity_sides,
 )
 from supercong.modular_form import _poly_mul_trunc
@@ -315,6 +318,51 @@ def stepping_eval_hyp_sum_series(s: HypSum, order: int) -> TruncSeries:
         for d in range(order + 1):
             core[d] *= scale
     return TruncSeries(tuple(total))
+
+
+def q0_power_split_series(ratio, truncation: int, order: int, weight) -> tuple[Fraction, ...]:
+    """``hypergeometric._split_series`` with its earlier last step.
+
+    The split forms the same products, with an unfused merge.  With S = T/Q
+    and q0 = Q_0, N_d = S_d * q0^(d+1)
+    is the integer T_d q0^d - sum_{i>=1} Q_i q0^(i-1) N_{d-i}, so each
+    coefficient is one exact division N_d / (q0^(d+1) wden), a gcd on
+    numbers d+1 times the size of q0.
+    """
+    n = order + 1
+    a1, a0, wden = _integer_weight(weight)
+
+    def mul(a, b):
+        out = [0] * n
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(n - i):
+                    out[i + j] += ai * b[j]
+        return out
+
+    def split(a: int, b: int):
+        if b - a == 1:
+            if a == 0:
+                unit = [1] + [0] * order
+                return unit, unit, [a0] + [0] * order
+            p, q = ratio(a)
+            w = a1 * a + a0
+            return p, q, [w * c for c in p]
+        mid = (a + b) // 2
+        p1, q1, t1 = split(a, mid)
+        p2, q2, t2 = split(mid, b)
+        return mul(p1, p2), mul(q1, q2), [x + y for x, y in zip(mul(t1, q2), mul(p1, t2))]
+
+    _p, q, t = split(0, truncation + 1)
+    q0 = q[0]
+    nums = []
+    for d in range(n):
+        acc = t[d] * q0**d
+        for i in range(1, d + 1):
+            if q[i]:
+                acc -= q[i] * q0 ** (i - 1) * nums[d - i]
+        nums.append(acc)
+    return tuple(Fraction(nd, q0 ** (d + 1) * wden) for d, nd in enumerate(nums))
 
 
 def series_case_specs(p: int) -> dict[str, HypSum]:

@@ -1,4 +1,6 @@
 import ast
+import csv
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from supercong.cli import MAX_PMAX, _print_summary, main, render_csv, render_json, suite_exit_code
-from supercong.harness import CASES, run_suite
+from supercong.harness import CASES, REPORT_KEYS, run_suite
 from supercong.modular_form import EXPANSION_CEILING, BudgetError
 
 
@@ -212,10 +214,18 @@ def test_exit_code_is_function_of_records():
 
 
 def test_renderers_agree_on_rows():
-    records = run_suite([5], cases=["EQ0"])
-    data = json.loads(render_json(records))
-    csv_lines = render_csv(records).splitlines()
-    assert len(data) == len(csv_lines) - 1
+    # conjectural and proved cases, congruence and exact ones: both booleans
+    records = run_suite([5, 7, 11], cases=["EQ0", "THM4_STRONG", "LEMMA10"])
+    entries = json.loads(render_json(records))
+    header, *rows = csv.reader(io.StringIO(render_csv(records)))
+    assert len(rows) == len(entries) == 9
+    assert {entry["conjectural"] for entry in entries} == {True, False}
+    for row, entry in zip(rows, entries):
+        assert header == list(entry)
+        assert dict(zip(header, row)) == {
+            key: json.dumps(value) if isinstance(value, bool) else str(value) for key, value in entry.items()
+        }
+    assert render_csv([]) == ",".join(REPORT_KEYS) + "\n"
 
 
 def test_module_invocation_subprocess(tmp_path):
@@ -233,9 +243,12 @@ def test_module_invocation_subprocess(tmp_path):
 def test_traced_run_writes_the_untraced_report(tmp_path):
     # perfbench's tracer wraps every public function of the layer modules,
     # power_series among them, reads .coeffs off each series sum, and sums
-    # the self time of the identity functions, which must stay public
+    # the self time of the identity functions, which must stay public; its
+    # hooks count on the eight functions below, which must keep their names
     root = Path(__file__).resolve().parents[1]
-    cases = "eq0,eq10_a2,six_f_five_coeffs,lem_thm1_b2k,thm3_quotient_x2,whipple_4f3,gosper_strange"
+    tags = ["EQ0", "THM2", "LEMMA10", "EQ10_A2", "SIX_F_FIVE_COEFFS", "LEM_THM1_B2K", "THM3_QUOTIENT_X2"]
+    tags += ["WHIPPLE_4F3", "GOSPER_STRANGE"]
+    cases = ",".join(tags).lower()
     args = ["verify", "--cases", cases, "--pmin", "5", "--pmax", "13"]
     untraced, traced, trace = tmp_path / "untraced.json", tmp_path / "traced.json", tmp_path / "trace.json"
     assert main([*args, "--out", str(untraced)]) == 0
@@ -248,10 +261,23 @@ def test_traced_run_writes_the_untraced_report(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert traced.read_bytes() == untraced.read_bytes()
-    names = json.loads(trace.read_text())["names"]
+    doc = json.loads(trace.read_text())
+    names = doc["names"]
     assert {"power_series.coefficient", "hypergeometric.eval_hyp_sum_series"} <= set(names)
     identity = {"identity_sides", "gamma_ratio_value", "sample_identity_params"}
     assert {f"hypergeometric.{name}" for name in identity} <= set(names)
+    hooked = {
+        "exact_core.padic_valuation",
+        "hypergeometric.eval_hyp_sum",
+        "hypergeometric.eval_hyp_sum_series",
+        "modular_form.eta_product_expansion",
+        "harness.verify_congruence_case",
+        "harness.verify_exact_case",
+        "harness.verify_series_case",
+        "harness.run_suite",
+    }
+    assert hooked <= set(names)
+    assert {f"harness.case_s.{tag}" for tag in tags} <= set(doc["counters"])
 
 
 def test_cli_imports_only_the_standard_library():

@@ -15,12 +15,38 @@ from supercong.exact_core import (
     padic_valuation,
     rising_factorial,
 )
+from supercong.hypergeometric import hyp_sum, specialize
+from supercong.power_series import TruncSeries
 
 from oracles import central_half_ratio, congruent_mod_power, harmonic2, odd_harmonic2, stepwise_rising_factorial
 
 PRIMES_TO_97 = [p for p in range(5, 98) if is_prime(p)]
 PRIMES_3_TO_2000 = [p for p in range(3, 2001) if is_prime(p)]
 NONZERO = st.integers(-(10**6), 10**6).filter(bool)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: padic_valuation(0.1, 5),
+        lambda: rising_factorial(0.5, 2),
+        lambda: Residue.of(0.5, 3),
+        lambda: hyp_sum([0.1], [1], z=0.5, K=2),
+        lambda: hyp_sum([1], [1], z=0.5, K=2),
+        lambda: hyp_sum([1], [1], z=1, K=2, weight=(0.5, 1)),
+        lambda: specialize(hyp_sum([(1, 1)], [1], z=1, K=2), 0.5),
+        lambda: TruncSeries((0.1, 2)),
+    ],
+    ids=[
+        "padic_valuation", "rising_factorial", "Residue.of", "hyp_sum-parameter", "hyp_sum-argument",
+        "hyp_sum-weight", "specialize", "TruncSeries",
+    ],
+)
+def test_exact_entry_points_refuse_floats(call):
+    # Fraction(0.1) is the binary fraction 3602879701896397/2^55, not 1/10:
+    # padic_valuation(0.1, 5) read 0 where v_5(1/10) = -1
+    with pytest.raises(TypeError, match="float"):
+        call()
 
 
 def test_rising_factorial_trivials():

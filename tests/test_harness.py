@@ -30,12 +30,13 @@ from supercong.harness import (
     verify_exact_case,
     verify_series_case,
 )
-from supercong.harness import eq10_series_spec, sum_lemma10, thm3_deformed_spec
+from supercong.harness import eq10_series_spec, thm3_deformed_spec
 from supercong.hypergeometric import (
     IDENTITIES,
     PoleError,
     eval_hyp_sum,
     eval_hyp_sum_series,
+    hyp_sum,
     identity_sides,
     sample_identity_params,
 )
@@ -527,12 +528,28 @@ def test_deformed_specs_specialize_to_exact_evaluations():
     # pinning the deformation variable to p turns the deformed sums into the
     # exactly evaluable ones: the alternating cube deformation becomes the
     # signed prime, and the (6k+1) deformation becomes the shifted-parameter
-    # sum of the exact lemma cases
+    # sum of the exact lemma cases, whose parameters are written out here
     for p in (5, 7, 11, 13):
         sign = -1 if ((p - 1) // 2) % 2 else 1
         assert eval_hyp_sum(specialize(eq10_series_spec(p), p)) == sign * p
-        assert specialize(thm3_deformed_spec(p), p) == sum_lemma10(p)
+        for z in (F(1, 4), F(-1, 8)):
+            lemma = hyp_sum(
+                [HALF, HALF - F(p, 2), HALF + F(p, 2)],
+                [1 + F(p, 4), 1 - F(p, 4)],
+                z=z,
+                K=(p - 1) // 2,
+                weight=(6, 1),
+            )
+            pinned = hypergeometric.specialize(thm3_deformed_spec(p, z), p)
+            assert pinned == specialize(thm3_deformed_spec(p, z), p) == lemma
         assert eval_hyp_sum(specialize(thm3_deformed_spec(p), p)) == sign * p
+
+
+def test_six_f_five_compares_with_the_eq10_constant_term():
+    # the case reads EQ0's scalar sum, which is EQ10's deformation at x = 0
+    for p in (p for p in range(5, 98) if is_prime(p)):
+        rec = verify_series_case("SIX_F_FIVE_COEFFS", p)
+        assert rec.rhs == eval_hyp_sum_series(eq10_series_spec(p), 4).coeffs[0], p
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +656,13 @@ def test_run_suite_lets_programming_errors_propagate(monkeypatch, exc):
     monkeypatch.setitem(CASES, "EQ0", replace(CASES["EQ0"], compute=broken))
     with pytest.raises(exc):
         run_suite([5, 7], cases=["EQ0", "THM3"])
+
+
+def test_run_suite_lets_a_float_in_the_exact_layers_propagate(monkeypatch):
+    # a float side reaches padic_valuation, which refuses it as a bug
+    monkeypatch.setitem(CASES, "EQ0", replace(CASES["EQ0"], compute=lambda p, _param: (0.1, F(0))))
+    with pytest.raises(TypeError, match="float"):
+        run_suite([5], cases=["EQ0"])
 
 
 @pytest.mark.parametrize(

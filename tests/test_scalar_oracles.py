@@ -8,16 +8,8 @@ from fractions import Fraction as F
 import pytest
 
 from supercong.exact_core import is_prime
-from supercong.harness import (
-    sum_eq0,
-    sum_kilbourn,
-    sum_lemma10,
-    sum_sixth_power,
-    sum_thm1,
-    sum_thm3,
-    sum_thm4,
-)
-from supercong.hypergeometric import HypSum, PoleError, eval_hyp_sum, hyp_sum
+from supercong.harness import central_sum, thm3_deformed_spec
+from supercong.hypergeometric import HypSum, PoleError, eval_hyp_sum, hyp_sum, specialize
 from test_hypergeometric import brute_hyp_sum
 
 
@@ -125,18 +117,19 @@ def test_pole_detection_agrees_with_vanishing_lower_factors():
 
 @pytest.mark.parametrize("p", [p for p in range(5, 200) if is_prime(p)])
 def test_binary_splitting_matches_term_stepping_on_harness_sums(p):
+    m, m2 = (p - 1) // 2, (p * p - 1) // 2
     specs = {
-        "EQ0": sum_eq0(p),
-        "THM1": sum_thm1(p, 1),
-        "SIXTH_POWER": sum_sixth_power(p, 1),
-        "KILBOURN": sum_kilbourn(p),
-        "THM3": sum_thm3(p),
-        "THM4": sum_thm4(p),
-        "LEMMA10": sum_lemma10(p),
-        "LEMMA12": sum_lemma10(p, z=F(-1, 8)),
+        "EQ0": central_sum(3, m, -1, (4, 1)),
+        "THM1": central_sum(4, m, 1, (4, 1)),
+        "SIXTH_POWER": central_sum(6, m, 1, (4, 1)),
+        "KILBOURN": central_sum(4, m),
+        "THM3": central_sum(3, m, F(1, 4), (6, 1)),
+        "THM4": central_sum(3, m, F(-1, 8), (6, 1)),
+        "LEMMA10": specialize(thm3_deformed_spec(p), p),
+        "LEMMA12": specialize(thm3_deformed_spec(p, F(-1, 8)), p),
     }
     if p <= 13:
-        specs["THM1_R2"] = sum_thm1(p, 2)
-        specs["SIXTH_POWER_R2"] = sum_sixth_power(p, 2)
+        specs["THM1_R2"] = central_sum(4, m2, 1, (4, 1))
+        specs["SIXTH_POWER_R2"] = central_sum(6, m2, 1, (4, 1))
     for name, spec in specs.items():
         assert eval_hyp_sum(spec) == slow_eval_hyp_sum(spec), name

@@ -5,6 +5,7 @@ series over an inverted denominator, which costs O(K^2) but shares no
 recurrence with the code under test."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from math import factorial
 
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supercong import hypergeometric
 from supercong.exact_core import is_prime, rising_factorial
-from supercong.harness import SERIES_ORDER, _lem_thm1_ratio
+from supercong.harness import SERIES_ORDER, _lem_thm1_ratio, thm3_deformed_spec, thmkey_series_spec
 from supercong.hypergeometric import (
     HypSum,
     PoleError,
@@ -32,6 +34,7 @@ from oracles import (
     ps_invert,
     ps_mul,
     ps_scale,
+    q0_power_split_series,
     series_case_specs,
     stepping_eval_hyp_sum_series,
 )
@@ -117,6 +120,7 @@ def test_series_recurrence_matches_pochhammer_oracle_on_random_specs():
             poles += 1
             continue
         assert fast.order == order
+        assert all(type(c) is F for c in fast.coeffs), spec
         deformed_lower += any(l.slope != 0 for l in spec.lower)
         upper_zeros += any(
             u.base.denominator == 1 and -spec.truncation < u.base <= 0 for u in spec.upper
@@ -217,3 +221,52 @@ def test_lem_thm1_ratio_sums_the_stepped_terms():
     stepped = [lem_thm1_term_series(k) for k in range(m + 1)]
     total = tuple(sum((t.coeffs[d] for t in stepped), F(0)) for d in range(SERIES_ORDER + 1))
     assert _split_series(_lem_thm1_ratio, m, SERIES_ORDER, (F(0), F(1))) == total
+
+
+def _every_series_spec(p: int) -> dict[str, HypSum]:
+    """The series cases' specs, COMCONJ2's deformation and THMKEY's three."""
+    specs = {**series_case_specs(p), "COMCONJ2": thm3_deformed_spec(p, F(-1, 8))}
+    specs.update((f"THMKEY{s}", thmkey_series_spec(p, s)) for s in (1, 2, 3))
+    return specs
+
+
+def _check_series_division_against_q0_powers(p, monkeypatch):
+    for tag, spec in _every_series_spec(p).items():
+        divided = eval_hyp_sum_series(spec, SERIES_ORDER)
+        with monkeypatch.context() as patch:
+            patch.setattr(hypergeometric, "_split_series", q0_power_split_series)
+            assert eval_hyp_sum_series(spec, SERIES_ORDER) == divided, tag
+    # the ratio is even in x, so Q_1 = 0: an int accumulator over an int would be a float
+    args = (_lem_thm1_ratio, (p - 1) // 2, SERIES_ORDER, (F(0), F(1)))
+    divided = _split_series(*args)
+    assert all(type(c) is F for c in divided)
+    assert divided == q0_power_split_series(*args)
+
+
+def test_series_division_matches_the_q0_power_last_step_on_random_specs(monkeypatch):
+    # rational weights: the division carries the weight's denominator wden
+    rng = random.Random(20091202)
+    compared = 0
+    for _ in range(300):
+        weight = tuple(F(rng.randint(-6, 6), rng.randint(2, 6)) for _ in range(2))
+        spec = replace(_random_spec(rng), weight=weight)
+        order = rng.randint(0, 6)
+        divided = _outcome(eval_hyp_sum_series, spec, order)
+        with monkeypatch.context() as patch:
+            patch.setattr(hypergeometric, "_split_series", q0_power_split_series)
+            assert _outcome(eval_hyp_sum_series, spec, order) == divided, spec
+        assert _outcome(stepping_eval_hyp_sum_series, spec, order) == divided, spec
+        compared += divided is not PoleError and order > 0 and any(l.slope for l in spec.lower)
+    assert compared >= 50
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 200) if is_prime(p)])
+def test_series_division_matches_the_q0_power_last_step(p, monkeypatch):
+    _check_series_division_against_q0_powers(p, monkeypatch)
+
+
+@pytest.mark.slow
+def test_series_division_matches_the_q0_power_last_step_to_997(monkeypatch):
+    for p in range(211, 998):
+        if is_prime(p):
+            _check_series_division_against_q0_powers(p, monkeypatch)
