@@ -27,8 +27,9 @@ from typing import Union
 # Trial division by divisors up to 10**6 certifies primality below this bound.
 _PRIMALITY_CERTIFIED_BOUND = 10**12
 
-# Digits of p that a Residue keeps: unit parts live mod p**_RESIDUE_DIGITS.
-# Read when a residue is made from a rational (Residue.of).
+# Digits of p that a residue search keeps: unit parts live mod
+# p**_RESIDUE_DIGITS.  Read at call time, when a residue is made from a
+# rational (Residue.of) and when H2_REFLECT steps H2(j) (harness).
 _RESIDUE_DIGITS = 8
 
 

@@ -30,8 +30,9 @@ Congruence cases (pass iff the achieved valuation meets the bound):
 where a_n is the eta-product coefficient (modular_form module) and
 e(p) = (-1)^((p^2-1)/8 + (p-1)/2).  Every sum of c_k^e above is one
 ``central_sum(e, K, z, weight)``.  A per-k family record keeps the first k
-of least valuation; BINOM_* find it on p-adic residues (exact_core.Residue)
-and build only that k's lhs and rhs as exact fractions.
+of least valuation.  BINOM_* find it on p-adic residues (exact_core.Residue)
+and H2_REFLECT on H2(j) stepped mod p^N; both build only that k's lhs and
+rhs as exact fractions.
 
 Exact cases (pass iff both sides agree exactly):
 
@@ -91,7 +92,8 @@ from functools import lru_cache, partial
 from math import comb, factorial
 from typing import Callable, Sequence
 
-from .exact_core import INFINITY, Residue, Valuation, check_prime, is_prime, padic_valuation, rising_factorial
+from . import exact_core
+from .exact_core import INFINITY, Residue, _split_power, check_prime, is_prime, padic_valuation, rising_factorial
 from .hypergeometric import (
     IDENTITIES,
     IDENTITY_DRAWS,
@@ -197,11 +199,6 @@ def report_entry(rec: VerificationRecord) -> dict:
         rec.conjectural,
     )
     return dict(zip(REPORT_KEYS, values))
-
-
-def _weakest(pairs, p) -> tuple[Fraction, Fraction, Valuation]:
-    """The first pair of a family with the least valuation of lhs - rhs, and that valuation."""
-    return min(((lhs, rhs, padic_valuation(lhs - rhs, p)) for lhs, rhs in pairs), key=lambda t: t[2])
 
 
 def _sign_half(n: int) -> int:
@@ -393,9 +390,13 @@ def _binom_prod(p, r):
     return _binom_family(p, r, lambda m: (-m, m + 1))
 
 
+def _h2(k: int) -> Fraction:
+    """H2(k) for k >= 1: term j of the spec is 1/(j+1)^2, so j <= k - 1 sums to H2(k)."""
+    return eval_hyp_sum(hyp_sum([1, 1, 1], [2, 2], 1, K=k - 1))
+
+
 def _h2_half(p, _param):
-    # term k is 1/(k+1)^2, so k <= m - 1 = (p-3)/2 sums to H2(m)
-    return eval_hyp_sum(hyp_sum([1, 1, 1], [2, 2], 1, K=(p - 3) // 2)), ZERO
+    return _h2((p - 1) // 2), ZERO
 
 
 def _oddh2_half(p, _param):
@@ -404,11 +405,33 @@ def _oddh2_half(p, _param):
 
 
 def _h2_reflect(p, _param):
-    h2 = [ZERO]  # H2(0..p-2)
+    """The first k <= (p-1)/2 of least v_p(H2(k) + H2(p-1-k)), with that pair and valuation.
+
+    k and p-1-k give the same sum, so these k meet every pair once.  For
+    j <= p-2 each 1/j^2 is a unit, so H2(j) is stepped mod p^N as num[j] /
+    den[j] with den[j] = (j!)^2, and a pair's valuation is that of
+    num[k] den[p-1-k] + num[p-1-k] den[k].  A pair that vanishes in all N
+    digits takes its valuation from its exact sum.  Only the weakest k is
+    then built exactly, and its valuation must match the search's; a
+    mismatch is a bug and raises AssertionError.
+    """
+    modulus = p**exact_core._RESIDUE_DIGITS
+    num, den = [0], [1]
     for j in range(1, p - 1):
-        h2.append(h2[-1] + Fraction(1, j * j))
-    # k and p-1-k give the same sum, so k <= (p-1)/2 meets every pair once
-    return _weakest([(h2[k] + h2[p - 1 - k], ZERO) for k in range(1, (p - 1) // 2 + 1)], p)
+        num.append((num[-1] * j * j + den[-1]) % modulus)
+        den.append(den[-1] * j * j % modulus)
+    weakest = None  # (valuation, k)
+    for k in range(1, (p - 1) // 2 + 1):
+        pair = (num[k] * den[p - 1 - k] + num[p - 1 - k] * den[k]) % modulus
+        v = _split_power(pair, p)[0] if pair else padic_valuation(_h2(k) + _h2(p - 1 - k), p)
+        if weakest is None or v < weakest[0]:
+            weakest = (v, k)
+    v, k = weakest
+    lhs = _h2(k) + _h2(p - 1 - k)
+    achieved = padic_valuation(lhs, p)
+    if achieved != v:
+        raise AssertionError(f"p={p} k={k}: residue valuation {v}, exact valuation {achieved}")
+    return lhs, ZERO, achieved
 
 
 def _thmkey(p, s):

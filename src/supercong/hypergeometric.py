@@ -12,15 +12,17 @@ are driven by the term ratio z/(k+1) * prod_i (upper_i + k) / prod_j
 (lower_j + k) and sum the terms by binary splitting (Haible & Papanikolaou,
 ANTS 1998): the ratios' numerators and denominators are multiplied up a
 balanced tree and exact divisions at the root end the sum, so no gcd is
-taken per term.  Scalar evaluation specializes x = 0 and splits over the
-integers.  Series evaluation splits over Z[x]/(x^(order+1)): each factor
-becomes an integer polynomial, linear for a deformed parameter, and the sum
-is the quotient of the root's two polynomials, taken by series division on
-reduced fractions.  ``specialize`` pins x to a value instead, which turns a
-deformed sum into a scalar one.  The explicit k! matches the usual (r+1)F(r)
-normalization, and the affine weight is kept separate from the parameter
-lists because a weight encoded as a parameter pair would not survive
-deformation of those parameters.
+taken per term; a merge reads only its left child's product of numerators,
+so none is formed at the root or down its right spine.  Scalar evaluation
+specializes x = 0 and splits over the integers.  Series evaluation splits
+over Z[x]/(x^(order+1)): each factor becomes an integer polynomial, linear
+for a deformed parameter, and the sum is the quotient of the root's two
+polynomials, taken by series division on reduced fractions.
+``specialize`` pins x to a value instead, which turns a deformed sum into a
+scalar one.  The explicit k! matches the usual (r+1)F(r) normalization, and
+the affine weight is kept separate from the parameter lists because a weight
+encoded as a parameter pair would not survive deformation of those
+parameters.
 
 The module also evaluates Gamma-function ratios whose arguments pair up to
 integer shifts (reducing each pair by the recurrence G(x+1) = x*G(x)).  The
@@ -87,6 +89,8 @@ class HypSum:
     weight: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1))
 
     def __post_init__(self):
+        if not isinstance(self.truncation, int) or isinstance(self.truncation, bool):
+            raise TypeError(f"the truncation index K must be an int, got {self.truncation!r}")
         if self.truncation < 0:
             raise ValueError("truncation index must be nonnegative")
         w1, w0 = self.weight
@@ -149,8 +153,9 @@ def eval_hyp_sum(s: HypSum) -> Fraction:
     products of p and q, and T with T/Q = sum_k (a1 k + a0) p(a)...p(k) /
     (q(a)...q(k)), where (a1, a0) is the weight times its common denominator.
     Q has the size of the last term's unreduced denominator, O(K log K)
-    bits, and the sum is T / (Q * wden), reduced by a single gcd.  Once the
-    pole check passes, q(k) != 0 for every k <= K.
+    bits, and the sum is T / (Q * wden), reduced by a single gcd.  A merge
+    reads only its left child's P, so P is never formed at the root or down
+    its right spine.  Once the pole check passes, q(k) != 0 for every k <= K.
     """
     _check_lower_poles(s)
     uppers = [(u.base.numerator, u.base.denominator) for u in s.upper]
@@ -163,7 +168,7 @@ def eval_hyp_sum(s: HypSum) -> Fraction:
         q_scale *= d
     a1, a0, wden = _integer_weight(s.weight)
 
-    def split(a: int, b: int) -> tuple[int, int, int]:
+    def split(a: int, b: int, need_p: bool) -> tuple[int | None, int, int]:
         if b - a == 1:
             if a == 0:
                 return 1, 1, a0
@@ -174,11 +179,11 @@ def eval_hyp_sum(s: HypSum) -> Fraction:
                 q *= n + j * d
             return p, q, (a1 * a + a0) * p
         mid = (a + b) // 2
-        p1, q1, t1 = split(a, mid)
-        p2, q2, t2 = split(mid, b)
-        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+        p1, q1, t1 = split(a, mid, True)
+        p2, q2, t2 = split(mid, b, need_p)
+        return p1 * p2 if need_p else None, q1 * q2, t1 * q2 + p1 * t2
 
-    _p, q, t = split(0, s.truncation + 1)
+    _p, q, t = split(0, s.truncation + 1, False)
     return Fraction(t, q * wden)
 
 
@@ -191,7 +196,9 @@ def _split_series(ratio, truncation: int, order: int, weight) -> tuple[Fraction,
     returns the truncated products P and Q of p and q, and T with T/Q =
     sum_k (a1 k + a0) p(a)...p(k) / (q(a)...q(k)), where (a1, a0) is the
     weight times its common denominator wden; a merge is (P1 P2, Q1 Q2,
-    T1 Q2 + P1 T2).  The sum S = T / (Q * wden) is one series division:
+    T1 Q2 + P1 T2), with P1 P2 formed only where a merge reads it, so never
+    at the root or down its right spine.  The sum S = T / (Q * wden) is one
+    series division:
     S_d = (T_d - sum_{i=1..d} Q_i wden S_{d-i}) / (Q_0 wden).
     """
     n = order + 1
@@ -205,7 +212,7 @@ def _split_series(ratio, truncation: int, order: int, weight) -> tuple[Fraction,
                     out[i + j] += ai * b[j]
         return out
 
-    def split(a: int, b: int):
+    def split(a: int, b: int, need_p: bool):
         if b - a == 1:
             if a == 0:
                 unit = [1] + [0] * order
@@ -214,17 +221,17 @@ def _split_series(ratio, truncation: int, order: int, weight) -> tuple[Fraction,
             w = a1 * a + a0
             return p, q, [w * c for c in p]
         mid = (a + b) // 2
-        p1, q1, t1 = split(a, mid)
-        p2, q2, t2 = split(mid, b)
+        p1, q1, t1 = split(a, mid, True)
+        p2, q2, t2 = split(mid, b, need_p)
         t = [0] * n
         for i in range(n):
             ti, pi = t1[i], p1[i]
             if ti or pi:
                 for j in range(n - i):
                     t[i + j] += ti * q2[j] + pi * t2[j]
-        return mul(p1, p2), mul(q1, q2), t
+        return mul(p1, p2) if need_p else None, mul(q1, q2), t
 
-    _p, q, t = split(0, truncation + 1)
+    _p, q, t = split(0, truncation + 1, False)
     lead = q[0] * wden
     out = []
     for d in range(n):

@@ -4,12 +4,14 @@ helpers that only the tests use.
 The harness reads its harmonic-weighted sums (THMKEY, COMCONJ2 and
 LEM_THM1_B2K's expected side) off the x^2 coefficients of deformed sums; the
 tests check them against the term-by-term sums here, built from the direct
-definitions of c_k, H2(k) and OH2(k).  The BINOM_* records are checked
-against the exact loop that valuates every k's pair as a ``Fraction``, where
-the harness searches on p-adic residues.  Rising factorials are multiplied
-out one factor at a time, where the package takes one integer product, and
-COMIDEN0's sum is summed term by term, where the harness evaluates it as a
-3F2 by binary splitting.  The series helpers rebuild what the
+definitions of c_k, H2(k) and OH2(k).  The BINOM_* and H2_REFLECT records
+are checked against the exact loops that valuate every k's pair as a
+``Fraction``, where the harness searches on p-adic residues.  The r = 1
+congruence sums are also summed term by term in Z/p^N, with no ``Fraction``
+and no binary splitting, to check their achieved valuations capped at N.
+Rising factorials are multiplied out one factor at a time, where the package
+takes one integer product, and COMIDEN0's sum is summed term by term, where
+the harness evaluates it as a 3F2 by binary splitting.  The series helpers rebuild what the
 package computes by binary splitting: term by term, by stepping each term by
 its ratio, or from Pochhammer products over an inverted denominator; and
 the split's earlier last step, which cleared the root's denominator by
@@ -40,7 +42,7 @@ from supercong.hypergeometric import (
     _integer_weight,
     identity_sides,
 )
-from supercong.modular_form import _poly_mul_trunc
+from supercong.modular_form import _poly_mul_trunc, prime_power_coefficient
 from supercong.power_series import TruncSeries
 
 
@@ -123,6 +125,66 @@ def weakest_binom_pair(tag: str, p: int, r: int) -> tuple[Fraction, Fraction, ob
         if weakest is None or v < weakest[2]:
             weakest = (lhs, rhs, v)
     return weakest
+
+
+def weakest_h2_reflect_pair(p: int) -> tuple[Fraction, Fraction, object]:
+    """(lhs, rhs, v_p(lhs - rhs)) of H2_REFLECT's first k <= (p-1)/2 of least valuation.
+
+    Every partial sum H2(j), j <= p-2, and every pair H2(k) + H2(p-1-k) is a
+    ``Fraction``, each pair valuated exactly: quadratic bit work in all; the
+    harness finds the same k on H2(j) stepped mod p^N.
+    """
+    h2 = [Fraction(0)]
+    for j in range(1, p - 1):
+        h2.append(h2[-1] + Fraction(1, j * j))
+    pairs = [(h2[k] + h2[p - 1 - k], Fraction(0)) for k in range(1, (p - 1) // 2 + 1)]
+    return min(((lhs, rhs, padic_valuation(lhs - rhs, p)) for lhs, rhs in pairs), key=lambda t: t[2])
+
+
+def residue_case_gap(tag: str, p: int, param: int, digits: int) -> int:
+    """(lhs - rhs) mod p^digits of an r = 1 congruence case, summed term by term in Z/p^digits.
+
+    Every term with k <= (p-1)/2 of these sums is p-integral: c_k =
+    C(2k, k)/4^k and the harmonic sums H2(2k), H2(k) and OH2(k) have only
+    denominators below p.  So each term is stepped as a residue, with an
+    inverse mod p^digits per step; ``param`` is THMKEY's s and ignored
+    elsewhere, and a_p is read from the eta expansion.
+    """
+    modulus = p**digits
+
+    def unit(n: int, d: int = 1) -> int:
+        return n * pow(d, -1, modulus) % modulus
+
+    m = (p - 1) // 2
+    sign_half = -1 if m % 2 else 1
+    sign_eight = -1 if ((p * p - 1) // 8 + m) % 2 else 1
+    a_p = prime_power_coefficient(p, 1) if tag in ("THM2", "KILBOURN") else 0
+    # tag -> (power e of c_k, z, weight (w1, w0), rhs); THMKEY's and COMCONJ2's
+    # terms also carry a harmonic factor
+    e, z, (w1, w0), rhs = {
+        "EQ0": (3, -1, (4, 1), sign_half * p),
+        "THM1": (4, 1, (4, 1), p),
+        "THM2": (6, 1, (4, 1), p * a_p),
+        "KILBOURN": (4, 1, (0, 1), a_p),
+        "THM3": (3, unit(1, 4), (6, 1), sign_half * p),
+        "THM4": (3, unit(-1, 8), (6, 1), sign_eight * p),
+        "THM4_STRONG": (3, unit(-1, 8), (6, 1), sign_eight * p),
+        "COMCONJ2": (3, unit(-1, 8), (6, 1), 0),
+        "THMKEY": (2 * param, 1, (0, 1), 0),
+    }[tag]
+    c = zk = 1  # c_k and z^k
+    h2 = oh2 = h2_even = 0  # H2(k), OH2(k) and H2(2k)
+    total = 0
+    for k in range(m + 1):
+        if k:
+            c = c * unit(2 * k - 1, 2 * k) % modulus
+            zk = zk * z % modulus
+            h2 = (h2 + unit(1, k * k)) % modulus
+            oh2 = (oh2 + unit(1, (2 * k - 1) ** 2)) % modulus
+            h2_even = (h2_even + unit(1, (2 * k - 1) ** 2) + unit(1, (2 * k) ** 2)) % modulus
+        harmonic = {"THMKEY": h2_even, "COMCONJ2": oh2 - unit(h2, 16)}.get(tag, 1)
+        total += (w1 * k + w0) * pow(c, e, modulus) * zk * harmonic
+    return (total - rhs) % modulus
 
 
 def congruent_mod_power(a, b, p: int, n: int) -> bool:

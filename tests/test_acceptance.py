@@ -12,12 +12,15 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 from math import factorial
 
+import pytest
+
 from supercong.cli import main
 from supercong.exact_core import (
     is_prime,
     padic_valuation,
 )
 from supercong.harness import (
+    CASE_ORDER,
     verify_congruence_case,
     verify_exact_case,
     verify_series_case,
@@ -211,4 +214,39 @@ def test_exact_case_report_over_the_sweep_window_is_pinned(tmp_path):
     assert len(data) == 196552
     assert hashlib.sha256(data).hexdigest() == (
         "c2e5accda0f8e64357c42a246573a86377760c357329836ccb6c275625db8d35"
+    )
+
+
+def test_harmonic_case_report_over_the_sweep_window_is_pinned(tmp_path):
+    # H2_REFLECT searches on residues and THMKEY and COMCONJ2 read x^2
+    # coefficients of series splits; their records over the primes 5..499.
+    out = tmp_path / "harmonic.json"
+    code = main([
+        "verify", "--cases", "H2_REFLECT,THMKEY,COMCONJ2",
+        "--pmin", "5", "--pmax", "499", "--r", "1", "--format", "json", "--out", str(out),
+    ])
+    assert code == 0
+    data = out.read_bytes()
+    assert len(data) == 398547
+    assert hashlib.sha256(data).hexdigest() == (
+        "93dc211a36f2eb7c235f333a1227595d13b18407b4f17e0015e8cb56910fd0dc"
+    )
+
+
+@pytest.mark.slow
+def test_scalar_sweep_report_is_pinned(tmp_path):
+    # Every case but the four x-deformation sums over the primes 5..499 at
+    # r = 1, the benchmark's seed-0 scalar sweep.
+    out = tmp_path / "sweep.json"
+    deformations = {"EQ10_A2", "SIX_F_FIVE_COEFFS", "LEM_THM1_B2K", "THM3_QUOTIENT_X2"}
+    tags = [tag for tag in CASE_ORDER if tag not in deformations]
+    code = main([
+        "verify", "--cases", ",".join(tags),
+        "--pmin", "5", "--pmax", "499", "--r", "1", "--format", "json", "--out", str(out),
+    ])
+    assert code == 0
+    data = out.read_bytes()
+    assert len(data) == 1414353
+    assert hashlib.sha256(data).hexdigest() == (
+        "bec698403f72e0d0eadecedb429f27904e8167b1824fdeae836d31c8386c370f"
     )

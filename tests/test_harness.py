@@ -52,6 +52,7 @@ from oracles import (
     specialize,
     stepwise_rising_factorial,
     weakest_binom_pair,
+    weakest_h2_reflect_pair,
 )
 
 HALF = F(1, 2)
@@ -227,6 +228,33 @@ def test_binomial_records_match_closed_forms_above_the_r2_caps():
         for tag in BINOM_TAGS:
             rec = verify_congruence_case(tag, p, 2)
             assert (rec.lhs, rec.rhs, rec.achieved) == weakest_binom_pair(tag, p, 2), (tag, p)
+
+
+def test_h2_reflect_records_with_every_k_resolved_exactly(monkeypatch):
+    # H2(k) + H2(p-1-k) = 0 mod p at every k, so with one digit every pair
+    # vanishes on residues and takes its valuation from its exact sum.
+    monkeypatch.setattr(exact_core, "_RESIDUE_DIGITS", 1)
+    resolved = []
+
+    def counting_valuation(x, p):
+        resolved.append(p)
+        return padic_valuation(x, p)
+
+    monkeypatch.setattr(harness, "padic_valuation", counting_valuation)
+    primes = _primes(5, 97)
+    for p in primes:
+        rec = verify_congruence_case("H2_REFLECT", p)
+        assert (rec.lhs, rec.rhs, rec.achieved) == weakest_h2_reflect_pair(p), p
+    # one exact valuation per k <= (p-1)/2, and one for the weakest k's record
+    assert len(resolved) == sum((p - 1) // 2 + 1 for p in primes)
+
+
+def test_h2_reflect_residue_mismatch_is_a_bug(monkeypatch):
+    # An exact pair that contradicts the residue search raises AssertionError,
+    # which run_suite does not turn into a record.
+    monkeypatch.setattr(harness, "_h2", lambda k: F(1))
+    with pytest.raises(AssertionError, match="residue valuation 1, exact valuation 0"):
+        run_suite([5], cases=["H2_REFLECT"])
 
 
 def test_harmonic_case_records():

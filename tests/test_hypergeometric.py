@@ -115,6 +115,17 @@ def test_series_pole_errors():
         eval_hyp_sum_series(vanishing, 2)
 
 
+@pytest.mark.parametrize("K", [2.0, True, "2", F(2)])
+def test_truncation_must_be_an_int(K):
+    with pytest.raises(TypeError, match="truncation index K must be an int"):
+        hyp_sum([1], [1], 1, K=K)
+
+
+def test_negative_truncation_is_a_value_error():
+    with pytest.raises(ValueError, match="nonnegative"):
+        hyp_sum([1], [1], 1, K=-1)
+
+
 def test_param_coercion():
     assert param(3) == AffineParam(F(3))
     assert param((1, HALF)) == AffineParam(F(1), HALF)

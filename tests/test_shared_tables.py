@@ -2,7 +2,8 @@
 
 The eta expansion is shared by every prime and case of a process, so a result
 must not depend on the order in which it grew or on what earlier callers did.
-The half-range harmonic cases are checked against the direct sums.
+The half-range harmonic cases are checked against the direct sums, and
+H2_REFLECT against the exact loop over every pair.
 """
 
 import random
@@ -10,7 +11,7 @@ import random
 import pytest
 
 from supercong import modular_form
-from supercong.exact_core import is_prime, padic_valuation
+from supercong.exact_core import is_prime
 from supercong.harness import run_suite, verify_congruence_case
 from supercong.modular_form import (
     EXPANSION_CEILING,
@@ -22,22 +23,32 @@ from supercong.modular_form import (
     widest_expansion,
 )
 
-from oracles import harmonic2, odd_harmonic2
+from oracles import harmonic2, odd_harmonic2, weakest_h2_reflect_pair
 
 ODD_PRIMES = [p for p in range(3, 500) if is_prime(p)]
 
 
 def test_half_range_harmonic_records_match_the_direct_sums():
-    h2 = [harmonic2(k) for k in range(ODD_PRIMES[-1] - 1)]
+    h2 = [harmonic2(k) for k in range((ODD_PRIMES[-1] - 1) // 2 + 1)]
     for p in ODD_PRIMES[1:]:  # the cases start at p = 5
         m = (p - 1) // 2
         assert verify_congruence_case("ODDH2_HALF", p).lhs == odd_harmonic2(m)
         assert verify_congruence_case("H2_HALF", p).lhs == h2[m]
-        # H2_REFLECT keeps the first k of least valuation of H2(k) + H2(p-1-k)
-        sums = [h2[k] + h2[p - 1 - k] for k in range(1, p - 1)]
-        weakest = min(sums, key=lambda x: padic_valuation(x, p))
+
+
+def _assert_h2_reflect_matches_the_exact_loop(primes):
+    for p in primes:
         rec = verify_congruence_case("H2_REFLECT", p)
-        assert (rec.lhs, rec.achieved) == (weakest, padic_valuation(weakest, p)), p
+        assert (rec.lhs, rec.rhs, rec.achieved) == weakest_h2_reflect_pair(p), p
+
+
+def test_h2_reflect_records_match_the_exact_loop():
+    _assert_h2_reflect_matches_the_exact_loop(ODD_PRIMES[1:])
+
+
+@pytest.mark.slow
+def test_h2_reflect_records_match_the_exact_loop_up_to_997():
+    _assert_h2_reflect_matches_the_exact_loop([p for p in range(503, 998) if is_prime(p)])
 
 
 @pytest.fixture(scope="module")
