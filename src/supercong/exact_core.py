@@ -82,6 +82,8 @@ def _exact(x) -> Fraction:
 def rising_factorial(a, k: int) -> Fraction:
     """(a)_k = a(a+1)...(a+k-1), 1 for k = 0 and 0 if a factor is 0; with a = n/d
     it is the integer product n(n+d)...(n+(k-1)d) over d^k, normalised by one gcd."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise TypeError(f"the rising factorial's k must be an int, got {k!r}")
     if k < 0:
         raise ValueError("rising factorial needs k >= 0")
     n, d = _exact(a).as_integer_ratio()

@@ -29,7 +29,9 @@ Congruence cases (pass iff the achieved valuation meets the bound):
 
 where a_n is the eta-product coefficient (modular_form module) and
 e(p) = (-1)^((p^2-1)/8 + (p-1)/2).  Every sum of c_k^e above is one
-``central_sum(e, K, z, weight)``.  A per-k family record keeps the first k
+``central_sum(e, K, z, weight)``, read through ``_central`` as a prefix of
+one running split per (e, z, weight) that all primes and cases of a process
+share (hypergeometric.PrefixSums).  A per-k family record keeps the first k
 of least valuation.  BINOM_* find it on p-adic residues (exact_core.Residue)
 and H2_REFLECT on H2(j) stepped mod p^N; both build only that k's lhs and
 rhs as exact fractions.
@@ -99,6 +101,7 @@ from .hypergeometric import (
     IDENTITY_DRAWS,
     HypSum,
     PoleError,
+    PrefixSums,
     _split_series,
     eval_hyp_sum,
     eval_hyp_sum_series,
@@ -221,6 +224,18 @@ def central_sum(e: int, K: int, z=1, weight=(0, 1)) -> HypSum:
     return hyp_sum([HALF] * e, [1] * (e - 1), z=z, K=K, weight=weight)
 
 
+@lru_cache(maxsize=None)
+def _central_family(e: int, z, weight: tuple) -> PrefixSums:
+    # One running split per (e, z, weight), shared by every prime and case of
+    # a process; keyed on the small tuple, like _thmkey_x2, not on a HypSum.
+    return PrefixSums(central_sum(e, 0, z, weight))
+
+
+def _central(e: int, K: int, z=1, weight=(0, 1)) -> Fraction:
+    """The value of central_sum(e, K, z, weight), read off its family's running split."""
+    return _central_family(e, z, weight).at(K)
+
+
 def eq10_series_spec(p: int) -> HypSum:
     """Deformed alternating (4k+1) sum; at x = 0 it is EQ0's sum, at x = p it is (-1)^m p exactly."""
     return hyp_sum(
@@ -289,11 +304,11 @@ def _thmkey_x2(p: int, s: int) -> Fraction:
 
 
 def _eq0(p, _param):
-    return eval_hyp_sum(central_sum(3, (p - 1) // 2, -1, (4, 1))), Fraction(_sign_half(p) * p)
+    return _central(3, (p - 1) // 2, -1, (4, 1)), Fraction(_sign_half(p) * p)
 
 
 def _thm1(p, r):
-    return eval_hyp_sum(central_sum(4, (p**r - 1) // 2, 1, (4, 1))), Fraction(p**r)
+    return _central(4, (p**r - 1) // 2, 1, (4, 1)), Fraction(p**r)
 
 
 # THM2, KILBOURN and CONJ1 read a_{p^r} before the sum, so that an index
@@ -302,26 +317,27 @@ def _thm1(p, r):
 
 def _thm2(p, _param):
     rhs = Fraction(p * prime_power_coefficient(p, 1))
-    return eval_hyp_sum(central_sum(6, (p - 1) // 2, 1, (4, 1))), rhs
+    return _central(6, (p - 1) // 2, 1, (4, 1)), rhs
 
 
 def _kilbourn(p, _param):
     rhs = Fraction(prime_power_coefficient(p, 1))
-    return eval_hyp_sum(central_sum(4, (p - 1) // 2)), rhs
+    return _central(4, (p - 1) // 2), rhs
 
 
 def _conj1(p, r):
     rhs = Fraction(p**r * prime_power_coefficient(p, r))
-    return eval_hyp_sum(central_sum(6, (p**r - 1) // 2, 1, (4, 1))), rhs
+    # at r = 1 this is THM2's sum, read from the same family
+    return _central(6, (p**r - 1) // 2, 1, (4, 1)), rhs
 
 
 def _thm3(p, _param):
-    return eval_hyp_sum(central_sum(3, (p - 1) // 2, QUARTER, (6, 1))), Fraction(_sign_half(p) * p)
+    return _central(3, (p - 1) // 2, QUARTER, (6, 1)), Fraction(_sign_half(p) * p)
 
 
 def _thm4(p, _param):
     # THM4 and THM4_STRONG: the same sum and target under different bounds
-    return eval_hyp_sum(central_sum(3, (p - 1) // 2, Fraction(-1, 8), (6, 1))), Fraction(_sign_eight(p) * p)
+    return _central(3, (p - 1) // 2, Fraction(-1, 8), (6, 1)), Fraction(_sign_eight(p) * p)
 
 
 def _comconj2(p, _param):

@@ -14,7 +14,9 @@ ANTS 1998): the ratios' numerators and denominators are multiplied up a
 balanced tree and exact divisions at the root end the sum, so no gcd is
 taken per term; a merge reads only its left child's product of numerators,
 so none is formed at the root or down its right spine.  Scalar evaluation
-specializes x = 0 and splits over the integers.  Series evaluation splits
+specializes x = 0 and splits over the integers; ``PrefixSums`` keeps that
+split's state, so the sums of one spec at growing truncations K extend one
+running split instead of each starting from k = 0.  Series evaluation splits
 over Z[x]/(x^(order+1)): each factor becomes an integer polynomial, linear
 for a deformed parameter, and the sum is the quotient of the root's two
 polynomials, taken by series division on reduced fractions.
@@ -140,8 +142,8 @@ def _integer_weight(weight) -> tuple[int, int, int]:
     return w1.numerator * (wden // w1.denominator), w0.numerator * (wden // w0.denominator), wden
 
 
-def eval_hyp_sum(s: HypSum) -> Fraction:
-    """Exact value of the weighted truncated sum at x = 0, by binary splitting.
+def _integer_terms(s: HypSum) -> tuple[tuple, int]:
+    """(terms, wden): the integer data of the term ratio at x = 0 that ``_split`` reads.
 
     With every base written as n/d, the term ratio t_k / t_{k-1} is
     p(k) / q(k) for the integers
@@ -149,15 +151,10 @@ def eval_hyp_sum(s: HypSum) -> Fraction:
         p(k) = z.num * prod d_lower * prod (n_u + (k-1) d_u),
         q(k) = z.den * prod d_upper * k * prod (n_l + (k-1) d_l),
 
-    and p(0) = q(0) = 1.  Over a range [a, b) the split returns P and Q, the
-    products of p and q, and T with T/Q = sum_k (a1 k + a0) p(a)...p(k) /
-    (q(a)...q(k)), where (a1, a0) is the weight times its common denominator.
-    Q has the size of the last term's unreduced denominator, O(K log K)
-    bits, and the sum is T / (Q * wden), reduced by a single gcd.  A merge
-    reads only its left child's P, so P is never formed at the root or down
-    its right spine.  Once the pole check passes, q(k) != 0 for every k <= K.
+    and p(0) = q(0) = 1.  ``terms`` holds the (n, d) pairs of the upper and
+    lower parameters, the two scales and the weight (a1, a0), which is the
+    weight times its common denominator wden.
     """
-    _check_lower_poles(s)
     uppers = [(u.base.numerator, u.base.denominator) for u in s.upper]
     lowers = [(l.base.numerator, l.base.denominator) for l in s.lower]
     p_scale = s.argument.numerator
@@ -167,24 +164,87 @@ def eval_hyp_sum(s: HypSum) -> Fraction:
     for _n, d in uppers:
         q_scale *= d
     a1, a0, wden = _integer_weight(s.weight)
+    return (uppers, lowers, p_scale, q_scale, a1, a0), wden
 
-    def split(a: int, b: int, need_p: bool) -> tuple[int | None, int, int]:
-        if b - a == 1:
-            if a == 0:
-                return 1, 1, a0
-            p, q, j = p_scale, q_scale * a, a - 1
-            for n, d in uppers:
-                p *= n + j * d
-            for n, d in lowers:
-                q *= n + j * d
-            return p, q, (a1 * a + a0) * p
-        mid = (a + b) // 2
-        p1, q1, t1 = split(a, mid, True)
-        p2, q2, t2 = split(mid, b, need_p)
-        return p1 * p2 if need_p else None, q1 * q2, t1 * q2 + p1 * t2
 
-    _p, q, t = split(0, s.truncation + 1, False)
+def _split(terms: tuple, a: int, b: int, need_p: bool) -> tuple[int | None, int, int]:
+    """(P, Q, T) of the terms k in [a, b), by binary splitting over the integers.
+
+    P and Q are the products of p(k) and q(k) (see ``_integer_terms``), and
+    T/Q = sum_k (a1 k + a0) p(a)...p(k) / (q(a)...q(k)).  Two adjacent ranges
+    merge as (P1 P2, Q1 Q2, T1 Q2 + P1 T2), and the empty range is (1, 1, 0).
+    A merge reads only its left child's P, so P is formed only where
+    ``need_p`` asks for it: a left child needs it and a right child inherits
+    the flag.  Every q(k) in the range must be nonzero.
+    """
+    if b - a == 1:
+        uppers, lowers, p, q, a1, a0 = terms
+        if a == 0:
+            return 1, 1, a0
+        q *= a
+        j = a - 1
+        for n, d in uppers:
+            p *= n + j * d
+        for n, d in lowers:
+            q *= n + j * d
+        return p, q, (a1 * a + a0) * p
+    mid = (a + b) // 2
+    p1, q1, t1 = _split(terms, a, mid, True)
+    p2, q2, t2 = _split(terms, mid, b, need_p)
+    return p1 * p2 if need_p else None, q1 * q2, t1 * q2 + p1 * t2
+
+
+def eval_hyp_sum(s: HypSum) -> Fraction:
+    """Exact value of the weighted truncated sum at x = 0, by binary splitting.
+
+    The root ``_split`` of [0, K] forms no P.  Q has the size of the last
+    term's unreduced denominator, O(K log K) bits, and the sum is
+    T / (Q * wden), reduced by a single gcd.  Once the pole check passes,
+    q(k) != 0 for every k <= K.
+    """
+    _check_lower_poles(s)
+    terms, wden = _integer_terms(s)
+    _p, q, t = _split(terms, 0, s.truncation + 1, False)
     return Fraction(t, q * wden)
+
+
+class PrefixSums:
+    """The sums of one spec at many truncations K, as prefixes of one running split.
+
+    ``at(K)`` is ``eval_hyp_sum`` of the spec truncated at K.  The object
+    keeps the integer state (frontier, P, Q, T) of the terms k <= frontier.
+    A K above the frontier splits only the new terms [frontier + 1, K] and
+    merges them into the state by ``_split``'s own merge, so a sweep whose
+    truncations grow sums max K terms where one-shot sums would take the
+    sum of all K.  A K at or below the frontier is read from the values
+    already made, or else is one ``eval_hyp_sum``.  The pole check runs for
+    every K, as in the one-shot path.  The state is rebound as one tuple,
+    so a concurrent reader sees a whole state, old or new.
+    """
+
+    def __init__(self, spec: HypSum):
+        self._spec = spec
+        self._terms, self._wden = _integer_terms(spec)
+        self._state = (-1, 1, 1, 0)  # no terms yet: the empty range
+        self._values: dict[int, Fraction] = {}
+
+    def at(self, K: int) -> Fraction:
+        spec = replace(self._spec, truncation=K)
+        value = self._values.get(K)
+        if value is not None:
+            return value
+        _check_lower_poles(spec)
+        frontier, p1, q1, t1 = self._state
+        if K <= frontier:
+            value = eval_hyp_sum(spec)
+        else:
+            p2, q2, t2 = _split(self._terms, frontier + 1, K + 1, True)
+            q = q1 * q2
+            t = t1 * q2 + p1 * t2
+            self._state = (K, p1 * p2, q, t)
+            value = Fraction(t, q * self._wden)
+        self._values[K] = value
+        return value
 
 
 def _split_series(ratio, truncation: int, order: int, weight) -> tuple[Fraction, ...]:
@@ -312,8 +372,11 @@ def gamma_ratio_value(numerator_args, denominator_args) -> Fraction:
     fractional part.  They are grouped by fractional part; each group is
     sorted and paired in order, and each pair G(d + m)/G(d) telescopes to a
     rising factorial (or its reciprocal).  Validity does not depend on the
-    pairing choice.  Nonpositive-integer arguments are refused outright.
+    pairing choice.  Nonpositive-integer arguments are refused outright, and
+    a float with ``TypeError``.
     """
+    numerator_args = [_exact(x) for x in numerator_args]
+    denominator_args = [_exact(x) for x in denominator_args]
     for x in (*numerator_args, *denominator_args):
         if x.denominator == 1 and x <= 0:
             raise PoleError(f"Gamma argument {x} is a nonpositive integer")
@@ -488,15 +551,17 @@ def identity_sides(tag: str, params: Mapping) -> tuple[Fraction, Fraction]:
     """Evaluate both sides of identity ``tag`` exactly at a parameter record.
 
     The record must hold exactly the identity's free parameter names, each
-    an exact rational (a float is refused), plus a nonnegative integer ``n``.
+    an exact rational (a float or a bool is refused), plus a nonnegative
+    integer ``n``.
     """
     names, sides = IDENTITIES[tag]
     if set(params) != {*names, "n"}:
         got = ", ".join(map(str, params))
         raise ValueError(f"{tag} takes the parameters {', '.join(names)} and n, got {got}")
-    floats = [name for name in names if isinstance(params[name], float)]
-    if floats:
-        raise ValueError(f"{tag} takes exact rational parameters, got a float for {', '.join(floats)}")
+    for kind in (float, bool):
+        refused = [name for name in names if isinstance(params[name], kind)]
+        if refused:
+            raise ValueError(f"{tag} takes exact rational parameters, got a {kind.__name__} for {', '.join(refused)}")
     return sides(*(Fraction(params[name]) for name in names), _terminating_n(params["n"]))
 
 

@@ -15,7 +15,7 @@ from supercong.exact_core import (
     padic_valuation,
     rising_factorial,
 )
-from supercong.hypergeometric import hyp_sum, specialize
+from supercong.hypergeometric import gamma_ratio_value, hyp_sum, specialize
 from supercong.power_series import TruncSeries
 
 from oracles import central_half_ratio, congruent_mod_power, harmonic2, odd_harmonic2, stepwise_rising_factorial
@@ -36,10 +36,11 @@ NONZERO = st.integers(-(10**6), 10**6).filter(bool)
         lambda: hyp_sum([1], [1], z=1, K=2, weight=(0.5, 1)),
         lambda: specialize(hyp_sum([(1, 1)], [1], z=1, K=2), 0.5),
         lambda: TruncSeries((0.1, 2)),
+        lambda: gamma_ratio_value((1.5,), (0.5,)),
     ],
     ids=[
         "padic_valuation", "rising_factorial", "Residue.of", "hyp_sum-parameter", "hyp_sum-argument",
-        "hyp_sum-weight", "specialize", "TruncSeries",
+        "hyp_sum-weight", "specialize", "TruncSeries", "gamma_ratio_value",
     ],
 )
 def test_exact_entry_points_refuse_floats(call):
@@ -58,6 +59,13 @@ def test_rising_factorial_trivials():
 def test_rising_factorial_rejects_negative_k():
     with pytest.raises(ValueError):
         rising_factorial(F(1, 2), -1)
+
+
+@pytest.mark.parametrize("k", [True, 2.0, F(2), "2"], ids=["bool", "float", "Fraction", "str"])
+def test_rising_factorial_k_must_be_an_int(k):
+    # True ran as k = 1, and 2.0 died inside range() with a message that named no k
+    with pytest.raises(TypeError, match="rising factorial's k must be an int"):
+        rising_factorial(F(1, 2), k)
     for a in (0, -3, 7, F(-5, 4), F(11, 12)):
         for k in (-1, -2, -80):
             with pytest.raises(ValueError):

@@ -423,6 +423,56 @@ def test_thmkey2_x2_sum_is_evaluated_once_per_prime(monkeypatch):
     assert [specs.count(harness.thmkey_series_spec(p, 2)) for p in (7, 11)] == [1, 1]
 
 
+#: The cases whose sums are read off the central families' running splits.
+CENTRAL_TAGS = ["EQ0", "THM1", "THM2", "KILBOURN", "CONJ1", "THM3", "THM4", "THM4_STRONG", "SIX_F_FIVE_COEFFS"]
+
+
+def test_central_sum_records_do_not_depend_on_history(monkeypatch):
+    # the families are shared by every prime and case of a process, so a
+    # record must not show how far an earlier run pushed their frontiers
+    primes = range(5, 200)
+    harness._central_family.cache_clear()
+    fresh = run_suite(primes, rs=(1, 2), cases=CENTRAL_TAGS)
+    assert harness._central_family.cache_info().currsize == 6  # one family per (e, z, weight)
+    run_suite(range(5, 500), rs=(1, 2), cases=CENTRAL_TAGS[:-1])
+    pushed = run_suite(primes, rs=(1, 2), cases=CENTRAL_TAGS)
+    harness._central_family.cache_clear()
+    per_prime = [rec for p in reversed(primes) for rec in run_suite([p], rs=(1, 2), cases=CENTRAL_TAGS)]
+    descending = sorted(per_prime, key=lambda rec: (CASE_ORDER.index(rec.case), rec.p, rec.param))
+    # the one-shot sum of each truncation is the oracle
+    monkeypatch.setattr(
+        harness, "_central", lambda e, K, z=1, weight=(0, 1): eval_hyp_sum(harness.central_sum(e, K, z, weight))
+    )
+    one_shot = run_suite(primes, rs=(1, 2), cases=CENTRAL_TAGS)
+    assert any(rec.param == 2 for rec in fresh)
+    assert fresh == pushed == descending == one_shot
+
+
+def test_shared_central_sums_make_no_root_split_of_their_own(monkeypatch):
+    # THM4_STRONG reads THM4's sums, CONJ1 at r = 1 THM2's and
+    # SIX_F_FIVE_COEFFS EQ0's, so each pair splits as often as its first case
+    real, depth, roots = hypergeometric._split, [0], []
+
+    def counting(terms, a, b, need_p):
+        if not depth[0]:
+            roots.append((a, b))
+        depth[0] += 1
+        try:
+            return real(terms, a, b, need_p)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(hypergeometric, "_split", counting)
+    for first, second in [("THM4", "THM4_STRONG"), ("THM2", "CONJ1"), ("EQ0", "SIX_F_FIVE_COEFFS")]:
+        counts = []
+        for cases in ([first], [first, second]):
+            harness._central_family.cache_clear()
+            roots.clear()
+            run_suite([7, 11, 13], cases=cases)
+            counts.append(len(roots))
+        assert counts == [3, 3], (first, second)
+
+
 # ---------------------------------------------------------------------------
 # series cases, with sympy as the independent expansion oracle
 # ---------------------------------------------------------------------------

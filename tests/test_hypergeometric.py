@@ -199,8 +199,10 @@ def test_identity_requires_nonnegative_integer_n():
         ({"a": 0.1, "b": HALF, "n": 2}, "GOSPER_STRANGE takes exact rational parameters, got a float for a"),
         ({"a": HALF, "b": HALF, "n": 2.0}, "the terminating parameter n must be a nonnegative integer"),
         ({"a": HALF, "b": HALF, "n": True}, "the terminating parameter n must be a nonnegative integer"),
+        ({"a": True, "b": HALF, "n": 2}, "GOSPER_STRANGE takes exact rational parameters, got a bool for a"),
+        ({"a": HALF, "b": False, "n": 2}, "GOSPER_STRANGE takes exact rational parameters, got a bool for b"),
     ],
-    ids=["missing-name", "extra-name", "float", "float-n", "bool-n"],
+    ids=["missing-name", "extra-name", "float", "float-n", "bool-n", "bool", "bool-false"],
 )
 def test_identity_rejects_a_malformed_parameter_record(params, message):
     # a missing name once raised KeyError, an extra one was ignored and a
