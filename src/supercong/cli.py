@@ -4,7 +4,8 @@ Reports contain only exact strings and integers (fractions in lowest terms,
 valuations, EQUAL/UNEQUAL); no floating point appears anywhere.  The JSON
 form re-serializes byte-identically after a round trip, and the CSV columns
 are the keys of a JSON entry, in the same fixed order (harness.REPORT_KEYS),
-for diff-friendly CI artifacts.
+for diff-friendly CI artifacts.  ``main`` lifts CPython's limit on the
+digits of an int turned into a string, so a value of any size renders.
 
 Exit codes: 0 all non-conjectural cases pass (or nothing applicable),
 1 some non-conjectural case failed, 2 usage error (a --cases that names no
@@ -194,6 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # A report carries exact values as decimal strings, and one past CPython's
+    # 4300-digit limit on int-to-str conversion (THMKEY(3) from p = 1949) must
+    # still render.  Releases before 3.10.7 have no limit and no setter.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

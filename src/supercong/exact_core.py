@@ -3,7 +3,8 @@ p-adic valuations, and p-adic residues.
 
 Every scalar in this package is an exact :class:`fractions.Fraction`; nothing
 here (or anywhere downstream) touches floating point, and ``_exact`` refuses a
-float handed to any entry point with ``TypeError``.  ``Fraction`` already
+float or a bool handed to any entry point with ``TypeError``; it returns a
+``Fraction`` as it is, so the hot paths pay no rebuild.  ``Fraction`` already
 guarantees the normal form we rely on: positive denominator, gcd removed,
 zero stored as 0/1, so equality is structural and valuations are cheap.
 A Pochhammer product is one integer product over d^k, with a single gcd.
@@ -73,9 +74,13 @@ Valuation = Union[int, _Infinity]
 
 
 def _exact(x) -> Fraction:
-    """x as a Fraction; a float is refused, since it is a binary fraction, not the rational meant."""
-    if isinstance(x, float):
-        raise TypeError(f"exact arithmetic takes rationals, got the float {x!r}")
+    """x as a Fraction, and a Fraction as it is.  A float is refused, since it
+    is a binary fraction, not the rational meant, and so is a bool, which is
+    a truth value, not the integer 0 or 1."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"exact arithmetic takes rationals, got the {type(x).__name__} {x!r}")
     return Fraction(x)
 
 

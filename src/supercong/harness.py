@@ -31,10 +31,13 @@ where a_n is the eta-product coefficient (modular_form module) and
 e(p) = (-1)^((p^2-1)/8 + (p-1)/2).  Every sum of c_k^e above is one
 ``central_sum(e, K, z, weight)``, read through ``_central`` as a prefix of
 one running split per (e, z, weight) that all primes and cases of a process
-share (hypergeometric.PrefixSums).  A per-k family record keeps the first k
-of least valuation.  BINOM_* find it on p-adic residues (exact_core.Residue)
-and H2_REFLECT on H2(j) stepped mod p^N; both build only that k's lhs and
-rhs as exact fractions.
+share (hypergeometric.PrefixSums).  H2_HALF, ODDH2_HALF and H2_REFLECT read
+H2 and OH2 the same way, as running prefixes of the 3F2 sums whose term k is
+1/(k+1)^2 and 1/(2k+1)^2; ``_central_family`` holds one running split for
+each sum whose parameters do not depend on p.  A per-k family record keeps
+the first k of least valuation.  BINOM_* find it on p-adic residues
+(exact_core.Residue) and H2_REFLECT on H2(j) stepped mod p^N; both build
+only that k's lhs and rhs as exact fractions.
 
 Exact cases (pass iff both sides agree exactly):
 
@@ -225,15 +228,16 @@ def central_sum(e: int, K: int, z=1, weight=(0, 1)) -> HypSum:
 
 
 @lru_cache(maxsize=None)
-def _central_family(e: int, z, weight: tuple) -> PrefixSums:
-    # One running split per (e, z, weight), shared by every prime and case of
-    # a process; keyed on the small tuple, like _thmkey_x2, not on a HypSum.
-    return PrefixSums(central_sum(e, 0, z, weight))
+def _central_family(upper: tuple, lower: tuple, z, weight: tuple) -> PrefixSums:
+    # One running split per scalar sum whose parameters do not depend on p,
+    # shared by every prime and case of a process; keyed on small tuples,
+    # like _thmkey_x2, not on a HypSum.
+    return PrefixSums(hyp_sum(upper, lower, z, K=0, weight=weight))
 
 
 def _central(e: int, K: int, z=1, weight=(0, 1)) -> Fraction:
     """The value of central_sum(e, K, z, weight), read off its family's running split."""
-    return _central_family(e, z, weight).at(K)
+    return _central_family((HALF,) * e, (1,) * (e - 1), z, weight).at(K)
 
 
 def eq10_series_spec(p: int) -> HypSum:
@@ -407,8 +411,8 @@ def _binom_prod(p, r):
 
 
 def _h2(k: int) -> Fraction:
-    """H2(k) for k >= 1: term j of the spec is 1/(j+1)^2, so j <= k - 1 sums to H2(k)."""
-    return eval_hyp_sum(hyp_sum([1, 1, 1], [2, 2], 1, K=k - 1))
+    """H2(k) for k >= 1: term j of the family is 1/(j+1)^2, so j <= k - 1 sums to H2(k)."""
+    return _central_family((1, 1, 1), (2, 2), 1, (0, 1)).at(k - 1)
 
 
 def _h2_half(p, _param):
@@ -417,7 +421,7 @@ def _h2_half(p, _param):
 
 def _oddh2_half(p, _param):
     # term k is 1/(2k+1)^2, so k <= m - 1 sums to OH2(m)
-    return eval_hyp_sum(hyp_sum([HALF, HALF, 1], [Fraction(3, 2), Fraction(3, 2)], 1, K=(p - 3) // 2)), ZERO
+    return _central_family((HALF, HALF, 1), (Fraction(3, 2), Fraction(3, 2)), 1, (0, 1)).at((p - 3) // 2), ZERO
 
 
 def _h2_reflect(p, _param):

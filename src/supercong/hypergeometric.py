@@ -14,12 +14,14 @@ ANTS 1998): the ratios' numerators and denominators are multiplied up a
 balanced tree and exact divisions at the root end the sum, so no gcd is
 taken per term; a merge reads only its left child's product of numerators,
 so none is formed at the root or down its right spine.  Scalar evaluation
-specializes x = 0 and splits over the integers; ``PrefixSums`` keeps that
-split's state, so the sums of one spec at growing truncations K extend one
-running split instead of each starting from k = 0.  Series evaluation splits
-over Z[x]/(x^(order+1)): each factor becomes an integer polynomial, linear
-for a deformed parameter, and the sum is the quotient of the root's two
-polynomials, taken by series division on reduced fractions.
+specializes x = 0 and splits over the integers, down to leaves of up to
+``_LEAF_WIDTH`` terms, each summed by one loop over small integers;
+``PrefixSums`` keeps that split's state, so the sums of one spec at growing
+truncations K extend one running split instead of each starting from k = 0.
+Series evaluation splits over Z[x]/(x^(order+1)): each factor becomes an
+integer polynomial, linear for a deformed parameter, and the sum is the
+quotient of the root's two polynomials, taken by series division on
+reduced fractions.
 ``specialize`` pins x to a value instead, which turns a deformed sum into a
 scalar one.  The explicit k! matches the usual (r+1)F(r) normalization, and
 the affine weight is kept separate from the parameter lists because a weight
@@ -167,6 +169,11 @@ def _integer_terms(s: HypSum) -> tuple[tuple, int]:
     return (uppers, lowers, p_scale, q_scale, a1, a0), wden
 
 
+#: Ranges of at most this many terms are summed by one loop at the leaves of
+#: ``_split``.  8 was measured; widths from 4 to 32 read the same.
+_LEAF_WIDTH = 8
+
+
 def _split(terms: tuple, a: int, b: int, need_p: bool) -> tuple[int | None, int, int]:
     """(P, Q, T) of the terms k in [a, b), by binary splitting over the integers.
 
@@ -175,19 +182,27 @@ def _split(terms: tuple, a: int, b: int, need_p: bool) -> tuple[int | None, int,
     merge as (P1 P2, Q1 Q2, T1 Q2 + P1 T2), and the empty range is (1, 1, 0).
     A merge reads only its left child's P, so P is formed only where
     ``need_p`` asks for it: a left child needs it and a right child inherits
-    the flag.  Every q(k) in the range must be nonzero.
+    the flag.  A range of at most ``_LEAF_WIDTH`` terms is a leaf, which
+    appends its terms one at a time by that same merge with a one-term range
+    (p(k), q(k), (a1 k + a0) p(k)); its P is the running product the loop
+    needs anyway.  Every q(k) in the range must be nonzero.
     """
-    if b - a == 1:
-        uppers, lowers, p, q, a1, a0 = terms
-        if a == 0:
-            return 1, 1, a0
-        q *= a
-        j = a - 1
-        for n, d in uppers:
-            p *= n + j * d
-        for n, d in lowers:
-            q *= n + j * d
-        return p, q, (a1 * a + a0) * p
+    if b - a <= _LEAF_WIDTH:
+        uppers, lowers, p_scale, q_scale, a1, a0 = terms
+        p_run, q_run, t = 1, 1, 0
+        if a == 0:  # term 0 is the range (1, 1, a0)
+            t, a = a0, 1
+        for k in range(a, b):
+            j = k - 1
+            p, q = p_scale, q_scale * k
+            for n, d in uppers:
+                p *= n + j * d
+            for n, d in lowers:
+                q *= n + j * d
+            p_run *= p
+            q_run *= q
+            t = t * q + (a1 * k + a0) * p_run
+        return p_run, q_run, t
     mid = (a + b) // 2
     p1, q1, t1 = _split(terms, a, mid, True)
     p2, q2, t2 = _split(terms, mid, b, need_p)

@@ -6,10 +6,11 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 from supercong.cli import MAX_PMAX, _print_summary, main, render_csv, render_json, suite_exit_code
-from supercong.harness import CASES, REPORT_KEYS, run_suite
+from supercong.harness import CASES, REPORT_KEYS, run_suite, verify_congruence_case
 from supercong.modular_form import EXPANSION_CEILING, BudgetError
 
 
@@ -40,6 +41,28 @@ def test_verify_empty_applicable_set_warns(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "warning: no applicable cases for primes in [5, 4]\n"
     assert json.loads(out.read_text()) == []
+
+
+def test_verify_writes_exact_values_past_the_int_string_digit_limit(tmp_path, capsys):
+    # THMKEY(3)'s lhs at p = 1949 has more than 4300 digits, CPython's default
+    # limit on int-to-str conversion; rendering it raised ValueError and the
+    # run exited 1 with no report
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        out = tmp_path / "thmkey.json"
+        args = ["verify", "--cases", "thmkey", "--pmin", "1949", "--pmax", "1951", "--format", "json"]
+        assert main([*args, "--out", str(out)]) == 0
+        entries = {(e["p"], e["param"]): e for e in json.loads(out.read_text())}
+        assert sorted(entries) == [(p, s) for p in (1949, 1951) for s in (1, 2, 3)]
+        assert max(len(e["lhs"]) for e in entries.values()) > 2 * 4300
+        for s in (1, 3):
+            want = verify_congruence_case("THMKEY", 1949, s).lhs
+            assert Fraction(entries[(1949, s)]["lhs"]) == want, s
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_verify_inverted_explicit_range_is_usage_error(capsys):

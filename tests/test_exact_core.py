@@ -15,7 +15,7 @@ from supercong.exact_core import (
     padic_valuation,
     rising_factorial,
 )
-from supercong.hypergeometric import gamma_ratio_value, hyp_sum, specialize
+from supercong.hypergeometric import eval_hyp_sum, gamma_ratio_value, hyp_sum, specialize
 from supercong.power_series import TruncSeries
 
 from oracles import central_half_ratio, congruent_mod_power, harmonic2, odd_harmonic2, stepwise_rising_factorial
@@ -48,6 +48,28 @@ def test_exact_entry_points_refuse_floats(call):
     # padic_valuation(0.1, 5) read 0 where v_5(1/10) = -1
     with pytest.raises(TypeError, match="float"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: padic_valuation(True, 5),
+        lambda: rising_factorial(True, 3),
+        lambda: gamma_ratio_value((True,), (True,)),
+        lambda: eval_hyp_sum(hyp_sum([True], [1], z=True, K=2, weight=(False, True))),
+    ],
+    ids=["padic_valuation", "rising_factorial", "gamma_ratio_value", "eval_hyp_sum"],
+)
+def test_exact_entry_points_refuse_bools(call):
+    # a bool is a truth value, not the integer 0 or 1: these read 0, 6, 1 and 5/2
+    with pytest.raises(TypeError, match="bool"):
+        call()
+
+
+def test_exact_returns_a_fraction_as_it_is():
+    x = F(-7, 12)
+    assert exact_core._exact(x) is x
+    assert exact_core._exact(3) == F(3) and type(exact_core._exact(3)) is F
 
 
 def test_rising_factorial_trivials():

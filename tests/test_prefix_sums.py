@@ -24,6 +24,12 @@ CENTRAL_FAMILIES = [
     (3, F(-1, 8), (6, 1)),  # THM4, THM4_STRONG
 ]
 
+#: The harmonic families: term k is 1/(k+1)^2 (H2) and 1/(2k+1)^2 (OH2).
+HARMONIC_FAMILIES = {
+    "H2": hyp_sum([1, 1, 1], [2, 2], 1, K=0),
+    "OH2": hyp_sum([F(1, 2), F(1, 2), 1], [F(3, 2), F(3, 2)], 1, K=0),
+}
+
 ORDERS = ("ascending", "descending", "shuffled")
 
 
@@ -77,6 +83,11 @@ def test_central_family_prefixes_match_the_one_shot_sums(family):
     _assert_prefixes_match_the_one_shot_sums(central_sum(e, 0, z, weight), 300)
 
 
+@pytest.mark.parametrize("name", HARMONIC_FAMILIES)
+def test_harmonic_family_prefixes_match_the_one_shot_sums(name):
+    _assert_prefixes_match_the_one_shot_sums(HARMONIC_FAMILIES[name], 300)
+
+
 @pytest.mark.parametrize("index", range(len(RANDOM_SPECS)))
 def test_random_spec_prefixes_match_the_one_shot_sums(index):
     _assert_prefixes_match_the_one_shot_sums(RANDOM_SPECS[index], 300)
@@ -114,3 +125,9 @@ def test_a_truncation_is_checked_as_the_spec_checks_it(K, error):
 def test_central_family_prefixes_match_the_one_shot_sums_to_999(family):
     e, z, weight = family
     _assert_prefixes_match_the_one_shot_sums(central_sum(e, 0, z, weight), 999)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", HARMONIC_FAMILIES)
+def test_harmonic_family_prefixes_match_the_one_shot_sums_to_999(name):
+    _assert_prefixes_match_the_one_shot_sums(HARMONIC_FAMILIES[name], 999)

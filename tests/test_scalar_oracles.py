@@ -9,7 +9,7 @@ import pytest
 
 from supercong.exact_core import is_prime
 from supercong.harness import central_sum, thm3_deformed_spec
-from supercong.hypergeometric import HypSum, PoleError, eval_hyp_sum, hyp_sum, specialize
+from supercong.hypergeometric import _LEAF_WIDTH, HypSum, PoleError, eval_hyp_sum, hyp_sum, specialize
 from test_hypergeometric import brute_hyp_sum
 
 
@@ -44,6 +44,7 @@ def _outcome(evaluate, spec):
 
 
 def _random_spec(rng: random.Random) -> HypSum:
+    # K + 1 terms reach a one-term range, one loop leaf and merges across leaves
     K = rng.randint(0, 40)
 
     def rational():
@@ -75,6 +76,7 @@ def test_binary_splitting_matches_term_stepping_on_random_specs():
         "pole": 0, "empty upper": 0, "empty lower": 0, "negative non-integer lower": 0,
         "pole beyond K": 0, "upper zero": 0, "z = 0": 0, "z < 0": 0, "z > 0": 0,
         "weight (0, 0)": 0, "rational weight": 0,
+        "one term": 0, "one leaf": 0, "leaves merged": 0,
     }
     for _ in range(1500):
         spec = _random_spec(rng)
@@ -100,6 +102,9 @@ def test_binary_splitting_matches_term_stepping_on_random_specs():
         seen["z > 0"] += spec.argument > 0
         seen["weight (0, 0)"] += spec.weight == (0, 0)
         seen["rational weight"] += any(w.denominator > 1 for w in spec.weight)
+        seen["one term"] += K == 0
+        seen["one leaf"] += 1 < K + 1 <= _LEAF_WIDTH
+        seen["leaves merged"] += K + 1 > 2 * _LEAF_WIDTH
     # the draw reaches every regime the integer recursion could get wrong
     assert min(seen.values()) >= 20, seen
 
