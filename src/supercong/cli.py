@@ -9,11 +9,13 @@ digits of an int turned into a string, so a value of any size renders.
 
 Exit codes: 0 all non-conjectural cases pass (or nothing applicable),
 1 some non-conjectural case failed, 2 usage error (a --cases that names no
-case is one), 3 I/O error.  A case instance that raised a domain error is a
-failed record; ``verify`` also prints its exception type and message on
-stderr, one line per record.
+case is one), 3 I/O error, 4 a bug: an exception that is none of these, whose
+traceback goes to stderr and which writes no report.  A case instance that
+raised a domain error is a failed record; ``verify`` also prints its
+exception type and message on stderr, one line per record.
 Warnings go to stderr too: an --r beyond the supported exponents, exponent
-caps that cut the requested run, and a prime range with nothing to run.
+caps that cut the requested run, a --format without --out, and a prime
+range with nothing to run.
 
 The eta-product expansion has one fixed ceiling, EXPANSION_CEILING =
 MAX_PMAX = 100000, which covers a_p at every prime --pmax admits.  It is a
@@ -102,6 +104,8 @@ def cmd_verify(args) -> int:
             print("error: --cases selects no case", file=sys.stderr)
             return 2
 
+    if args.format is not None and not args.out:
+        print(f"warning: --format {args.format} has no effect without --out", file=sys.stderr)
     supported_rs = sorted({r for caps in R_CAPS.values() for r in caps})
     if args.r > supported_rs[-1]:
         print(
@@ -130,7 +134,7 @@ def cmd_verify(args) -> int:
         _print_summary(records)
 
     if args.out:
-        text = render_json(records) if args.format == "json" else render_csv(records)
+        text = render_csv(records) if args.format == "csv" else render_json(records)
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -183,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--pmax", type=int, default=None, help=f"largest prime (default {DEFAULT_PMAX})")
     verify.add_argument("--r", type=int, default=1, help="run exponents 1..r where applicable")
     verify.add_argument("--out", default=None, help="report file path")
-    verify.add_argument("--format", choices=("json", "csv"), default="json")
+    verify.add_argument("--format", choices=("json", "csv"), default=None, help="report format (default json)")
     verify.set_defaults(func=cmd_verify)
 
     coeffs = sub.add_parser("coeffs", help="dump eta-product q-expansion coefficients")
@@ -205,7 +209,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception:
+        # A bug, not a failed congruence (1): the commands turn usage, I/O
+        # and domain errors into codes 2 and 3 and into records themselves.
+        import traceback
+
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -34,7 +34,12 @@ one running split per (e, z, weight) that all primes and cases of a process
 share (hypergeometric.PrefixSums).  H2_HALF, ODDH2_HALF and H2_REFLECT read
 H2 and OH2 the same way, as running prefixes of the 3F2 sums whose term k is
 1/(k+1)^2 and 1/(2k+1)^2; ``_central_family`` holds one running split for
-each sum whose parameters do not depend on p.  A per-k family record keeps
+each sum whose parameters do not depend on p.  EQ10_A2 and THM3_QUOTIENT_X2
+read their deformed sums, which depend on p only through m, as prefixes of
+running series splits (``_series_family``, hypergeometric.PrefixSeries), and
+LEM_THM1_B2K reads a running split over its term ratio that also checks
+each step once; SIX_F_FIVE_COEFFS, THMKEY and COMCONJ2 sum their series per
+prime.  A per-k family record keeps
 the first k of least valuation.  BINOM_* find it on p-adic residues
 (exact_core.Residue) and H2_REFLECT on H2(j) stepped mod p^N; both build
 only that k's lhs and rhs as exact fractions.
@@ -104,8 +109,8 @@ from .hypergeometric import (
     IDENTITY_DRAWS,
     HypSum,
     PoleError,
+    PrefixSeries,
     PrefixSums,
-    _split_series,
     eval_hyp_sum,
     eval_hyp_sum_series,
     hyp_sum,
@@ -288,6 +293,14 @@ def thmkey_series_spec(p: int, s: int) -> HypSum:
         z=1,
         K=(p - 1) // 2,
     )
+
+
+@lru_cache(maxsize=None)
+def _series_family(spec_of: Callable, *args) -> PrefixSeries:
+    # One running split per deformed sum that depends on p only through
+    # K = (p-1)/2, shared by every prime of a process; keyed on the spec
+    # builder and its other arguments, and built from the spec at any prime.
+    return PrefixSeries.of(spec_of(_P_MIN, *args), SERIES_ORDER)
 
 
 def _x2_coefficient(spec: HypSum) -> Fraction:
@@ -507,9 +520,9 @@ def _odd_coeffs_vanish(coeffs) -> bool:
 
 
 def _eq10_a2(p, _param):
-    ser = eval_hyp_sum_series(eq10_series_spec(p), SERIES_ORDER)
-    a2 = coefficient(ser, 2)
-    return a2, ZERO, padic_valuation(a2, p), _odd_coeffs_vanish(ser.coeffs)
+    coeffs = _series_family(eq10_series_spec).at((p - 1) // 2)
+    a2 = coeffs[2]
+    return a2, ZERO, padic_valuation(a2, p), _odd_coeffs_vanish(coeffs)
 
 
 def _six_f_five(p, _param):
@@ -550,19 +563,33 @@ def _lem_thm1_step_exact(k: int) -> bool:
     )
 
 
+@lru_cache(maxsize=None)
+def _lem_thm1_family(ratio: Callable) -> tuple[PrefixSeries, list[bool]]:
+    """The running split of ``ratio`` and its step checks: entry k of the
+    list says whether ``_lem_thm1_step_exact`` passed for every step j <= k.
+
+    Keyed on the ratio, so a replaced ratio gets its own split and checks.
+    """
+    return PrefixSeries(ratio, SERIES_ORDER, (ZERO, Fraction(1))), [True]
+
+
 def _lem_thm1_b2k(p, _param):
     m = (p - 1) // 2
+    sums, steps_exact = _lem_thm1_family(_lem_thm1_ratio)
     # Mod x^4, term k is the product of the ratios up to k (t_0 = 1), so it
-    # equals c_k^4 (1 - H2(2k) x^2) exactly when every step passes.
-    per_term_exact = all(_lem_thm1_step_exact(k) for k in range(1, m + 1))
-    a2 = _split_series(_lem_thm1_ratio, m, SERIES_ORDER, (ZERO, Fraction(1)))[2]
+    # equals c_k^4 (1 - H2(2k) x^2) exactly when every step passes; each
+    # step is checked once per family, the first time a prime reaches it.
+    for k in range(len(steps_exact), m + 1):
+        steps_exact.append(steps_exact[-1] and _lem_thm1_step_exact(k))
+    per_term_exact = steps_exact[m]
+    a2 = sums.at(m)[2]
     # sum -c_k^4 H2(2k), read off the other deformation, prod (1 - x^2/j^2)
     expected = _thmkey_x2(p, 2)
     return a2, expected, padic_valuation(a2, p), per_term_exact and a2 == expected
 
 
 def _thm3_quotient(p, _param):
-    num = eval_hyp_sum_series(thm3_deformed_spec(p), SERIES_ORDER).coeffs
+    num = _series_family(thm3_deformed_spec, QUARTER).at((p - 1) // 2)
     quotient = [c / num[0] for c in num]
     integral = all(padic_valuation(c, p) >= 0 for c in quotient)
     c2 = quotient[2]

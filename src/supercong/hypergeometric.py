@@ -21,7 +21,9 @@ truncations K extend one running split instead of each starting from k = 0.
 Series evaluation splits over Z[x]/(x^(order+1)): each factor becomes an
 integer polynomial, linear for a deformed parameter, and the sum is the
 quotient of the root's two polynomials, taken by series division on
-reduced fractions.
+reduced fractions.  ``PrefixSeries`` is the series form of ``PrefixSums``:
+it keeps one series split's state and extends it by the new terms with the
+same merge and ends each K with the same division.
 ``specialize`` pins x to a value instead, which turns a deformed sum into a
 scalar one.  The explicit k! matches the usual (r+1)F(r) normalization, and
 the affine weight is kept separate from the parameter lists because a weight
@@ -29,7 +31,8 @@ encoded as a parameter pair would not survive deformation of those
 parameters.
 
 The module also evaluates Gamma-function ratios whose arguments pair up to
-integer shifts (reducing each pair by the recurrence G(x+1) = x*G(x)).  The
+integer shifts (reducing each pair by the recurrence G(x+1) = x*G(x), as an
+integer product over a power of the arguments' denominator).  The
 table ``IDENTITIES`` holds six classical evaluation identities, Gosper's
 strange evaluation among them, each as its free parameter names and a
 function giving both sides exactly.  ``identity_sides`` checks a parameter
@@ -49,7 +52,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .power_series import TruncSeries
-from .exact_core import _exact, rising_factorial
+from .exact_core import _exact
 
 
 class PoleError(ArithmeticError):
@@ -93,10 +96,7 @@ class HypSum:
     weight: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1))
 
     def __post_init__(self):
-        if not isinstance(self.truncation, int) or isinstance(self.truncation, bool):
-            raise TypeError(f"the truncation index K must be an int, got {self.truncation!r}")
-        if self.truncation < 0:
-            raise ValueError("truncation index must be nonnegative")
+        _check_truncation(self.truncation)
         w1, w0 = self.weight
         object.__setattr__(self, "weight", (_exact(w1), _exact(w0)))
         object.__setattr__(self, "argument", _exact(self.argument))
@@ -123,17 +123,24 @@ def specialize(s: HypSum, x0) -> HypSum:
     )
 
 
-def _check_lower_poles(s: HypSum) -> None:
+def _check_truncation(K) -> None:
+    if not isinstance(K, int) or isinstance(K, bool):
+        raise TypeError(f"the truncation index K must be an int, got {K!r}")
+    if K < 0:
+        raise ValueError("truncation index must be nonnegative")
+
+
+def _check_lower_poles(lower, truncation: int) -> None:
     # (b)_k for k <= K contains a zero factor iff b is an integer in (-K, 0].
-    for l in s.lower:
+    for l in lower:
         b = l.base
-        if b.denominator == 1 and -s.truncation < b <= 0:
+        if b.denominator == 1 and -truncation < b <= 0:
             if b == 0 and l.slope != 0:
                 raise PoleError(
                     "lower parameter with zero base is not an invertible series factor"
                 )
             raise PoleError(
-                f"lower parameter {b} makes a rising factorial vanish before k = {s.truncation}"
+                f"lower parameter {b} makes a rising factorial vanish before k = {truncation}"
             )
 
 
@@ -217,7 +224,7 @@ def eval_hyp_sum(s: HypSum) -> Fraction:
     T / (Q * wden), reduced by a single gcd.  Once the pole check passes,
     q(k) != 0 for every k <= K.
     """
-    _check_lower_poles(s)
+    _check_lower_poles(s.lower, s.truncation)
     terms, wden = _integer_terms(s)
     _p, q, t = _split(terms, 0, s.truncation + 1, False)
     return Fraction(t, q * wden)
@@ -248,7 +255,7 @@ class PrefixSums:
         value = self._values.get(K)
         if value is not None:
             return value
-        _check_lower_poles(spec)
+        _check_lower_poles(spec.lower, K)
         frontier, p1, q1, t1 = self._state
         if K <= frontier:
             value = eval_hyp_sum(spec)
@@ -262,6 +269,66 @@ class PrefixSums:
         return value
 
 
+def _series_mul(a: list[int], b: list[int]) -> list[int]:
+    """a * b mod x^n, for coefficient lists of length n."""
+    n = len(b)
+    out = [0] * n
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(n - i):
+                out[i + j] += ai * b[j]
+    return out
+
+
+def _merge_series(left: tuple, right: tuple, need_p: bool) -> tuple:
+    """(P1 P2, Q1 Q2, T1 Q2 + P1 T2) of two adjacent ranges, with P1 P2 only if ``need_p``."""
+    p1, q1, t1 = left
+    p2, q2, t2 = right
+    n = len(q2)
+    t = [0] * n
+    for i in range(n):
+        ti, pi = t1[i], p1[i]
+        if ti or pi:
+            for j in range(n - i):
+                t[i + j] += ti * q2[j] + pi * t2[j]
+    return _series_mul(p1, p2) if need_p else None, _series_mul(q1, q2), t
+
+
+def _split_series_range(terms: tuple, a: int, b: int, need_p: bool) -> tuple:
+    """(P, Q, T) of the terms k in [a, b) over Z[x]/(x^n), by binary splitting.
+
+    ``terms`` is (ratio, n, a1, a0); see ``_split_series``.  P is formed only
+    where a merge reads it: a left child needs it and a right child inherits
+    the flag.
+    """
+    if b - a == 1:
+        ratio, n, a1, a0 = terms
+        if a == 0:
+            unit = [1] + [0] * (n - 1)
+            return unit, unit, [a0] + [0] * (n - 1)
+        p, q = ratio(a)
+        w = a1 * a + a0
+        return p, q, [w * c for c in p]
+    mid = (a + b) // 2
+    left = _split_series_range(terms, a, mid, True)
+    return _merge_series(left, _split_series_range(terms, mid, b, need_p), need_p)
+
+
+def _series_quotient(q: list[int], t: list[int], wden: int) -> tuple[Fraction, ...]:
+    """The coefficients of S = T / (Q * wden), by one series division:
+    S_d = (T_d - sum_{i=1..d} Q_i wden S_{d-i}) / (Q_0 wden)."""
+    lead = q[0] * wden
+    out = []
+    for d in range(len(q)):
+        # a Fraction from the start: an int accumulator divided by lead would be a float
+        acc = Fraction(t[d])
+        for i in range(1, d + 1):
+            if q[i]:
+                acc -= q[i] * wden * out[d - i]
+        out.append(acc / lead)
+    return tuple(out)
+
+
 def _split_series(ratio, truncation: int, order: int, weight) -> tuple[Fraction, ...]:
     """Coefficients of sum_{k<=K} (w1 k + w0) t_k mod x^(order+1), by binary splitting.
 
@@ -272,51 +339,12 @@ def _split_series(ratio, truncation: int, order: int, weight) -> tuple[Fraction,
     sum_k (a1 k + a0) p(a)...p(k) / (q(a)...q(k)), where (a1, a0) is the
     weight times its common denominator wden; a merge is (P1 P2, Q1 Q2,
     T1 Q2 + P1 T2), with P1 P2 formed only where a merge reads it, so never
-    at the root or down its right spine.  The sum S = T / (Q * wden) is one
-    series division:
-    S_d = (T_d - sum_{i=1..d} Q_i wden S_{d-i}) / (Q_0 wden).
+    at the root or down its right spine.  The sum is T / (Q * wden), taken
+    by series division.
     """
-    n = order + 1
     a1, a0, wden = _integer_weight(weight)
-
-    def mul(a, b):
-        out = [0] * n
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(n - i):
-                    out[i + j] += ai * b[j]
-        return out
-
-    def split(a: int, b: int, need_p: bool):
-        if b - a == 1:
-            if a == 0:
-                unit = [1] + [0] * order
-                return unit, unit, [a0] + [0] * order
-            p, q = ratio(a)
-            w = a1 * a + a0
-            return p, q, [w * c for c in p]
-        mid = (a + b) // 2
-        p1, q1, t1 = split(a, mid, True)
-        p2, q2, t2 = split(mid, b, need_p)
-        t = [0] * n
-        for i in range(n):
-            ti, pi = t1[i], p1[i]
-            if ti or pi:
-                for j in range(n - i):
-                    t[i + j] += ti * q2[j] + pi * t2[j]
-        return mul(p1, p2) if need_p else None, mul(q1, q2), t
-
-    _p, q, t = split(0, truncation + 1, False)
-    lead = q[0] * wden
-    out = []
-    for d in range(n):
-        # a Fraction from the start: an int accumulator divided by lead would be a float
-        acc = Fraction(t[d])
-        for i in range(1, d + 1):
-            if q[i]:
-                acc -= q[i] * wden * out[d - i]
-        out.append(acc / lead)
-    return tuple(out)
+    _p, q, t = _split_series_range((ratio, order + 1, a1, a0), 0, truncation + 1, False)
+    return _series_quotient(q, t, wden)
 
 
 def _integer_factor(a: AffineParam) -> tuple[int, int, int]:
@@ -329,23 +357,11 @@ def _integer_factor(a: AffineParam) -> tuple[int, int, int]:
     )
 
 
-def eval_hyp_sum_series(s: HypSum, order: int) -> TruncSeries:
-    """The sum as a truncated power series in the deformation variable x.
-
-    Binary splitting over Z[x]/(x^(order+1)).  With every parameter written
-    (n + s*x)/D over integers, the term ratio t_k / t_{k-1} is p(k) / q(k)
-    for the integer polynomials
-
-        p(k) = z.num * prod D_lower * prod (n_u + (k-1) D_u + s_u x),
-        q(k) = z.den * prod D_upper * k * prod (n_l + (k-1) D_l + s_l x),
-
-    where undeformed factors (s = 0) are plain integers.  Once the pole
-    check passes, q(k) has a nonzero constant term for every k <= K.
-    Truncation mod x^(order+1) is a ring homomorphism, so every coefficient
-    is exactly that of the expanded Pochhammer quotient, and the constant
-    coefficient is the scalar sum at x = 0.
-    """
-    _check_lower_poles(s)
+def _series_ratio(s: HypSum, order: int):
+    """The term ratio of ``s`` as ``ratio(k) -> (p(k), q(k))``, the integer
+    polynomials mod x^(order+1) that ``_split_series`` reads; see
+    ``eval_hyp_sum_series``.  The ``_integer_factor`` data is built here, so
+    a ``PrefixSeries`` builds it once for all its truncations."""
     uppers = [_integer_factor(u) for u in s.upper]
     lowers = [_integer_factor(l) for l in s.lower]
     p_scale = s.argument.numerator * prod(d for _n, d, _s in lowers)
@@ -373,46 +389,114 @@ def eval_hyp_sum_series(s: HypSum, order: int) -> TruncSeries:
             q *= n + j * d
         return product(p, j, deformed_up), product(q, j, deformed_low)
 
-    return TruncSeries(_split_series(ratio, s.truncation, order, s.weight))
+    return ratio
 
 
-def _fractional_part(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
+def eval_hyp_sum_series(s: HypSum, order: int) -> TruncSeries:
+    """The sum as a truncated power series in the deformation variable x.
+
+    Binary splitting over Z[x]/(x^(order+1)).  With every parameter written
+    (n + s*x)/D over integers, the term ratio t_k / t_{k-1} is p(k) / q(k)
+    for the integer polynomials
+
+        p(k) = z.num * prod D_lower * prod (n_u + (k-1) D_u + s_u x),
+        q(k) = z.den * prod D_upper * k * prod (n_l + (k-1) D_l + s_l x),
+
+    where undeformed factors (s = 0) are plain integers.  Once the pole
+    check passes, q(k) has a nonzero constant term for every k <= K.
+    Truncation mod x^(order+1) is a ring homomorphism, so every coefficient
+    is exactly that of the expanded Pochhammer quotient, and the constant
+    coefficient is the scalar sum at x = 0.
+    """
+    _check_lower_poles(s.lower, s.truncation)
+    return TruncSeries(_split_series(_series_ratio(s, order), s.truncation, order, s.weight))
+
+
+class PrefixSeries:
+    """The series sums of one term ratio at many truncations K, as prefixes of one running split.
+
+    The series form of ``PrefixSums``.  ``at(K)`` is ``_split_series(ratio,
+    K, order, weight)``; for ``PrefixSeries.of(spec, order)`` that is the
+    coefficient tuple of ``eval_hyp_sum_series`` of the spec truncated at K.
+    The object keeps the state (frontier, P, Q, T) over Z[x]/(x^(order+1))
+    of the terms k <= frontier.  A K above the frontier splits only the new
+    terms [frontier + 1, K] and merges them into the state by the split's
+    own merge, and its sum is the same series division.  A K at or below
+    the frontier is read from the coefficients already made, or else is one
+    ``_split_series``.  The pole check of the ``lower`` parameters runs for
+    every K, as in the one-shot path.  The state is rebound as one tuple, so
+    a concurrent reader sees a whole state, old or new.
+    """
+
+    def __init__(self, ratio, order: int, weight, lower=()):
+        self._ratio, self._order, self._weight, self._lower = ratio, order, weight, tuple(lower)
+        a1, a0, self._wden = _integer_weight(weight)
+        self._terms = (ratio, order + 1, a1, a0)
+        unit = [1] + [0] * order
+        self._state = (-1, unit, unit, [0] * (order + 1))  # no terms yet: the empty range
+        self._values: dict[int, tuple[Fraction, ...]] = {}
+
+    @classmethod
+    def of(cls, spec: HypSum, order: int) -> PrefixSeries:
+        """The running split of the spec's term ratio; its truncation is not read."""
+        return cls(_series_ratio(spec, order), order, spec.weight, spec.lower)
+
+    def at(self, K: int) -> tuple[Fraction, ...]:
+        _check_truncation(K)
+        value = self._values.get(K)
+        if value is not None:
+            return value
+        _check_lower_poles(self._lower, K)
+        frontier, p1, q1, t1 = self._state
+        if K <= frontier:
+            value = _split_series(self._ratio, K, self._order, self._weight)
+        else:
+            new = _split_series_range(self._terms, frontier + 1, K + 1, True)
+            p, q, t = _merge_series((p1, q1, t1), new, True)
+            self._state = (K, p, q, t)
+            value = _series_quotient(q, t, self._wden)
+        self._values[K] = value
+        return value
 
 
 def gamma_ratio_value(numerator_args, denominator_args) -> Fraction:
     """Exact value of prod G(numerator_args) / prod G(denominator_args).
 
     The arguments are rationals (int or Fraction) that must pair by
-    fractional part.  They are grouped by fractional part; each group is
+    fractional part.  With each argument written n/d in lowest terms, they
+    are grouped by (n mod d, d), that is by fractional part; each group is
     sorted and paired in order, and each pair G(d + m)/G(d) telescopes to a
-    rising factorial (or its reciprocal).  Validity does not depend on the
+    rising factorial (or its reciprocal), the integer product n (n+d) ...
+    over d^m.  The products are multiplied up over the integers and one
+    ``Fraction`` is built at the end.  Validity does not depend on the
     pairing choice.  Nonpositive-integer arguments are refused outright, and
-    a float with ``TypeError``.
+    a float or a bool with ``TypeError``.
     """
     numerator_args = [_exact(x) for x in numerator_args]
     denominator_args = [_exact(x) for x in denominator_args]
     for x in (*numerator_args, *denominator_args):
         if x.denominator == 1 and x <= 0:
             raise PoleError(f"Gamma argument {x} is a nonpositive integer")
-    groups: dict[Fraction, tuple[list[Fraction], list[Fraction]]] = {}
-    for x in numerator_args:
-        groups.setdefault(_fractional_part(x), ([], []))[0].append(x)
-    for x in denominator_args:
-        groups.setdefault(_fractional_part(x), ([], []))[1].append(x)
-    value = Fraction(1)
-    for frac, (nums, dens) in groups.items():
+    groups: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    for side, args in enumerate((numerator_args, denominator_args)):
+        for x in args:
+            n, d = x.numerator, x.denominator
+            groups.setdefault((n % d, d), ([], []))[side].append(n)
+    num = den = 1
+    for (r, d), (nums, dens) in groups.items():
         if len(nums) != len(dens):
             raise UnpairableError(
-                f"fractional part {frac}: {len(nums)} numerator vs {len(dens)} denominator arguments"
+                f"fractional part {Fraction(r, d)}: {len(nums)} numerator vs {len(dens)} denominator arguments"
             )
         for nx, dx in zip(sorted(nums), sorted(dens)):
-            m = int(nx - dx)
-            if m >= 0:
-                value *= rising_factorial(dx, m)
+            # G(nx/d) / G(dx/d) is (dx/d)_m for m = (nx - dx)/d >= 0, else 1/(nx/d)_(-m)
+            if nx >= dx:
+                num *= prod(range(dx, nx, d))
+                den *= d ** ((nx - dx) // d)
             else:
-                value /= rising_factorial(nx, -m)
-    return value
+                num *= d ** ((dx - nx) // d)
+                den *= prod(range(nx, dx, d))
+    return Fraction(num, den)
 
 
 def _terminating_n(n) -> int:

@@ -10,7 +10,8 @@ are checked against the exact loops that valuate every k's pair as a
 congruence sums are also summed term by term in Z/p^N, with no ``Fraction``
 and no binary splitting, to check their achieved valuations capped at N.
 Rising factorials are multiplied out one factor at a time, where the package
-takes one integer product, and COMIDEN0's sum is summed term by term, where
+takes one integer product; Gamma ratios are reduced on ``Fraction``s, where
+the package multiplies integers and divides once; and COMIDEN0's sum is summed term by term, where
 the harness evaluates it as a 3F2 by binary splitting.  The series helpers rebuild what the
 package computes by binary splitting: term by term, by stepping each term by
 its ratio, or from Pochhammer products over an inverted denominator; and
@@ -33,11 +34,13 @@ from itertools import accumulate
 from math import comb, factorial
 from typing import Mapping
 
-from supercong.exact_core import padic_valuation
+from supercong.exact_core import _exact, padic_valuation, rising_factorial
 from supercong.harness import eq10_series_spec, six_f_five_series_spec, thm3_deformed_spec
 from supercong.hypergeometric import (
     AffineParam,
     HypSum,
+    PoleError,
+    UnpairableError,
     _check_lower_poles,
     _integer_weight,
     identity_sides,
@@ -55,6 +58,36 @@ def stepwise_rising_factorial(a, k: int) -> Fraction:
     for i in range(k):
         out *= a + i
     return out
+
+
+def fraction_gamma_ratio_value(numerator_args, denominator_args) -> Fraction:
+    """prod G(numerator_args) / prod G(denominator_args) on ``Fraction``s, where the
+    package multiplies integers: the arguments are grouped by their fractional
+    part as a ``Fraction``, and each pair's rising factorial, a ``Fraction``, is
+    multiplied into a ``Fraction`` product, with a gcd per pair."""
+    numerator_args = [_exact(x) for x in numerator_args]
+    denominator_args = [_exact(x) for x in denominator_args]
+    for x in (*numerator_args, *denominator_args):
+        if x.denominator == 1 and x <= 0:
+            raise PoleError(f"Gamma argument {x} is a nonpositive integer")
+    groups: dict[Fraction, tuple[list[Fraction], list[Fraction]]] = {}
+    for x in numerator_args:
+        groups.setdefault(x - (x.numerator // x.denominator), ([], []))[0].append(x)
+    for x in denominator_args:
+        groups.setdefault(x - (x.numerator // x.denominator), ([], []))[1].append(x)
+    value = Fraction(1)
+    for frac, (nums, dens) in groups.items():
+        if len(nums) != len(dens):
+            raise UnpairableError(
+                f"fractional part {frac}: {len(nums)} numerator vs {len(dens)} denominator arguments"
+            )
+        for nx, dx in zip(sorted(nums), sorted(dens)):
+            m = int(nx - dx)
+            if m >= 0:
+                value *= rising_factorial(dx, m)
+            else:
+                value /= rising_factorial(nx, -m)
+    return value
 
 
 def central_half_ratio(k: int) -> Fraction:
@@ -356,7 +389,7 @@ def stepping_eval_hyp_sum_series(s: HypSum, order: int) -> TruncSeries:
     deformed lower factor divides it by back-substitution; O(K * order)
     Fraction operations, each with its own gcd.
     """
-    _check_lower_poles(s)
+    _check_lower_poles(s.lower, s.truncation)
     w1, w0 = s.weight
     total = [Fraction(0)] * (order + 1)
     core = [Fraction(1)] + [Fraction(0)] * order

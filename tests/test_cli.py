@@ -189,6 +189,35 @@ def test_verify_write_error_is_io_exit_code(tmp_path):
     assert code == 3
 
 
+def test_a_bug_has_its_own_exit_code_and_a_traceback(tmp_path, monkeypatch, capsys):
+    # an exception that is no usage, I/O or domain error is a bug, not a
+    # failed congruence (1): it exits 4, shows where it came from, and
+    # leaves no report
+    def broken(p, _param):
+        raise RuntimeError(f"a bug at p = {p}")
+
+    monkeypatch.setitem(CASES, "EQ0", replace(CASES["EQ0"], compute=broken))
+    out = tmp_path / "report.json"
+    code = main(["verify", "--cases", "eq0", "--pmin", "5", "--pmax", "7", "--out", str(out)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: a bug at p = 5\n")
+    assert "in broken" in err
+    assert not out.exists()
+
+
+def test_verify_warns_when_a_format_has_no_report_to_shape(capsys):
+    args = ["verify", "--cases", "eq0", "--pmin", "5", "--pmax", "7"]
+    assert main(args) == 0
+    plain = capsys.readouterr()
+    assert main([*args, "--format", "csv"]) == 0
+    shaped = capsys.readouterr()
+    assert plain.err == ""
+    assert shaped.err == "warning: --format csv has no effect without --out\n"
+    assert shaped.out == plain.out == f"{'EQ0':<18} 2/2 pass\n"
+
+
 def test_coeffs_output(capsys):
     assert main(["coeffs", "--n", "9"]) == 0
     out = capsys.readouterr().out.splitlines()
