@@ -33,13 +33,12 @@ e(p) = (-1)^((p^2-1)/8 + (p-1)/2).  Every sum of c_k^e above is one
 one running split per (e, z, weight) that all primes and cases of a process
 share (hypergeometric.PrefixSums).  H2_HALF, ODDH2_HALF and H2_REFLECT read
 H2 and OH2 the same way, as running prefixes of the 3F2 sums whose term k is
-1/(k+1)^2 and 1/(2k+1)^2; ``_central_family`` holds one running split for
-each sum whose parameters do not depend on p.  EQ10_A2 and THM3_QUOTIENT_X2
-read their deformed sums, which depend on p only through m, as prefixes of
-running series splits (``_series_family``, hypergeometric.PrefixSeries), and
-LEM_THM1_B2K reads a running split over its term ratio that also checks
-each step once; SIX_F_FIVE_COEFFS, THMKEY and COMCONJ2 sum their series per
-prime.  A per-k family record keeps
+1/(k+1)^2 and 1/(2k+1)^2, and EQ10_A2 and THM3_QUOTIENT_X2 read their
+deformed sums, which depend on p only through m, as prefixes of running
+series splits.  ``_family`` is the one cache of these splits, keyed on a
+spec builder and its arguments.  LEM_THM1_B2K reads a running series split
+over its term ratio that also checks each step once; SIX_F_FIVE_COEFFS,
+THMKEY and COMCONJ2 sum their series per prime.  A per-k family record keeps
 the first k of least valuation.  BINOM_* find it on p-adic residues
 (exact_core.Residue) and H2_REFLECT on H2(j) stepped mod p^N; both build
 only that k's lhs and rhs as exact fractions.
@@ -109,7 +108,6 @@ from .hypergeometric import (
     IDENTITY_DRAWS,
     HypSum,
     PoleError,
-    PrefixSeries,
     PrefixSums,
     eval_hyp_sum,
     eval_hyp_sum_series,
@@ -233,16 +231,17 @@ def central_sum(e: int, K: int, z=1, weight=(0, 1)) -> HypSum:
 
 
 @lru_cache(maxsize=None)
-def _central_family(upper: tuple, lower: tuple, z, weight: tuple) -> PrefixSums:
-    # One running split per scalar sum whose parameters do not depend on p,
-    # shared by every prime and case of a process; keyed on small tuples,
-    # like _thmkey_x2, not on a HypSum.
-    return PrefixSums(hyp_sum(upper, lower, z, K=0, weight=weight))
+def _family(build: Callable, *args, order=None) -> PrefixSums:
+    # One running split per sum whose parameters depend on p at most through
+    # its truncation, at x = 0 or, given an order, mod x^(order+1), shared by
+    # every prime and case of a process.  Keyed on the spec builder and its
+    # arguments, never on a HypSum; the built spec's truncation is not read.
+    return PrefixSums.of(build(*args), order)
 
 
 def _central(e: int, K: int, z=1, weight=(0, 1)) -> Fraction:
     """The value of central_sum(e, K, z, weight), read off its family's running split."""
-    return _central_family((HALF,) * e, (1,) * (e - 1), z, weight).at(K)
+    return _family(central_sum, e, 0, z, weight).at(K)
 
 
 def eq10_series_spec(p: int) -> HypSum:
@@ -293,14 +292,6 @@ def thmkey_series_spec(p: int, s: int) -> HypSum:
         z=1,
         K=(p - 1) // 2,
     )
-
-
-@lru_cache(maxsize=None)
-def _series_family(spec_of: Callable, *args) -> PrefixSeries:
-    # One running split per deformed sum that depends on p only through
-    # K = (p-1)/2, shared by every prime of a process; keyed on the spec
-    # builder and its other arguments, and built from the spec at any prime.
-    return PrefixSeries.of(spec_of(_P_MIN, *args), SERIES_ORDER)
 
 
 def _x2_coefficient(spec: HypSum) -> Fraction:
@@ -425,7 +416,7 @@ def _binom_prod(p, r):
 
 def _h2(k: int) -> Fraction:
     """H2(k) for k >= 1: term j of the family is 1/(j+1)^2, so j <= k - 1 sums to H2(k)."""
-    return _central_family((1, 1, 1), (2, 2), 1, (0, 1)).at(k - 1)
+    return _family(hyp_sum, (1, 1, 1), (2, 2), 1, 0).at(k - 1)
 
 
 def _h2_half(p, _param):
@@ -434,7 +425,7 @@ def _h2_half(p, _param):
 
 def _oddh2_half(p, _param):
     # term k is 1/(2k+1)^2, so k <= m - 1 sums to OH2(m)
-    return _central_family((HALF, HALF, 1), (Fraction(3, 2), Fraction(3, 2)), 1, (0, 1)).at((p - 3) // 2), ZERO
+    return _family(hyp_sum, (HALF, HALF, 1), (Fraction(3, 2), Fraction(3, 2)), 1, 0).at((p - 3) // 2), ZERO
 
 
 def _h2_reflect(p, _param):
@@ -520,7 +511,8 @@ def _odd_coeffs_vanish(coeffs) -> bool:
 
 
 def _eq10_a2(p, _param):
-    coeffs = _series_family(eq10_series_spec).at((p - 1) // 2)
+    # the spec depends on p only through m, so any prime builds its family
+    coeffs = _family(eq10_series_spec, _P_MIN, order=SERIES_ORDER).at((p - 1) // 2)
     a2 = coeffs[2]
     return a2, ZERO, padic_valuation(a2, p), _odd_coeffs_vanish(coeffs)
 
@@ -564,13 +556,13 @@ def _lem_thm1_step_exact(k: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _lem_thm1_family(ratio: Callable) -> tuple[PrefixSeries, list[bool]]:
+def _lem_thm1_family(ratio: Callable) -> tuple[PrefixSums, list[bool]]:
     """The running split of ``ratio`` and its step checks: entry k of the
     list says whether ``_lem_thm1_step_exact`` passed for every step j <= k.
 
     Keyed on the ratio, so a replaced ratio gets its own split and checks.
     """
-    return PrefixSeries(ratio, SERIES_ORDER, (ZERO, Fraction(1))), [True]
+    return PrefixSums.of_ratio(ratio, SERIES_ORDER, (ZERO, Fraction(1))), [True]
 
 
 def _lem_thm1_b2k(p, _param):
@@ -589,7 +581,7 @@ def _lem_thm1_b2k(p, _param):
 
 
 def _thm3_quotient(p, _param):
-    num = _series_family(thm3_deformed_spec, QUARTER).at((p - 1) // 2)
+    num = _family(thm3_deformed_spec, _P_MIN, QUARTER, order=SERIES_ORDER).at((p - 1) // 2)
     quotient = [c / num[0] for c in num]
     integral = all(padic_valuation(c, p) >= 0 for c in quotient)
     c2 = quotient[2]

@@ -15,15 +15,14 @@ balanced tree and exact divisions at the root end the sum, so no gcd is
 taken per term; a merge reads only its left child's product of numerators,
 so none is formed at the root or down its right spine.  Scalar evaluation
 specializes x = 0 and splits over the integers, down to leaves of up to
-``_LEAF_WIDTH`` terms, each summed by one loop over small integers;
-``PrefixSums`` keeps that split's state, so the sums of one spec at growing
-truncations K extend one running split instead of each starting from k = 0.
+``_LEAF_WIDTH`` terms, each summed by one loop over small integers.
 Series evaluation splits over Z[x]/(x^(order+1)): each factor becomes an
 integer polynomial, linear for a deformed parameter, and the sum is the
 quotient of the root's two polynomials, taken by series division on
-reduced fractions.  ``PrefixSeries`` is the series form of ``PrefixSums``:
-it keeps one series split's state and extends it by the new terms with the
-same merge and ends each K with the same division.
+reduced fractions.  ``PrefixSums`` keeps the state of one split in either
+ring, handed that ring's split, merge and finish, so the sums of one spec at
+growing truncations K extend one running split instead of each starting
+from k = 0; its root split from k = 0 is also the one-shot series sum.
 ``specialize`` pins x to a value instead, which turns a deformed sum into a
 scalar one.  The explicit k! matches the usual (r+1)F(r) normalization, and
 the affine weight is kept separate from the parameter lists because a weight
@@ -230,43 +229,16 @@ def eval_hyp_sum(s: HypSum) -> Fraction:
     return Fraction(t, q * wden)
 
 
-class PrefixSums:
-    """The sums of one spec at many truncations K, as prefixes of one running split.
+def _merge(left: tuple, right: tuple, need_p: bool) -> tuple[int | None, int, int]:
+    """``_split``'s merge of two adjacent ranges, with P1 P2 only if ``need_p``."""
+    p1, q1, t1 = left
+    p2, q2, t2 = right
+    return p1 * p2 if need_p else None, q1 * q2, t1 * q2 + p1 * t2
 
-    ``at(K)`` is ``eval_hyp_sum`` of the spec truncated at K.  The object
-    keeps the integer state (frontier, P, Q, T) of the terms k <= frontier.
-    A K above the frontier splits only the new terms [frontier + 1, K] and
-    merges them into the state by ``_split``'s own merge, so a sweep whose
-    truncations grow sums max K terms where one-shot sums would take the
-    sum of all K.  A K at or below the frontier is read from the values
-    already made, or else is one ``eval_hyp_sum``.  The pole check runs for
-    every K, as in the one-shot path.  The state is rebound as one tuple,
-    so a concurrent reader sees a whole state, old or new.
-    """
 
-    def __init__(self, spec: HypSum):
-        self._spec = spec
-        self._terms, self._wden = _integer_terms(spec)
-        self._state = (-1, 1, 1, 0)  # no terms yet: the empty range
-        self._values: dict[int, Fraction] = {}
-
-    def at(self, K: int) -> Fraction:
-        spec = replace(self._spec, truncation=K)
-        value = self._values.get(K)
-        if value is not None:
-            return value
-        _check_lower_poles(spec.lower, K)
-        frontier, p1, q1, t1 = self._state
-        if K <= frontier:
-            value = eval_hyp_sum(spec)
-        else:
-            p2, q2, t2 = _split(self._terms, frontier + 1, K + 1, True)
-            q = q1 * q2
-            t = t1 * q2 + p1 * t2
-            self._state = (K, p1 * p2, q, t)
-            value = Fraction(t, q * self._wden)
-        self._values[K] = value
-        return value
+def _scalar_quotient(q: int, t: int, wden: int) -> Fraction:
+    """The sum T / (Q * wden), reduced by a single gcd."""
+    return Fraction(t, q * wden)
 
 
 def _series_mul(a: list[int], b: list[int]) -> list[int]:
@@ -297,9 +269,9 @@ def _merge_series(left: tuple, right: tuple, need_p: bool) -> tuple:
 def _split_series_range(terms: tuple, a: int, b: int, need_p: bool) -> tuple:
     """(P, Q, T) of the terms k in [a, b) over Z[x]/(x^n), by binary splitting.
 
-    ``terms`` is (ratio, n, a1, a0); see ``_split_series``.  P is formed only
-    where a merge reads it: a left child needs it and a right child inherits
-    the flag.
+    ``terms`` is (ratio, n, a1, a0); see ``PrefixSums.of_ratio``.  P is
+    formed only where a merge reads it: a left child needs it and a right
+    child inherits the flag.
     """
     if b - a == 1:
         ratio, n, a1, a0 = terms
@@ -329,24 +301,6 @@ def _series_quotient(q: list[int], t: list[int], wden: int) -> tuple[Fraction, .
     return tuple(out)
 
 
-def _split_series(ratio, truncation: int, order: int, weight) -> tuple[Fraction, ...]:
-    """Coefficients of sum_{k<=K} (w1 k + w0) t_k mod x^(order+1), by binary splitting.
-
-    ``ratio(k)`` gives, for 1 <= k <= K, integer coefficient lists p(k) and
-    q(k) of length order + 1 with t_k / t_{k-1} = p(k) / q(k) and t_0 = 1;
-    q(k) needs a nonzero constant term.  Over a range [a, b) the split
-    returns the truncated products P and Q of p and q, and T with T/Q =
-    sum_k (a1 k + a0) p(a)...p(k) / (q(a)...q(k)), where (a1, a0) is the
-    weight times its common denominator wden; a merge is (P1 P2, Q1 Q2,
-    T1 Q2 + P1 T2), with P1 P2 formed only where a merge reads it, so never
-    at the root or down its right spine.  The sum is T / (Q * wden), taken
-    by series division.
-    """
-    a1, a0, wden = _integer_weight(weight)
-    _p, q, t = _split_series_range((ratio, order + 1, a1, a0), 0, truncation + 1, False)
-    return _series_quotient(q, t, wden)
-
-
 def _integer_factor(a: AffineParam) -> tuple[int, int, int]:
     """(n, D, s) with a + j = (n + j*D + s*x) / D for every integer j."""
     den = lcm(a.base.denominator, a.slope.denominator)
@@ -359,9 +313,9 @@ def _integer_factor(a: AffineParam) -> tuple[int, int, int]:
 
 def _series_ratio(s: HypSum, order: int):
     """The term ratio of ``s`` as ``ratio(k) -> (p(k), q(k))``, the integer
-    polynomials mod x^(order+1) that ``_split_series`` reads; see
+    polynomials mod x^(order+1) that ``_split_series_range`` reads; see
     ``eval_hyp_sum_series``.  The ``_integer_factor`` data is built here, so
-    a ``PrefixSeries`` builds it once for all its truncations."""
+    a running split builds it once for all its truncations."""
     uppers = [_integer_factor(u) for u in s.upper]
     lowers = [_integer_factor(l) for l in s.lower]
     p_scale = s.argument.numerator * prod(d for _n, d, _s in lowers)
@@ -395,9 +349,10 @@ def _series_ratio(s: HypSum, order: int):
 def eval_hyp_sum_series(s: HypSum, order: int) -> TruncSeries:
     """The sum as a truncated power series in the deformation variable x.
 
-    Binary splitting over Z[x]/(x^(order+1)).  With every parameter written
-    (n + s*x)/D over integers, the term ratio t_k / t_{k-1} is p(k) / q(k)
-    for the integer polynomials
+    Binary splitting over Z[x]/(x^(order+1)), the root split of
+    ``PrefixSums.of(s, order)``.  With every parameter written (n + s*x)/D
+    over integers, the term ratio t_k / t_{k-1} is p(k) / q(k) for the
+    integer polynomials
 
         p(k) = z.num * prod D_lower * prod (n_u + (k-1) D_u + s_u x),
         q(k) = z.den * prod D_upper * k * prod (n_l + (k-1) D_l + s_l x),
@@ -409,52 +364,80 @@ def eval_hyp_sum_series(s: HypSum, order: int) -> TruncSeries:
     coefficient is the scalar sum at x = 0.
     """
     _check_lower_poles(s.lower, s.truncation)
-    return TruncSeries(_split_series(_series_ratio(s, order), s.truncation, order, s.weight))
+    return TruncSeries(PrefixSums.of(s, order).root(s.truncation))
 
 
-class PrefixSeries:
-    """The series sums of one term ratio at many truncations K, as prefixes of one running split.
+class PrefixSums:
+    """The sums of one term ratio at many truncations K, as prefixes of one running split.
 
-    The series form of ``PrefixSums``.  ``at(K)`` is ``_split_series(ratio,
-    K, order, weight)``; for ``PrefixSeries.of(spec, order)`` that is the
-    coefficient tuple of ``eval_hyp_sum_series`` of the spec truncated at K.
-    The object keeps the state (frontier, P, Q, T) over Z[x]/(x^(order+1))
-    of the terms k <= frontier.  A K above the frontier splits only the new
-    terms [frontier + 1, K] and merges them into the state by the split's
-    own merge, and its sum is the same series division.  A K at or below
-    the frontier is read from the coefficients already made, or else is one
-    ``_split_series``.  The pole check of the ``lower`` parameters runs for
-    every K, as in the one-shot path.  The state is rebound as one tuple, so
-    a concurrent reader sees a whole state, old or new.
+    One class serves both rings; it is handed its ring's split, merge and
+    finish.  ``PrefixSums.of(spec)`` splits over the integers (``_split``,
+    ``_merge``, ``_scalar_quotient``), and its ``at(K)`` is ``eval_hyp_sum``
+    of the spec truncated at K.  ``PrefixSums.of(spec, order)`` and
+    ``PrefixSums.of_ratio`` split over Z[x]/(x^(order+1))
+    (``_split_series_range``, ``_merge_series``, ``_series_quotient``), and
+    ``at(K)`` is the coefficient tuple of the series sum truncated at K.
+    The object keeps the state (frontier, P, Q, T) of the terms k <=
+    frontier.  A K above the frontier splits only the new terms
+    [frontier + 1, K] and merges them into the state, so a sweep whose
+    truncations grow sums max K terms where one-shot sums would take the sum
+    of all K.  A K at or below the frontier is read from the values already
+    made, or else is one ``root`` split.  The pole check of the lower
+    parameters runs for every K, as in the one-shot paths.  The state is
+    rebound as one tuple, so a concurrent reader sees a whole state, old or
+    new.
     """
 
-    def __init__(self, ratio, order: int, weight, lower=()):
-        self._ratio, self._order, self._weight, self._lower = ratio, order, weight, tuple(lower)
-        a1, a0, self._wden = _integer_weight(weight)
-        self._terms = (ratio, order + 1, a1, a0)
-        unit = [1] + [0] * order
-        self._state = (-1, unit, unit, [0] * (order + 1))  # no terms yet: the empty range
-        self._values: dict[int, tuple[Fraction, ...]] = {}
+    def __init__(self, split, merge, finish, terms: tuple, wden: int, lower=()):
+        self._split, self._merge, self._finish = split, merge, finish
+        self._terms, self._wden, self._lower = terms, wden, tuple(lower)
+        self._state = (-1, None)  # (frontier, (P, Q, T)); no terms yet
+        self._values: dict = {}
 
     @classmethod
-    def of(cls, spec: HypSum, order: int) -> PrefixSeries:
-        """The running split of the spec's term ratio; its truncation is not read."""
-        return cls(_series_ratio(spec, order), order, spec.weight, spec.lower)
+    def of(cls, spec: HypSum, order: int | None = None) -> PrefixSums:
+        """The running split of the spec's sums, at x = 0 or, given an order,
+        mod x^(order+1); the spec's truncation is not read."""
+        if order is not None:
+            return cls.of_ratio(_series_ratio(spec, order), order, spec.weight, spec.lower)
+        terms, wden = _integer_terms(spec)
+        return cls(_split, _merge, _scalar_quotient, terms, wden, spec.lower)
 
-    def at(self, K: int) -> tuple[Fraction, ...]:
+    @classmethod
+    def of_ratio(cls, ratio, order: int, weight, lower=()) -> PrefixSums:
+        """The running split of sum_{k<=K} (w1 k + w0) t_k mod x^(order+1).
+
+        ``ratio(k)`` gives, for k >= 1, integer coefficient lists p(k) and
+        q(k) of length order + 1 with t_k / t_{k-1} = p(k) / q(k) and t_0 =
+        1; q(k) needs a nonzero constant term.  Over a range [a, b) the
+        split returns the truncated products P and Q of p and q, and T with
+        T/Q = sum_k (a1 k + a0) p(a)...p(k) / (q(a)...q(k)), where (a1, a0)
+        is the weight (w1, w0) times its common denominator wden.  The sum
+        is T / (Q * wden), taken by series division.
+        """
+        a1, a0, wden = _integer_weight(weight)
+        return cls(_split_series_range, _merge_series, _series_quotient, (ratio, order + 1, a1, a0), wden, lower)
+
+    def root(self, K: int):
+        """The sum at K by one split of [0, K], which keeps no state and forms
+        no P; the caller checks the poles."""
+        _p, q, t = self._split(self._terms, 0, K + 1, False)
+        return self._finish(q, t, self._wden)
+
+    def at(self, K: int):
         _check_truncation(K)
         value = self._values.get(K)
         if value is not None:
             return value
         _check_lower_poles(self._lower, K)
-        frontier, p1, q1, t1 = self._state
+        frontier, state = self._state
         if K <= frontier:
-            value = _split_series(self._ratio, K, self._order, self._weight)
+            value = self.root(K)
         else:
-            new = _split_series_range(self._terms, frontier + 1, K + 1, True)
-            p, q, t = _merge_series((p1, q1, t1), new, True)
-            self._state = (K, p, q, t)
-            value = _series_quotient(q, t, self._wden)
+            new = self._split(self._terms, frontier + 1, K + 1, True)
+            state = new if state is None else self._merge(state, new, True)
+            self._state = (K, state)
+            value = self._finish(state[1], state[2], self._wden)
         self._values[K] = value
         return value
 

@@ -416,7 +416,7 @@ def stepping_eval_hyp_sum_series(s: HypSum, order: int) -> TruncSeries:
 
 
 def q0_power_split_series(ratio, truncation: int, order: int, weight) -> tuple[Fraction, ...]:
-    """``hypergeometric._split_series`` with its earlier last step.
+    """The root series split of ``hypergeometric.PrefixSums.of_ratio`` with its earlier last step.
 
     The split forms the same products, with an unfused merge.  With S = T/Q
     and q0 = Q_0, N_d = S_d * q0^(d+1)

@@ -364,3 +364,50 @@ def test_no_module_reads_the_environment():
             if attribute or imported:
                 reads.append(f"{path.relative_to(src)}:{node.lineno}")
     assert reads == []
+
+
+def _module_level_names(stmt) -> list[str]:
+    """The names a top-level statement defines: a function, a class or a constant."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [target.id for target in stmt.targets if isinstance(target, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def test_every_module_level_definition_is_read_by_the_package():
+    # code that only the tests use is deleted: every function, class and
+    # constant of a module must be read by the package's own code, in its
+    # module (not only by its own body) or through a relative import
+    src = Path(__file__).resolve().parents[1] / "src" / "supercong"
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    defined = {
+        (module, name) for module, tree in trees.items() for stmt in tree.body for name in _module_level_names(stmt)
+    }
+    read = set()
+    for module, tree in trees.items():
+        imported, modules = {}, {}  # local name -> (module, name), local name -> module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module is None:
+                        modules[local] = alias.name
+                    else:
+                        imported[local] = (node.module, alias.name)
+        for stmt in tree.body:
+            own = set(_module_level_names(stmt))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if (module, node.id) in defined:
+                        if node.id not in own:
+                            read.add((module, node.id))
+                    elif node.id in imported:
+                        read.add(imported[node.id])
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    if node.value.id in modules:
+                        read.add((modules[node.value.id], node.attr))
+    unread = sorted(f"{module}.{name}" for module, name in defined - read if not name.startswith("__"))
+    assert unread == []

@@ -426,26 +426,50 @@ def test_thmkey2_x2_sum_is_evaluated_once_per_prime(monkeypatch):
 #: The cases whose sums are read off the central families' running splits.
 CENTRAL_TAGS = ["EQ0", "THM1", "THM2", "KILBOURN", "CONJ1", "THM3", "THM4", "THM4_STRONG", "SIX_F_FIVE_COEFFS"]
 
+#: The cases that read H2 and OH2 off the harmonic families' running splits.
+HARMONIC_TAGS = ["H2_HALF", "ODDH2_HALF", "H2_REFLECT"]
+
+
+class _OneShot:
+    """A stand-in family that sums every truncation from k = 0, as a per-prime evaluation does."""
+
+    def __init__(self, build, *args):
+        self.spec = build(*args)
+
+    def at(self, K):
+        return eval_hyp_sum(replace(self.spec, truncation=K))
+
+
+def _records_without_history(monkeypatch, cases, push_cases, families):
+    """The records of ``cases`` over 5..199 fresh, after the families were
+    pushed past 5..499 by ``push_cases``, from one-prime runs in descending
+    order, and from one-shot sums; they must all be equal."""
+    primes = range(5, 200)
+    harness._family.cache_clear()
+    fresh = run_suite(primes, rs=(1, 2), cases=cases)
+    assert harness._family.cache_info().currsize == families
+    run_suite(range(5, 500), rs=(1, 2), cases=push_cases)
+    pushed = run_suite(primes, rs=(1, 2), cases=cases)
+    harness._family.cache_clear()
+    per_prime = [rec for p in reversed(primes) for rec in run_suite([p], rs=(1, 2), cases=cases)]
+    descending = sorted(per_prime, key=lambda rec: (CASE_ORDER.index(rec.case), rec.p, rec.param))
+    # the one-shot sum of each truncation is the oracle
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_family", _OneShot)
+        one_shot = run_suite(primes, rs=(1, 2), cases=cases)
+    assert fresh == pushed == descending == one_shot
+    return fresh
+
 
 def test_central_sum_records_do_not_depend_on_history(monkeypatch):
     # the families are shared by every prime and case of a process, so a
-    # record must not show how far an earlier run pushed their frontiers
-    primes = range(5, 200)
-    harness._central_family.cache_clear()
-    fresh = run_suite(primes, rs=(1, 2), cases=CENTRAL_TAGS)
-    assert harness._central_family.cache_info().currsize == 6  # one family per (e, z, weight)
-    run_suite(range(5, 500), rs=(1, 2), cases=CENTRAL_TAGS[:-1])
-    pushed = run_suite(primes, rs=(1, 2), cases=CENTRAL_TAGS)
-    harness._central_family.cache_clear()
-    per_prime = [rec for p in reversed(primes) for rec in run_suite([p], rs=(1, 2), cases=CENTRAL_TAGS)]
-    descending = sorted(per_prime, key=lambda rec: (CASE_ORDER.index(rec.case), rec.p, rec.param))
-    # the one-shot sum of each truncation is the oracle
-    monkeypatch.setattr(
-        harness, "_central", lambda e, K, z=1, weight=(0, 1): eval_hyp_sum(harness.central_sum(e, K, z, weight))
-    )
-    one_shot = run_suite(primes, rs=(1, 2), cases=CENTRAL_TAGS)
-    assert any(rec.param == 2 for rec in fresh)
-    assert fresh == pushed == descending == one_shot
+    # record must not show how far an earlier run pushed their frontiers;
+    # one family per (e, z, weight), and one each for H2 and OH2, which
+    # H2_REFLECT reads below the frontier at every prime
+    central = _records_without_history(monkeypatch, CENTRAL_TAGS, CENTRAL_TAGS[:-1], 6)
+    assert any(rec.param == 2 for rec in central)
+    harmonic = _records_without_history(monkeypatch, HARMONIC_TAGS, HARMONIC_TAGS, 2)
+    assert {rec.case for rec in harmonic} == set(HARMONIC_TAGS)
 
 
 def test_shared_central_sums_make_no_root_split_of_their_own(monkeypatch):
@@ -466,11 +490,12 @@ def test_shared_central_sums_make_no_root_split_of_their_own(monkeypatch):
     for first, second in [("THM4", "THM4_STRONG"), ("THM2", "CONJ1"), ("EQ0", "SIX_F_FIVE_COEFFS")]:
         counts = []
         for cases in ([first], [first, second]):
-            harness._central_family.cache_clear()
+            harness._family.cache_clear()
             roots.clear()
             run_suite([7, 11, 13], cases=cases)
             counts.append(len(roots))
         assert counts == [3, 3], (first, second)
+    harness._family.cache_clear()  # its families hold the counting split
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""The running series split against the one-shot series sums.
+"""The running split in its series form against the one-shot series sums.
 
-``PrefixSeries.of(spec, order).at(K)`` must equal the coefficients of
-``eval_hyp_sum_series`` of the spec truncated at K, and ``PrefixSeries(ratio,
-order, weight).at(K)`` those of ``_split_series(ratio, K, order, weight)``,
-whatever truncations were asked before and in whatever order; a pole must
-raise ``PoleError`` at the same K on both paths.  The harness reads
+``PrefixSums.of(spec, order).at(K)`` must equal the coefficients of
+``eval_hyp_sum_series`` of the spec truncated at K, and
+``PrefixSums.of_ratio(ratio, order, weight).at(K)`` the root split of the
+same ratio at K, whatever truncations were asked before and in whatever
+order; a pole must raise ``PoleError`` at the same K on both paths, and the
+constant coefficient must be the scalar form's value.  The harness reads
 EQ10_A2, THM3_QUOTIENT_X2 and LEM_THM1_B2K off such running splits, shared
 by every prime of a process, so their records must not show how far an
-earlier run pushed them.
+earlier run pushed them.  The helpers are those of tests/test_prefix_sums.py.
 """
 
 import random
@@ -16,7 +17,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from supercong import harness, hypergeometric
+from supercong import harness
 from supercong.harness import (
     CASE_ORDER,
     QUARTER,
@@ -26,9 +27,17 @@ from supercong.harness import (
     run_suite,
     thm3_deformed_spec,
 )
-from supercong.hypergeometric import HypSum, PoleError, PrefixSeries, _split_series, eval_hyp_sum_series, hyp_sum
+from supercong.hypergeometric import HypSum, PoleError, PrefixSums, eval_hyp_sum_series, hyp_sum
 
-ORDERS = ("ascending", "descending", "shuffled")
+from test_prefix_sums import (
+    ORDERS,
+    _assert_a_larger_truncation_splits_only_the_new_terms,
+    _assert_prefixes_match,
+    _outcome,
+    _record_roots,
+    _truncations,
+    random_spec,
+)
 
 #: The series families the harness reads through running splits.
 SPEC_FAMILIES = {
@@ -39,68 +48,27 @@ LEM_WEIGHT = (F(0), F(1))
 
 
 def _random_spec(rng: random.Random) -> tuple[HypSum, int]:
-    """A deformed spec and a series order; half of them meet a lower pole within K <= 300."""
-
-    def rational():
-        return F(rng.randint(-12, 12), rng.randint(1, 6))
-
-    def slope():
-        return rational() if rng.random() < 0.6 else F(0)
-
-    upper = [(rational(), slope()) for _ in range(rng.randint(1, 2))]
-    lower = [(rational(), slope()) for _ in range(rng.randint(0, 2))]
-    if rng.random() < 0.5:
-        lower.append((F(-rng.randint(0, 250)), slope()))  # a pole from K = n + 1, or at every K
-    if rng.random() < 0.3:
-        upper.append(F(-rng.randint(0, 250)))  # the terms stop mid-range
-    z = rational()
-    weight = (rational(), rational())
-    return hyp_sum(upper, lower, z=z, K=0, weight=weight), rng.randint(1, SERIES_ORDER)
+    """A deformed spec and a series order."""
+    return random_spec(rng, deformed=True), rng.randint(1, SERIES_ORDER)
 
 
 RANDOM_SPECS = [_random_spec(random.Random(f"prefix-series:{i}")) for i in range(6)]
 
 
-def _outcome(evaluate, *args):
-    try:
-        return evaluate(*args)
-    except PoleError:
-        return PoleError
-
-
-def _truncations(order: str, top: int) -> list[int]:
-    ks = list(range(top + 1))
-    if order == "descending":
-        ks.reverse()
-    elif order == "shuffled":
-        random.Random(top).shuffle(ks)
-    return ks
-
-
-def _assert_prefixes_match(make, one_shot, top: int) -> None:
-    want = [_outcome(one_shot, K) for K in range(top + 1)]
-    for order in ORDERS:
-        sums = make()
-        got = {K: _outcome(sums.at, K) for K in _truncations(order, top)}
-        assert [got[K] for K in range(top + 1)] == want, order
-        # asked again, every value is read from what the first pass made
-        assert [_outcome(sums.at, K) for K in range(top + 1)] == want, order
+def _lem_sums() -> PrefixSums:
+    return PrefixSums.of_ratio(_lem_thm1_ratio, SERIES_ORDER, LEM_WEIGHT)
 
 
 def _assert_spec_prefixes_match(spec: HypSum, order: int, top: int) -> None:
     _assert_prefixes_match(
-        lambda: PrefixSeries.of(spec, order),
+        lambda: PrefixSums.of(spec, order),
         lambda K: eval_hyp_sum_series(replace(spec, truncation=K), order).coeffs,
         top,
     )
 
 
 def _assert_lem_prefixes_match(top: int) -> None:
-    _assert_prefixes_match(
-        lambda: PrefixSeries(_lem_thm1_ratio, SERIES_ORDER, LEM_WEIGHT),
-        lambda K: _split_series(_lem_thm1_ratio, K, SERIES_ORDER, LEM_WEIGHT),
-        top,
-    )
+    _assert_prefixes_match(_lem_sums, lambda K: _lem_sums().root(K), top)
 
 
 @pytest.mark.parametrize("tag", SPEC_FAMILIES)
@@ -117,6 +85,17 @@ def test_random_spec_prefixes_match_the_one_shot_series(index):
     _assert_spec_prefixes_match(*RANDOM_SPECS[index], 300)
 
 
+@pytest.mark.parametrize("index", range(len(RANDOM_SPECS)))
+def test_random_spec_constant_terms_match_the_scalar_sums(index):
+    # the series form at x = 0 is the scalar form, pole for pole
+    spec, order = RANDOM_SPECS[index]
+    for trunc_order in ORDERS:
+        scalar, series = PrefixSums.of(spec), PrefixSums.of(spec, order)
+        for K in _truncations(trunc_order, 300):
+            coeffs = _outcome(series.at, K)
+            assert _outcome(scalar.at, K) == (coeffs if coeffs is PoleError else coeffs[0]), (trunc_order, K)
+
+
 def test_random_specs_reach_every_regime():
     specs = [spec for spec, _order in RANDOM_SPECS]
     assert any(l.base.denominator == 1 and 0 < -l.base < 300 for s in specs for l in s.lower)  # a pole mid-range
@@ -127,7 +106,7 @@ def test_random_specs_reach_every_regime():
 
 def test_a_pole_raises_at_the_same_truncation():
     spec = hyp_sum([F(1, 2), (F(1, 2), F(1, 3))], [(-5, 0), (1, F(1, 4))], z=-1, K=0)
-    sums = PrefixSeries.of(spec, 3)
+    sums = PrefixSums.of(spec, 3)
     assert sums.at(5) == eval_hyp_sum_series(replace(spec, truncation=5), 3).coeffs
     for K in (6, 7, 40):
         with pytest.raises(PoleError):
@@ -136,7 +115,7 @@ def test_a_pole_raises_at_the_same_truncation():
     assert sums.at(3) == eval_hyp_sum_series(replace(spec, truncation=3), 3).coeffs
     # a deformed lower parameter with zero base is refused from its first factor on
     zero_base = hyp_sum([1], [(0, 1)], z=1, K=0)
-    sums = PrefixSeries.of(zero_base, 2)
+    sums = PrefixSums.of(zero_base, 2)
     assert sums.at(0) == eval_hyp_sum_series(zero_base, 2).coeffs
     with pytest.raises(PoleError, match="zero base"):
         sums.at(1)
@@ -144,30 +123,15 @@ def test_a_pole_raises_at_the_same_truncation():
 
 @pytest.mark.parametrize("K, error", [(True, TypeError), (2.0, TypeError), ("2", TypeError), (-1, ValueError)])
 def test_a_truncation_is_checked_as_the_spec_checks_it(K, error):
-    sums = PrefixSeries.of(SPEC_FAMILIES["EQ10_A2"], SERIES_ORDER)
+    sums = PrefixSums.of(SPEC_FAMILIES["EQ10_A2"], SERIES_ORDER)
     sums.at(1)  # a bool must not read the value made at K = 1
     with pytest.raises(error):
         sums.at(K)
 
 
 def test_a_larger_truncation_splits_only_the_new_terms(monkeypatch):
-    real, depth, roots = hypergeometric._split_series_range, [0], []
-
-    def counting(terms, a, b, need_p):
-        if not depth[0]:
-            roots.append((a, b, need_p))
-        depth[0] += 1
-        try:
-            return real(terms, a, b, need_p)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(hypergeometric, "_split_series_range", counting)
-    sums = PrefixSeries(_lem_thm1_ratio, SERIES_ORDER, LEM_WEIGHT)
-    for K in (10, 20, 15, 20, 10, 15):
-        sums.at(K)
-    # 10 and 20 extend the state; 15 lies below the frontier and is summed once, from k = 0
-    assert roots == [(0, 11, True), (11, 21, True), (0, 16, False)]
+    roots = _record_roots(monkeypatch, "_split_series_range")
+    _assert_a_larger_truncation_splits_only_the_new_terms(roots, _lem_sums())
 
 
 #: The series cases that read a running split per family.
@@ -175,7 +139,7 @@ FAMILY_TAGS = ["EQ10_A2", "LEM_THM1_B2K", "THM3_QUOTIENT_X2"]
 
 
 def _clear_series_families():
-    harness._series_family.cache_clear()
+    harness._family.cache_clear()
     harness._lem_thm1_family.cache_clear()
 
 
@@ -190,7 +154,7 @@ def test_series_family_records_do_not_depend_on_history(monkeypatch):
     primes = range(5, 200)
     _clear_series_families()
     fresh = run_suite(primes, cases=FAMILY_TAGS)
-    assert harness._series_family.cache_info().currsize == 2  # EQ10 and THM3 at z = 1/4
+    assert harness._family.cache_info().currsize == 2  # EQ10 and THM3 at z = 1/4
     assert harness._lem_thm1_family.cache_info().currsize == 1
     run_suite(range(5, 500), cases=FAMILY_TAGS)
     pushed = run_suite(primes, cases=FAMILY_TAGS)
@@ -200,15 +164,18 @@ def test_series_family_records_do_not_depend_on_history(monkeypatch):
     # the one-shot series of each prime's spec, and every step checked again per prime, are the oracle
     monkeypatch.setattr(
         harness,
-        "_series_family",
-        lambda spec_of, *args: _OneShot(
-            lambda K: eval_hyp_sum_series(spec_of(2 * K + 1, *args), SERIES_ORDER).coeffs
+        "_family",
+        lambda build, _p, *args, order: _OneShot(
+            lambda K: eval_hyp_sum_series(build(2 * K + 1, *args), order).coeffs
         ),
     )
     monkeypatch.setattr(
         harness,
         "_lem_thm1_family",
-        lambda ratio: (_OneShot(lambda K: _split_series(ratio, K, SERIES_ORDER, LEM_WEIGHT)), [True]),
+        lambda ratio: (
+            _OneShot(lambda K: PrefixSums.of_ratio(ratio, SERIES_ORDER, LEM_WEIGHT).root(K)),
+            [True],
+        ),
     )
     one_shot = run_suite(primes, cases=FAMILY_TAGS)
     assert len(fresh) == 3 * len([p for p in primes if harness.is_prime(p)])

@@ -1,8 +1,11 @@
-"""The running split against the one-shot sum.
+"""The running split against the one-shot sums, in both rings.
 
-``PrefixSums(spec).at(K)`` must equal ``eval_hyp_sum`` of the spec truncated
-at K, whatever truncations were asked before it and in whatever order, and a
-pole must raise ``PoleError`` at the same K on both paths.
+``PrefixSums.of(spec).at(K)`` must equal ``eval_hyp_sum`` of the spec
+truncated at K, and ``PrefixSums.of(spec, order).at(K)`` the coefficients of
+``eval_hyp_sum_series`` (tests/test_prefix_series.py), whatever truncations
+were asked before it and in whatever order; a pole must raise ``PoleError``
+at the same K on both paths.  The helpers and the random specs here serve
+both modules.
 """
 
 import random
@@ -11,6 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from supercong import hypergeometric
 from supercong.harness import central_sum
 from supercong.hypergeometric import HypSum, PoleError, PrefixSums, eval_hyp_sum, hyp_sum
 
@@ -33,14 +37,23 @@ HARMONIC_FAMILIES = {
 ORDERS = ("ascending", "descending", "shuffled")
 
 
-def _random_spec(rng: random.Random) -> HypSum:
+def random_spec(rng: random.Random, deformed: bool = False) -> HypSum:
+    """A spec whose sums meet the regimes of the running split.
+
+    Half of them meet a lower pole within K <= 300, and some have terms that
+    stop mid-range.  A deformed spec gives most parameters a slope.
+    """
+
     def rational():
         return F(rng.randint(-12, 12), rng.randint(1, 7))
 
-    upper = [rational() for _ in range(rng.randint(1, 3))]
-    lower = [rational() for _ in range(rng.randint(0, 2))]
+    def slope():
+        return rational() if deformed and rng.random() < 0.6 else F(0)
+
+    upper = [(rational(), slope()) for _ in range(rng.randint(1, 3))]
+    lower = [(rational(), slope()) for _ in range(rng.randint(0, 2))]
     if rng.random() < 0.5:
-        lower.append(F(-rng.randint(0, 250)))  # a pole within K <= 300
+        lower.append((F(-rng.randint(0, 250)), slope()))  # a pole from K = n + 1, or at every K
     if rng.random() < 0.3:
         upper.append(F(-rng.randint(0, 250)))  # the terms stop mid-range
     z = -abs(rational()) if rng.random() < 0.5 else rational()
@@ -48,7 +61,7 @@ def _random_spec(rng: random.Random) -> HypSum:
     return hyp_sum(upper, lower, z=z, K=0, weight=weight)
 
 
-RANDOM_SPECS = [_random_spec(random.Random(f"prefix:{i}")) for i in range(8)]
+RANDOM_SPECS = [random_spec(random.Random(f"prefix:{i}")) for i in range(8)]
 
 
 def _outcome(evaluate, *args):
@@ -67,30 +80,62 @@ def _truncations(order: str, top: int) -> list[int]:
     return ks
 
 
-def _assert_prefixes_match_the_one_shot_sums(spec: HypSum, top: int, orders=ORDERS) -> None:
-    want = [_outcome(eval_hyp_sum, replace(spec, truncation=K)) for K in range(top + 1)]
-    for order in orders:
-        sums = PrefixSums(spec)
+def _assert_prefixes_match(make, one_shot, top: int) -> None:
+    """``make()``'s running split asked for K <= top in every order equals ``one_shot(K)``."""
+    want = [_outcome(one_shot, K) for K in range(top + 1)]
+    for order in ORDERS:
+        sums = make()
         got = {K: _outcome(sums.at, K) for K in _truncations(order, top)}
         assert [got[K] for K in range(top + 1)] == want, order
         # asked again, every value is read from what the first pass made
         assert [_outcome(sums.at, K) for K in range(top + 1)] == want, order
 
 
+def _assert_scalar_prefixes_match(spec: HypSum, top: int) -> None:
+    _assert_prefixes_match(lambda: PrefixSums.of(spec), lambda K: eval_hyp_sum(replace(spec, truncation=K)), top)
+
+
+def _record_roots(monkeypatch, split: str) -> list[tuple[int, int, bool]]:
+    """Patch ``hypergeometric.<split>`` to record (a, b, need_p) of each outermost call.
+
+    A running split takes its ring's split when it is built, so build it after this.
+    """
+    real, depth, roots = getattr(hypergeometric, split), [0], []
+
+    def counting(terms, a, b, need_p):
+        if not depth[0]:
+            roots.append((a, b, need_p))
+        depth[0] += 1
+        try:
+            return real(terms, a, b, need_p)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(hypergeometric, split, counting)
+    return roots
+
+
+def _assert_a_larger_truncation_splits_only_the_new_terms(roots: list, sums: PrefixSums) -> None:
+    for K in (10, 20, 15, 20, 10, 15):
+        sums.at(K)
+    # 10 and 20 extend the state; 15 lies below the frontier and is summed once, from k = 0
+    assert roots == [(0, 11, True), (11, 21, True), (0, 16, False)]
+
+
 @pytest.mark.parametrize("family", CENTRAL_FAMILIES, ids=str)
 def test_central_family_prefixes_match_the_one_shot_sums(family):
     e, z, weight = family
-    _assert_prefixes_match_the_one_shot_sums(central_sum(e, 0, z, weight), 300)
+    _assert_scalar_prefixes_match(central_sum(e, 0, z, weight), 300)
 
 
 @pytest.mark.parametrize("name", HARMONIC_FAMILIES)
 def test_harmonic_family_prefixes_match_the_one_shot_sums(name):
-    _assert_prefixes_match_the_one_shot_sums(HARMONIC_FAMILIES[name], 300)
+    _assert_scalar_prefixes_match(HARMONIC_FAMILIES[name], 300)
 
 
 @pytest.mark.parametrize("index", range(len(RANDOM_SPECS)))
 def test_random_spec_prefixes_match_the_one_shot_sums(index):
-    _assert_prefixes_match_the_one_shot_sums(RANDOM_SPECS[index], 300)
+    _assert_scalar_prefixes_match(RANDOM_SPECS[index], 300)
 
 
 def test_random_specs_reach_every_regime():
@@ -103,7 +148,7 @@ def test_random_specs_reach_every_regime():
 
 def test_a_pole_raises_at_the_same_truncation():
     spec = hyp_sum([F(1, 2)], [-5], z=-1, K=0)
-    sums = PrefixSums(spec)
+    sums = PrefixSums.of(spec)
     assert sums.at(5) == eval_hyp_sum(replace(spec, truncation=5))
     for K in (6, 7, 40):
         with pytest.raises(PoleError):
@@ -114,20 +159,25 @@ def test_a_pole_raises_at_the_same_truncation():
 
 @pytest.mark.parametrize("K, error", [(True, TypeError), (2.0, TypeError), ("2", TypeError), (-1, ValueError)])
 def test_a_truncation_is_checked_as_the_spec_checks_it(K, error):
-    sums = PrefixSums(central_sum(3, 0, -1, (4, 1)))
+    sums = PrefixSums.of(central_sum(3, 0, -1, (4, 1)))
     sums.at(1)  # a bool must not read the value made at K = 1
     with pytest.raises(error):
         sums.at(K)
+
+
+def test_a_larger_truncation_splits_only_the_new_terms(monkeypatch):
+    roots = _record_roots(monkeypatch, "_split")
+    _assert_a_larger_truncation_splits_only_the_new_terms(roots, PrefixSums.of(central_sum(4, 0, 1, (4, 1))))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("family", CENTRAL_FAMILIES, ids=str)
 def test_central_family_prefixes_match_the_one_shot_sums_to_999(family):
     e, z, weight = family
-    _assert_prefixes_match_the_one_shot_sums(central_sum(e, 0, z, weight), 999)
+    _assert_scalar_prefixes_match(central_sum(e, 0, z, weight), 999)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", HARMONIC_FAMILIES)
 def test_harmonic_family_prefixes_match_the_one_shot_sums_to_999(name):
-    _assert_prefixes_match_the_one_shot_sums(HARMONIC_FAMILIES[name], 999)
+    _assert_scalar_prefixes_match(HARMONIC_FAMILIES[name], 999)

@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercong import hypergeometric
 from supercong.exact_core import is_prime, rising_factorial
 from supercong.harness import SERIES_ORDER, _lem_thm1_ratio, thm3_deformed_spec, thmkey_series_spec
 from supercong.hypergeometric import (
     HypSum,
     PoleError,
-    _split_series,
+    PrefixSums,
+    _series_ratio,
     eval_hyp_sum_series,
     hyp_sum,
 )
@@ -197,6 +197,11 @@ def test_binary_splitting_matches_stepping_oracle_on_drawn_specs(drawn):
     assert _outcome(eval_hyp_sum_series, spec, order) == _outcome(stepping_eval_hyp_sum_series, spec, order)
 
 
+def _lem_sum(m: int) -> tuple[F, ...]:
+    """LEM_THM1_B2K's series sum to k = m, split from k = 0 over its term ratio."""
+    return PrefixSums.of_ratio(_lem_thm1_ratio, SERIES_ORDER, (F(0), F(1))).root(m)
+
+
 def _lem_thm1_x2_oracle(m: int) -> F:
     """sum_{k<=m} -c_k^4 H2(2k), with c_k and H2 stepped here."""
     total, c, h2 = F(0), F(1), F(0)
@@ -212,15 +217,14 @@ def test_binary_splitting_matches_oracles_beyond_the_contract_range(p):
     for tag, spec in series_case_specs(p).items():
         assert eval_hyp_sum_series(spec, SERIES_ORDER) == stepping_eval_hyp_sum_series(spec, SERIES_ORDER), tag
     m = (p - 1) // 2
-    lem = _split_series(_lem_thm1_ratio, m, SERIES_ORDER, (F(0), F(1)))
-    assert lem[2] == _lem_thm1_x2_oracle(m)
+    assert _lem_sum(m)[2] == _lem_thm1_x2_oracle(m)
 
 
 def test_lem_thm1_ratio_sums_the_stepped_terms():
     m = 24
     stepped = [lem_thm1_term_series(k) for k in range(m + 1)]
     total = tuple(sum((t.coeffs[d] for t in stepped), F(0)) for d in range(SERIES_ORDER + 1))
-    assert _split_series(_lem_thm1_ratio, m, SERIES_ORDER, (F(0), F(1))) == total
+    assert _lem_sum(m) == total
 
 
 def _every_series_spec(p: int) -> dict[str, HypSum]:
@@ -230,20 +234,22 @@ def _every_series_spec(p: int) -> dict[str, HypSum]:
     return specs
 
 
-def _check_series_division_against_q0_powers(p, monkeypatch):
+def _q0_power_sum(spec: HypSum, order: int) -> tuple[F, ...]:
+    """The q0-power oracle over the term ratio of a spec that passed the pole check."""
+    return q0_power_split_series(_series_ratio(spec, order), spec.truncation, order, spec.weight)
+
+
+def _check_series_division_against_q0_powers(p):
     for tag, spec in _every_series_spec(p).items():
-        divided = eval_hyp_sum_series(spec, SERIES_ORDER)
-        with monkeypatch.context() as patch:
-            patch.setattr(hypergeometric, "_split_series", q0_power_split_series)
-            assert eval_hyp_sum_series(spec, SERIES_ORDER) == divided, tag
+        assert eval_hyp_sum_series(spec, SERIES_ORDER).coeffs == _q0_power_sum(spec, SERIES_ORDER), tag
     # the ratio is even in x, so Q_1 = 0: an int accumulator over an int would be a float
-    args = (_lem_thm1_ratio, (p - 1) // 2, SERIES_ORDER, (F(0), F(1)))
-    divided = _split_series(*args)
+    m = (p - 1) // 2
+    divided = _lem_sum(m)
     assert all(type(c) is F for c in divided)
-    assert divided == q0_power_split_series(*args)
+    assert divided == q0_power_split_series(_lem_thm1_ratio, m, SERIES_ORDER, (F(0), F(1)))
 
 
-def test_series_division_matches_the_q0_power_last_step_on_random_specs(monkeypatch):
+def test_series_division_matches_the_q0_power_last_step_on_random_specs():
     # rational weights: the division carries the weight's denominator wden
     rng = random.Random(20091202)
     compared = 0
@@ -252,21 +258,20 @@ def test_series_division_matches_the_q0_power_last_step_on_random_specs(monkeypa
         spec = replace(_random_spec(rng), weight=weight)
         order = rng.randint(0, 6)
         divided = _outcome(eval_hyp_sum_series, spec, order)
-        with monkeypatch.context() as patch:
-            patch.setattr(hypergeometric, "_split_series", q0_power_split_series)
-            assert _outcome(eval_hyp_sum_series, spec, order) == divided, spec
+        if divided is not PoleError:
+            assert divided.coeffs == _q0_power_sum(spec, order), spec
         assert _outcome(stepping_eval_hyp_sum_series, spec, order) == divided, spec
         compared += divided is not PoleError and order > 0 and any(l.slope for l in spec.lower)
     assert compared >= 50
 
 
 @pytest.mark.parametrize("p", [p for p in range(5, 200) if is_prime(p)])
-def test_series_division_matches_the_q0_power_last_step(p, monkeypatch):
-    _check_series_division_against_q0_powers(p, monkeypatch)
+def test_series_division_matches_the_q0_power_last_step(p):
+    _check_series_division_against_q0_powers(p)
 
 
 @pytest.mark.slow
-def test_series_division_matches_the_q0_power_last_step_to_997(monkeypatch):
+def test_series_division_matches_the_q0_power_last_step_to_997():
     for p in range(211, 998):
         if is_prime(p):
-            _check_series_division_against_q0_powers(p, monkeypatch)
+            _check_series_division_against_q0_powers(p)
