@@ -22,7 +22,8 @@ quotient of the root's two polynomials, taken by series division on
 reduced fractions.  ``PrefixSums`` keeps the state of one split in either
 ring, handed that ring's split, merge and finish, so the sums of one spec at
 growing truncations K extend one running split instead of each starting
-from k = 0; its root split from k = 0 is also the one-shot series sum.
+from k = 0; its root split from k = 0 is also the one-shot sum in both
+rings.
 ``specialize`` pins x to a value instead, which turns a deformed sum into a
 scalar one.  The explicit k! matches the usual (r+1)F(r) normalization, and
 the affine weight is kept separate from the parameter lists because a weight
@@ -218,15 +219,13 @@ def _split(terms: tuple, a: int, b: int, need_p: bool) -> tuple[int | None, int,
 def eval_hyp_sum(s: HypSum) -> Fraction:
     """Exact value of the weighted truncated sum at x = 0, by binary splitting.
 
-    The root ``_split`` of [0, K] forms no P.  Q has the size of the last
-    term's unreduced denominator, O(K log K) bits, and the sum is
-    T / (Q * wden), reduced by a single gcd.  Once the pole check passes,
-    q(k) != 0 for every k <= K.
+    The root split of ``PrefixSums.of(s)``: one ``_split`` of [0, K], which
+    forms no P.  Q has the size of the last term's unreduced denominator,
+    O(K log K) bits, and the sum is T / (Q * wden), reduced by a single gcd.
+    Once the pole check passes, q(k) != 0 for every k <= K.
     """
     _check_lower_poles(s.lower, s.truncation)
-    terms, wden = _integer_terms(s)
-    _p, q, t = _split(terms, 0, s.truncation + 1, False)
-    return Fraction(t, q * wden)
+    return PrefixSums.of(s).root(s.truncation)
 
 
 def _merge(left: tuple, right: tuple, need_p: bool) -> tuple[int | None, int, int]:

@@ -17,6 +17,8 @@ package computes by binary splitting: term by term, by stepping each term by
 its ratio, or from Pochhammer products over an inverted denominator; and
 the split's earlier last step, which cleared the root's denominator by
 powers of its constant term, is kept to check the series division.  The
+running-split tests share their random specs, their asked orders of
+truncations and their counter of root splits here.  The
 package's ``TruncSeries`` is a plain value, so the series algebra these
 helpers need (construction, sums, scalar multiples, products, inverses and
 in-place binomial steps) lives here too.  The
@@ -29,12 +31,14 @@ against the schoolbook product and against the older kernel that split each
 operand by sign and made four unsigned products.
 """
 
+import random
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial
 from typing import Mapping
 
 from supercong.exact_core import _exact, padic_valuation, rising_factorial
+from supercong import hypergeometric
 from supercong.harness import eq10_series_spec, six_f_five_series_spec, thm3_deformed_spec
 from supercong.hypergeometric import (
     AffineParam,
@@ -43,6 +47,7 @@ from supercong.hypergeometric import (
     UnpairableError,
     _check_lower_poles,
     _integer_weight,
+    hyp_sum,
     identity_sides,
 )
 from supercong.modular_form import _poly_mul_trunc, prime_power_coefficient
@@ -458,6 +463,98 @@ def q0_power_split_series(ratio, truncation: int, order: int, weight) -> tuple[F
                 acc -= q[i] * q0 ** (i - 1) * nums[d - i]
         nums.append(acc)
     return tuple(Fraction(nd, q0 ** (d + 1) * wden) for d, nd in enumerate(nums))
+
+
+# --------------------------------------------------------------------------
+# running splits: the helpers of tests/test_prefix_sums.py and
+# tests/test_prefix_series.py, which test hypergeometric.PrefixSums in both rings
+# --------------------------------------------------------------------------
+
+#: The orders in which a running split is asked for its truncations.
+TRUNCATION_ORDERS = ("ascending", "descending", "shuffled")
+
+
+def random_prefix_spec(rng: random.Random, deformed: bool = False) -> HypSum:
+    """A spec whose sums meet the regimes of the running split.
+
+    Half of them meet a lower pole within K <= 300, and some have terms that
+    stop mid-range.  A deformed spec gives most parameters a slope.
+    """
+
+    def rational():
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 7))
+
+    def slope():
+        return rational() if deformed and rng.random() < 0.6 else Fraction(0)
+
+    upper = [(rational(), slope()) for _ in range(rng.randint(1, 3))]
+    lower = [(rational(), slope()) for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.5:
+        lower.append((Fraction(-rng.randint(0, 250)), slope()))  # a pole from K = n + 1, or at every K
+    if rng.random() < 0.3:
+        upper.append(Fraction(-rng.randint(0, 250)))  # the terms stop mid-range
+    z = -abs(rational()) if rng.random() < 0.5 else rational()
+    weight = (rational(), rational())
+    return hyp_sum(upper, lower, z=z, K=0, weight=weight)
+
+
+def outcome(evaluate, *args):
+    """``evaluate(*args)``, or ``PoleError`` if it raised one."""
+    try:
+        return evaluate(*args)
+    except PoleError:
+        return PoleError
+
+
+def truncations(order: str, top: int) -> list[int]:
+    """The truncations 0..top in one of ``TRUNCATION_ORDERS``."""
+    ks = list(range(top + 1))
+    if order == "descending":
+        ks.reverse()
+    elif order == "shuffled":
+        random.Random(top).shuffle(ks)
+    return ks
+
+
+def assert_prefixes_match(make, one_shot, top: int) -> None:
+    """``make()``'s running split asked for K <= top in every order equals ``one_shot(K)``."""
+    want = [outcome(one_shot, K) for K in range(top + 1)]
+    for order in TRUNCATION_ORDERS:
+        sums = make()
+        got = {K: outcome(sums.at, K) for K in truncations(order, top)}
+        assert [got[K] for K in range(top + 1)] == want, order
+        # asked again, every value is read from what the first pass made
+        assert [outcome(sums.at, K) for K in range(top + 1)] == want, order
+
+
+def record_roots(monkeypatch, split: str) -> list[tuple[int, int, bool]]:
+    """Patch ``hypergeometric.<split>`` to record (a, b, need_p) of each outermost call.
+
+    A running split takes its ring's split when it is built, so build it
+    after this, and drop it (or the cache that holds it) when done.
+    """
+    real, depth, roots = getattr(hypergeometric, split), [0], []
+
+    def counting(terms, a, b, need_p):
+        if not depth[0]:
+            roots.append((a, b, need_p))
+        depth[0] += 1
+        try:
+            return real(terms, a, b, need_p)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(hypergeometric, split, counting)
+    return roots
+
+
+def assert_splits_only_the_new_terms(roots: list, sums) -> None:
+    """A running split built after ``record_roots`` splits each term once, and a
+    K below its frontier once from k = 0."""
+    for K in (10, 20, 15, 20, 10, 15):
+        sums.at(K)
+    # 10 and 20 extend the state; 15 lies below the frontier and is summed once, from k = 0
+    assert roots == [(0, 11, True), (11, 21, True), (0, 16, False)]
 
 
 def series_case_specs(p: int) -> dict[str, HypSum]:

@@ -47,6 +47,7 @@ from oracles import (
     comiden0_term_sum,
     harmonic2,
     lem_thm1_term_series,
+    record_roots,
     scalarized,
     series_case_specs,
     specialize,
@@ -475,27 +476,18 @@ def test_central_sum_records_do_not_depend_on_history(monkeypatch):
 def test_shared_central_sums_make_no_root_split_of_their_own(monkeypatch):
     # THM4_STRONG reads THM4's sums, CONJ1 at r = 1 THM2's and
     # SIX_F_FIVE_COEFFS EQ0's, so each pair splits as often as its first case
-    real, depth, roots = hypergeometric._split, [0], []
-
-    def counting(terms, a, b, need_p):
-        if not depth[0]:
-            roots.append((a, b))
-        depth[0] += 1
-        try:
-            return real(terms, a, b, need_p)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(hypergeometric, "_split", counting)
-    for first, second in [("THM4", "THM4_STRONG"), ("THM2", "CONJ1"), ("EQ0", "SIX_F_FIVE_COEFFS")]:
-        counts = []
-        for cases in ([first], [first, second]):
-            harness._family.cache_clear()
-            roots.clear()
-            run_suite([7, 11, 13], cases=cases)
-            counts.append(len(roots))
-        assert counts == [3, 3], (first, second)
-    harness._family.cache_clear()  # its families hold the counting split
+    roots = record_roots(monkeypatch, "_split")
+    try:
+        for first, second in [("THM4", "THM4_STRONG"), ("THM2", "CONJ1"), ("EQ0", "SIX_F_FIVE_COEFFS")]:
+            counts = []
+            for cases in ([first], [first, second]):
+                harness._family.cache_clear()
+                roots.clear()
+                run_suite([7, 11, 13], cases=cases)
+                counts.append(len(roots))
+            assert counts == [3, 3], (first, second)
+    finally:
+        harness._family.cache_clear()  # its families hold the counting split
 
 
 # ---------------------------------------------------------------------------

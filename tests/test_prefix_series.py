@@ -8,7 +8,7 @@ order; a pole must raise ``PoleError`` at the same K on both paths, and the
 constant coefficient must be the scalar form's value.  The harness reads
 EQ10_A2, THM3_QUOTIENT_X2 and LEM_THM1_B2K off such running splits, shared
 by every prime of a process, so their records must not show how far an
-earlier run pushed them.  The helpers are those of tests/test_prefix_sums.py.
+earlier run pushed them.  The helpers are in tests/oracles.py.
 """
 
 import random
@@ -29,14 +29,14 @@ from supercong.harness import (
 )
 from supercong.hypergeometric import HypSum, PoleError, PrefixSums, eval_hyp_sum_series, hyp_sum
 
-from test_prefix_sums import (
-    ORDERS,
-    _assert_a_larger_truncation_splits_only_the_new_terms,
-    _assert_prefixes_match,
-    _outcome,
-    _record_roots,
-    _truncations,
-    random_spec,
+from oracles import (
+    TRUNCATION_ORDERS,
+    assert_prefixes_match,
+    assert_splits_only_the_new_terms,
+    outcome,
+    random_prefix_spec,
+    record_roots,
+    truncations,
 )
 
 #: The series families the harness reads through running splits.
@@ -49,7 +49,7 @@ LEM_WEIGHT = (F(0), F(1))
 
 def _random_spec(rng: random.Random) -> tuple[HypSum, int]:
     """A deformed spec and a series order."""
-    return random_spec(rng, deformed=True), rng.randint(1, SERIES_ORDER)
+    return random_prefix_spec(rng, deformed=True), rng.randint(1, SERIES_ORDER)
 
 
 RANDOM_SPECS = [_random_spec(random.Random(f"prefix-series:{i}")) for i in range(6)]
@@ -60,7 +60,7 @@ def _lem_sums() -> PrefixSums:
 
 
 def _assert_spec_prefixes_match(spec: HypSum, order: int, top: int) -> None:
-    _assert_prefixes_match(
+    assert_prefixes_match(
         lambda: PrefixSums.of(spec, order),
         lambda K: eval_hyp_sum_series(replace(spec, truncation=K), order).coeffs,
         top,
@@ -68,7 +68,7 @@ def _assert_spec_prefixes_match(spec: HypSum, order: int, top: int) -> None:
 
 
 def _assert_lem_prefixes_match(top: int) -> None:
-    _assert_prefixes_match(_lem_sums, lambda K: _lem_sums().root(K), top)
+    assert_prefixes_match(_lem_sums, lambda K: _lem_sums().root(K), top)
 
 
 @pytest.mark.parametrize("tag", SPEC_FAMILIES)
@@ -89,11 +89,11 @@ def test_random_spec_prefixes_match_the_one_shot_series(index):
 def test_random_spec_constant_terms_match_the_scalar_sums(index):
     # the series form at x = 0 is the scalar form, pole for pole
     spec, order = RANDOM_SPECS[index]
-    for trunc_order in ORDERS:
+    for trunc_order in TRUNCATION_ORDERS:
         scalar, series = PrefixSums.of(spec), PrefixSums.of(spec, order)
-        for K in _truncations(trunc_order, 300):
-            coeffs = _outcome(series.at, K)
-            assert _outcome(scalar.at, K) == (coeffs if coeffs is PoleError else coeffs[0]), (trunc_order, K)
+        for K in truncations(trunc_order, 300):
+            coeffs = outcome(series.at, K)
+            assert outcome(scalar.at, K) == (coeffs if coeffs is PoleError else coeffs[0]), (trunc_order, K)
 
 
 def test_random_specs_reach_every_regime():
@@ -130,8 +130,8 @@ def test_a_truncation_is_checked_as_the_spec_checks_it(K, error):
 
 
 def test_a_larger_truncation_splits_only_the_new_terms(monkeypatch):
-    roots = _record_roots(monkeypatch, "_split_series_range")
-    _assert_a_larger_truncation_splits_only_the_new_terms(roots, _lem_sums())
+    roots = record_roots(monkeypatch, "_split_series_range")
+    assert_splits_only_the_new_terms(roots, _lem_sums())
 
 
 #: The series cases that read a running split per family.

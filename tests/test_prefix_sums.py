@@ -4,8 +4,8 @@
 truncated at K, and ``PrefixSums.of(spec, order).at(K)`` the coefficients of
 ``eval_hyp_sum_series`` (tests/test_prefix_series.py), whatever truncations
 were asked before it and in whatever order; a pole must raise ``PoleError``
-at the same K on both paths.  The helpers and the random specs here serve
-both modules.
+at the same K on both paths.  The helpers and the random specs that both
+modules use are in tests/oracles.py.
 """
 
 import random
@@ -14,9 +14,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from supercong import hypergeometric
 from supercong.harness import central_sum
 from supercong.hypergeometric import HypSum, PoleError, PrefixSums, eval_hyp_sum, hyp_sum
+
+from oracles import assert_prefixes_match, assert_splits_only_the_new_terms, random_prefix_spec, record_roots
 
 #: (e, z, weight) of every central family the harness reads.
 CENTRAL_FAMILIES = [
@@ -34,92 +35,11 @@ HARMONIC_FAMILIES = {
     "OH2": hyp_sum([F(1, 2), F(1, 2), 1], [F(3, 2), F(3, 2)], 1, K=0),
 }
 
-ORDERS = ("ascending", "descending", "shuffled")
-
-
-def random_spec(rng: random.Random, deformed: bool = False) -> HypSum:
-    """A spec whose sums meet the regimes of the running split.
-
-    Half of them meet a lower pole within K <= 300, and some have terms that
-    stop mid-range.  A deformed spec gives most parameters a slope.
-    """
-
-    def rational():
-        return F(rng.randint(-12, 12), rng.randint(1, 7))
-
-    def slope():
-        return rational() if deformed and rng.random() < 0.6 else F(0)
-
-    upper = [(rational(), slope()) for _ in range(rng.randint(1, 3))]
-    lower = [(rational(), slope()) for _ in range(rng.randint(0, 2))]
-    if rng.random() < 0.5:
-        lower.append((F(-rng.randint(0, 250)), slope()))  # a pole from K = n + 1, or at every K
-    if rng.random() < 0.3:
-        upper.append(F(-rng.randint(0, 250)))  # the terms stop mid-range
-    z = -abs(rational()) if rng.random() < 0.5 else rational()
-    weight = (rational(), rational())
-    return hyp_sum(upper, lower, z=z, K=0, weight=weight)
-
-
-RANDOM_SPECS = [random_spec(random.Random(f"prefix:{i}")) for i in range(8)]
-
-
-def _outcome(evaluate, *args):
-    try:
-        return evaluate(*args)
-    except PoleError:
-        return PoleError
-
-
-def _truncations(order: str, top: int) -> list[int]:
-    ks = list(range(top + 1))
-    if order == "descending":
-        ks.reverse()
-    elif order == "shuffled":
-        random.Random(top).shuffle(ks)
-    return ks
-
-
-def _assert_prefixes_match(make, one_shot, top: int) -> None:
-    """``make()``'s running split asked for K <= top in every order equals ``one_shot(K)``."""
-    want = [_outcome(one_shot, K) for K in range(top + 1)]
-    for order in ORDERS:
-        sums = make()
-        got = {K: _outcome(sums.at, K) for K in _truncations(order, top)}
-        assert [got[K] for K in range(top + 1)] == want, order
-        # asked again, every value is read from what the first pass made
-        assert [_outcome(sums.at, K) for K in range(top + 1)] == want, order
+RANDOM_SPECS = [random_prefix_spec(random.Random(f"prefix:{i}")) for i in range(8)]
 
 
 def _assert_scalar_prefixes_match(spec: HypSum, top: int) -> None:
-    _assert_prefixes_match(lambda: PrefixSums.of(spec), lambda K: eval_hyp_sum(replace(spec, truncation=K)), top)
-
-
-def _record_roots(monkeypatch, split: str) -> list[tuple[int, int, bool]]:
-    """Patch ``hypergeometric.<split>`` to record (a, b, need_p) of each outermost call.
-
-    A running split takes its ring's split when it is built, so build it after this.
-    """
-    real, depth, roots = getattr(hypergeometric, split), [0], []
-
-    def counting(terms, a, b, need_p):
-        if not depth[0]:
-            roots.append((a, b, need_p))
-        depth[0] += 1
-        try:
-            return real(terms, a, b, need_p)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(hypergeometric, split, counting)
-    return roots
-
-
-def _assert_a_larger_truncation_splits_only_the_new_terms(roots: list, sums: PrefixSums) -> None:
-    for K in (10, 20, 15, 20, 10, 15):
-        sums.at(K)
-    # 10 and 20 extend the state; 15 lies below the frontier and is summed once, from k = 0
-    assert roots == [(0, 11, True), (11, 21, True), (0, 16, False)]
+    assert_prefixes_match(lambda: PrefixSums.of(spec), lambda K: eval_hyp_sum(replace(spec, truncation=K)), top)
 
 
 @pytest.mark.parametrize("family", CENTRAL_FAMILIES, ids=str)
@@ -166,8 +86,8 @@ def test_a_truncation_is_checked_as_the_spec_checks_it(K, error):
 
 
 def test_a_larger_truncation_splits_only_the_new_terms(monkeypatch):
-    roots = _record_roots(monkeypatch, "_split")
-    _assert_a_larger_truncation_splits_only_the_new_terms(roots, PrefixSums.of(central_sum(4, 0, 1, (4, 1))))
+    roots = record_roots(monkeypatch, "_split")
+    assert_splits_only_the_new_terms(roots, PrefixSums.of(central_sum(4, 0, 1, (4, 1))))
 
 
 @pytest.mark.slow
