@@ -16,11 +16,13 @@ O(1) integer operations whenever the two sides differ mod p^(v+N), and says
 so when they do not, so that a caller falls back to the exact ``Fraction``.
 
 All functions are pure and all values immutable, so everything is safe to
-share between concurrent tasks.
+share between concurrent tasks.  The package's records are tuples:
+``checked_record`` is the base of those whose constructor checks its fields.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt, prod
 from typing import Union
@@ -82,6 +84,25 @@ def _exact(x) -> Fraction:
     if isinstance(x, (float, bool)):
         raise TypeError(f"exact arithmetic takes rationals, got the {type(x).__name__} {x!r}")
     return Fraction(x)
+
+
+def checked_record(name: str, fields: str) -> type:
+    """A ``collections.namedtuple`` base for a record whose ``__new__`` checks
+    its fields.  The subclass declares ``__slots__ = ()`` and that ``__new__``;
+    this base's ``_make``, and so the copy ``_replace``, builds through it, so
+    a copy is refused exactly as a new record is.  The tuple's ``+`` and
+    ``*`` are refused too: they would build a bare tuple, not a record."""
+
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def no_arithmetic(self, other):
+        raise TypeError(f"a {type(self).__name__} is a record, not a sequence: it has no + or *")
+
+    base = namedtuple(name, fields)
+    base._make = classmethod(_make)
+    base.__add__ = base.__radd__ = base.__mul__ = base.__rmul__ = no_arithmetic
+    return base
 
 
 def rising_factorial(a, k: int) -> Fraction:

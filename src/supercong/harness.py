@@ -89,17 +89,17 @@ execution order.
 
 Every fact about a case (kind, computation, requirement, minimum prime,
 parameter domain, caps, conjectural flag, eta index) lives in its one row of
-the table ``CASES``; a new family of congruences is one new row.
+the table ``CASES``, a ``Case`` named tuple; a new family of congruences is
+one new row.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import exact_core
 from .exact_core import INFINITY, Residue, _split_power, check_prime, is_prime, padic_valuation, rising_factorial
@@ -135,8 +135,7 @@ THMKEY_EXPONENTS = (1, 2, 3)
 _P_MIN = 5
 
 
-@dataclass(frozen=True)
-class Requirement:
+class Requirement(NamedTuple):
     """What a case demands: a valuation bound, an exact valuation, or equality."""
 
     kind: str  # "val_ge" | "val_eq" | "exact"
@@ -157,8 +156,7 @@ class Requirement:
         return achieved == "EQUAL"
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     """Outcome of one case at one parameter point.
 
     ``achieved`` is the exact valuation (never clamped, so stronger-than-
@@ -611,8 +609,7 @@ def _ge(bound: int) -> Requirement:
     return Requirement("val_ge", bound)
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(NamedTuple):
     """Everything the harness knows about one case tag.
 
     ``compute(p, param)`` returns ``(lhs, rhs[, achieved[, ok]])``, with p = 0

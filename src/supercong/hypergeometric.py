@@ -1,7 +1,8 @@
 """Declarative truncated hypergeometric sums and their exact evaluation.
 
-A :class:`HypSum` describes a weighted, truncated, generalized hypergeometric
-sum whose parameters may be deformed along a formal variable x:
+A :class:`HypSum`, an immutable tuple record, describes a weighted,
+truncated, generalized hypergeometric sum whose parameters may be deformed
+along a formal variable x:
 
     sum_{k=0}^{K}  (w1*k + w0) * prod_i (upper_i)_k
                    ------------------------------- * z^k
@@ -44,7 +45,6 @@ evaluated at each.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
@@ -52,7 +52,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .power_series import TruncSeries
-from .exact_core import _exact
+from .exact_core import _exact, checked_record
 
 
 class PoleError(ArithmeticError):
@@ -63,16 +63,13 @@ class UnpairableError(ValueError):
     """Gamma-ratio arguments cannot be paired up to integer shifts."""
 
 
-@dataclass(frozen=True)
-class AffineParam:
+class AffineParam(checked_record("AffineParam", "base slope")):
     """A hypergeometric parameter base + slope*x; scalar evaluation uses base."""
 
-    base: Fraction
-    slope: Fraction = Fraction(0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", _exact(self.base))
-        object.__setattr__(self, "slope", _exact(self.slope))
+    def __new__(cls, base, slope=Fraction(0)):
+        return super().__new__(cls, _exact(base), _exact(slope))
 
 
 def param(value) -> AffineParam:
@@ -85,41 +82,37 @@ def param(value) -> AffineParam:
     return AffineParam(value)
 
 
-@dataclass(frozen=True)
-class HypSum:
-    """Declarative spec of a weighted truncated hypergeometric sum."""
+class HypSum(checked_record("HypSum", "upper lower argument truncation weight")):
+    """Declarative spec of a weighted truncated hypergeometric sum.
 
-    upper: tuple[AffineParam, ...]
-    lower: tuple[AffineParam, ...]
-    argument: Fraction
-    truncation: int
-    weight: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1))
+    Each upper and lower entry goes through ``param``, so it may be a
+    number, a ``(base, slope)`` pair or an AffineParam."""
 
-    def __post_init__(self):
-        _check_truncation(self.truncation)
-        w1, w0 = self.weight
-        object.__setattr__(self, "weight", (_exact(w1), _exact(w0)))
-        object.__setattr__(self, "argument", _exact(self.argument))
+    __slots__ = ()
+
+    def __new__(cls, upper, lower, argument, truncation: int, weight=(Fraction(0), Fraction(1))):
+        _check_truncation(truncation)
+        w1, w0 = weight
+        weight = (_exact(w1), _exact(w0))
+        return super().__new__(
+            cls, tuple(map(param, upper)), tuple(map(param, lower)), _exact(argument), truncation, weight
+        )
 
 
 def hyp_sum(upper, lower, z, K: int, weight=(0, 1)) -> HypSum:
-    """Convenience constructor accepting bare numbers or (base, slope) pairs."""
-    return HypSum(
-        upper=tuple(param(u) for u in upper),
-        lower=tuple(param(l) for l in lower),
-        argument=z,
-        truncation=K,
-        weight=weight,
-    )
+    """``HypSum`` under the short names of the sum: argument z, truncation K."""
+    return HypSum(upper, lower, z, K, weight)
 
 
 def specialize(s: HypSum, x0) -> HypSum:
     """The sum with the deformation variable pinned to the value x0."""
     x0 = _exact(x0)
-    return replace(
-        s,
-        upper=tuple(AffineParam(u.base + u.slope * x0) for u in s.upper),
-        lower=tuple(AffineParam(l.base + l.slope * x0) for l in s.lower),
+    return HypSum(
+        tuple(AffineParam(u.base + u.slope * x0) for u in s.upper),
+        tuple(AffineParam(l.base + l.slope * x0) for l in s.lower),
+        s.argument,
+        s.truncation,
+        s.weight,
     )
 
 

@@ -28,10 +28,9 @@ the largest p^r its cases need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact_core import check_prime
+from .exact_core import check_prime, checked_record
 
 #: The largest coefficient index ever expanded.  At r = 1 a run reads a_p for
 #: primes p up to the CLI's largest --pmax, cli.MAX_PMAX, which is defined as
@@ -46,16 +45,15 @@ class BudgetError(ValueError):
     """A requested coefficient index exceeds EXPANSION_CEILING."""
 
 
-@dataclass(frozen=True)
-class QExpansion:
+class QExpansion(checked_record("QExpansion", "bound coeffs")):
     """Coefficients a_1..a_bound of the eta-product q-expansion."""
 
-    bound: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bound < 1 or len(self.coeffs) != self.bound:
+    def __new__(cls, bound: int, coeffs: tuple[int, ...]):
+        if bound < 1 or len(coeffs) != bound:
             raise ValueError("coefficient array must hold exactly a_1..a_bound")
+        return super().__new__(cls, bound, coeffs)
 
 
 def coefficient_at(e: QExpansion, n: int) -> int:
@@ -158,7 +156,7 @@ def eta_product_expansion(N: int) -> QExpansion:
     i-th coefficient of E*F and g_{2i+1} that of O*F, two half-length
     Kronecker products that skip the zero slots of F(q^2).  So
     a_{4i+1} = (E*F)_i and a_{4i+3} = (O*F)_i.  Results are cached per
-    bound; a QExpansion is immutable.
+    bound; a QExpansion is an immutable tuple record.
     """
     if N < 1:
         raise ValueError("expansion bound must be >= 1")

@@ -1,30 +1,29 @@
 """Truncated univariate formal power series over exact rationals.
 
-A :class:`TruncSeries` holds the coefficients c0..cD of a series known modulo
-x^(D+1); it is the value that series sums return, and :func:`coefficient`
-reads one coefficient of it.  The sums themselves are evaluated by binary
-splitting over integer polynomials in the hypergeometric module, and series
-algebra (products, inverses, sums) lives with the test oracles.
+A :class:`TruncSeries`, an immutable tuple record, holds the coefficients
+c0..cD of a series known modulo x^(D+1); it is the value that series sums
+return, and :func:`coefficient` reads one coefficient of it.  The sums
+themselves are evaluated by binary splitting over integer polynomials in the
+hypergeometric module, and series algebra (products, inverses, sums) lives
+with the test oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_core import _exact
+from .exact_core import _exact, checked_record
 
 
-@dataclass(frozen=True)
-class TruncSeries:
+class TruncSeries(checked_record("TruncSeries", "coeffs")):
     """Coefficients c0..cD of a series truncated after degree D = order."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
+    def __new__(cls, coeffs: tuple[Fraction, ...]):
+        if len(coeffs) == 0:
             raise ValueError("a truncated series needs at least its constant term")
-        object.__setattr__(self, "coeffs", tuple(_exact(c) for c in self.coeffs))
+        return super().__new__(cls, tuple(_exact(c) for c in coeffs))
 
     @property
     def order(self) -> int:

@@ -5,10 +5,10 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+from supercong import cli
 from supercong.cli import MAX_PMAX, _print_summary, main, render_csv, render_json, suite_exit_code
 from supercong.harness import CASES, REPORT_KEYS, run_suite, verify_congruence_case
 from supercong.modular_form import EXPANSION_CEILING, BudgetError
@@ -19,7 +19,7 @@ def _thm2_without_a_p(monkeypatch):
     def no_a_p(p, _param):
         raise BudgetError(f"no a_{p} in this test")
 
-    monkeypatch.setitem(CASES, "THM2", replace(CASES["THM2"], compute=no_a_p))
+    monkeypatch.setitem(CASES, "THM2", CASES["THM2"]._replace(compute=no_a_p))
 
 
 def test_verify_single_case_small_range(tmp_path, capsys):
@@ -107,6 +107,22 @@ def test_verify_r_beyond_caps_warns_on_stderr_only(tmp_path, capsys):
     assert (out3, report3) == (out2, report2)
 
 
+def test_verify_hands_the_suite_only_the_supported_exponents(monkeypatch, capsys):
+    # --r N runs r = 1, 2 only; the suite gets those two, not a range up to N
+    seen = []
+
+    def record_rs(primes, rs, cases):
+        seen.append(rs)
+        return []
+
+    monkeypatch.setattr(cli, "run_suite", record_rs)
+    assert main(["verify", "--cases", "eq0", "--pmin", "5", "--pmax", "7", "--r", str(10**9)]) == 0
+    assert "only r = 1, 2 run" in capsys.readouterr().err
+    main(["verify", "--cases", "eq0", "--pmin", "5", "--pmax", "7", "--r", "1"])
+    assert [len(rs) for rs in seen] == [2, 1]  # a length, so that a range of 10**9 is never listed
+    assert [list(rs) for rs in seen] == [[1, 2], [1]]
+
+
 def test_verify_names_the_exponent_caps_that_cut_the_run_on_stderr(tmp_path, capsys):
     def run(r, pmax):
         out = tmp_path / f"r{r}-{pmax}.json"
@@ -178,7 +194,7 @@ def test_summary_counts_pass_fail_and_error_per_case(tmp_path, monkeypatch, caps
     assert [e["achieved"] for e in entries if e["case"] == "THM2"] == ["error:BudgetError"] * 23
 
     records = run_suite([5, 7, 11], cases=["thm4_strong"])
-    records[1] = replace(records[1], passed=False)
+    records[1] = records[1]._replace(passed=False)
     _print_summary(records)
     assert capsys.readouterr().out == f"{'THM4_STRONG':<18} 2/3 pass, 1 fail (conjectural)\n"
 
@@ -196,7 +212,7 @@ def test_a_bug_has_its_own_exit_code_and_a_traceback(tmp_path, monkeypatch, caps
     def broken(p, _param):
         raise RuntimeError(f"a bug at p = {p}")
 
-    monkeypatch.setitem(CASES, "EQ0", replace(CASES["EQ0"], compute=broken))
+    monkeypatch.setitem(CASES, "EQ0", CASES["EQ0"]._replace(compute=broken))
     out = tmp_path / "report.json"
     code = main(["verify", "--cases", "eq0", "--pmin", "5", "--pmax", "7", "--out", str(out)])
     assert code == 4
@@ -261,8 +277,8 @@ def test_exit_code_is_function_of_records():
     assert suite_exit_code(records) == 0
     eq0, conj1 = records
     assert not eq0.conjectural and conj1.conjectural
-    assert suite_exit_code([replace(eq0, passed=False), conj1]) == 1
-    assert suite_exit_code([eq0, replace(conj1, passed=False)]) == 0  # conjectural failures do not gate
+    assert suite_exit_code([eq0._replace(passed=False), conj1]) == 1
+    assert suite_exit_code([eq0, conj1._replace(passed=False)]) == 0  # conjectural failures do not gate
 
 
 def test_renderers_agree_on_rows():
@@ -344,6 +360,8 @@ def test_cli_imports_only_the_standard_library():
     loaded = proc.stdout.split()
     assert "supercong" in loaded
     assert [name for name in loaded if name != "supercong" and name not in sys.stdlib_module_names] == []
+    # the records are tuples: no dataclasses, and none of the inspect, ast and dis it loads
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
 
 
 def test_no_module_reads_the_environment():

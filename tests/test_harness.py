@@ -2,7 +2,6 @@ import importlib.util
 import re
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction as F
 from math import comb
 from pathlib import Path
@@ -438,7 +437,7 @@ class _OneShot:
         self.spec = build(*args)
 
     def at(self, K):
-        return eval_hyp_sum(replace(self.spec, truncation=K))
+        return eval_hyp_sum(self.spec._replace(truncation=K))
 
 
 def _records_without_history(monkeypatch, cases, push_cases, families):
@@ -736,7 +735,7 @@ def test_run_suite_turns_pole_errors_into_failed_records(monkeypatch):
     def pole(p, _param):
         raise PoleError("lower parameter hits a pole")
 
-    monkeypatch.setitem(CASES, "EQ0", replace(CASES["EQ0"], compute=pole))
+    monkeypatch.setitem(CASES, "EQ0", CASES["EQ0"]._replace(compute=pole))
     (rec,) = run_suite([5], cases=["EQ0"])
     assert not rec.passed and rec.achieved == "error:PoleError"
     assert rec.error == "lower parameter hits a pole"
@@ -748,14 +747,14 @@ def test_run_suite_lets_programming_errors_propagate(monkeypatch, exc):
     def broken(p, _param):
         raise exc("a bug, not a domain error")
 
-    monkeypatch.setitem(CASES, "EQ0", replace(CASES["EQ0"], compute=broken))
+    monkeypatch.setitem(CASES, "EQ0", CASES["EQ0"]._replace(compute=broken))
     with pytest.raises(exc):
         run_suite([5, 7], cases=["EQ0", "THM3"])
 
 
 def test_run_suite_lets_a_float_in_the_exact_layers_propagate(monkeypatch):
     # a float side reaches padic_valuation, which refuses it as a bug
-    monkeypatch.setitem(CASES, "EQ0", replace(CASES["EQ0"], compute=lambda p, _param: (0.1, F(0))))
+    monkeypatch.setitem(CASES, "EQ0", CASES["EQ0"]._replace(compute=lambda p, _param: (0.1, F(0))))
     with pytest.raises(TypeError, match="float"):
         run_suite([5], cases=["EQ0"])
 

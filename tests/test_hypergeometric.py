@@ -132,6 +132,47 @@ def test_param_coercion():
     assert param(AffineParam(F(2))) == AffineParam(F(2))
 
 
+def test_a_spec_built_directly_coerces_its_parameters():
+    # HypSum takes what hyp_sum takes: each entry goes through param
+    with pytest.raises(TypeError, match="float"):
+        HypSum(upper=(0.5,), lower=(), argument=1, truncation=2)
+    for entry in (HALF, (HALF, 0)):
+        spec = HypSum(upper=(entry,), lower=(), argument=1, truncation=2)
+        assert spec.upper == (AffineParam(HALF),)
+        assert spec == hyp_sum([HALF], [], 1, 2)
+        assert eval_hyp_sum(spec) == 1 + HALF + HALF * F(3, 2) / 2
+    assert HypSum(((1, HALF),), [2], 1, 2).upper == (AffineParam(1, HALF),)
+
+
+def test_a_copy_is_checked_as_a_new_record_is():
+    spec = hyp_sum([HALF], [1], 1, 3)
+    assert spec._replace(truncation=5) == hyp_sum([HALF], [1], 1, 5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        spec._replace(truncation=-1)
+    with pytest.raises(TypeError, match="truncation index K must be an int"):
+        spec._replace(truncation=2.0)
+    with pytest.raises(TypeError, match="float"):
+        spec._replace(argument=0.5)
+    with pytest.raises(TypeError, match="float"):
+        spec._replace(upper=(0.5,))
+    assert spec._replace(lower=((2, 1),)).lower == (AffineParam(2, 1),)
+    with pytest.raises(TypeError, match="bool"):
+        AffineParam(1)._replace(base=True)
+    with pytest.raises(TypeError, match="float"):
+        AffineParam(1)._replace(slope=0.5)
+    assert AffineParam(1)._replace(slope=1).slope == F(1)
+
+
+def test_a_record_has_no_tuple_arithmetic():
+    spec = hyp_sum([HALF], [1], 1, 3)
+    with pytest.raises(TypeError, match="no \\+ or \\*"):
+        spec + spec
+    with pytest.raises(TypeError, match="no \\+ or \\*"):
+        AffineParam(1) + (2,)
+    with pytest.raises(TypeError, match="no \\+ or \\*"):
+        2 * AffineParam(1)
+
+
 def test_gamma_ratio_trivial():
     assert gamma_ratio_value((F(1, 3),), (F(1, 3),)) == 1
     assert gamma_ratio_value((4,), (1,)) == 6  # integer arguments: G(4)/G(1) = 3!

@@ -116,6 +116,8 @@ def test_qexpansion_validation():
     with pytest.raises(ValueError):
         QExpansion(bound=3, coeffs=(1, 0))
     with pytest.raises(ValueError):
+        eta_product_expansion(3)._replace(bound=2)
+    with pytest.raises(ValueError):
         eta_product_expansion(0)
 
 

@@ -177,6 +177,10 @@ def test_coefficient_bounds():
 def test_series_construction_and_operators():
     with pytest.raises(ValueError):
         TruncSeries(())
+    with pytest.raises(ValueError):
+        TruncSeries((1,))._replace(coeffs=())
+    with pytest.raises(TypeError):
+        TruncSeries((1,))._replace(coeffs=(0.5,))
     s = series([1, 2], 3)
     assert s.coeffs == (1, 2, 0, 0)
     assert ps_add(s, s).coeffs == (2, 4, 0, 0)

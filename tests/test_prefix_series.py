@@ -12,7 +12,6 @@ earlier run pushed them.  The helpers are in tests/oracles.py.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -62,7 +61,7 @@ def _lem_sums() -> PrefixSums:
 def _assert_spec_prefixes_match(spec: HypSum, order: int, top: int) -> None:
     assert_prefixes_match(
         lambda: PrefixSums.of(spec, order),
-        lambda K: eval_hyp_sum_series(replace(spec, truncation=K), order).coeffs,
+        lambda K: eval_hyp_sum_series(spec._replace(truncation=K), order).coeffs,
         top,
     )
 
@@ -107,12 +106,12 @@ def test_random_specs_reach_every_regime():
 def test_a_pole_raises_at_the_same_truncation():
     spec = hyp_sum([F(1, 2), (F(1, 2), F(1, 3))], [(-5, 0), (1, F(1, 4))], z=-1, K=0)
     sums = PrefixSums.of(spec, 3)
-    assert sums.at(5) == eval_hyp_sum_series(replace(spec, truncation=5), 3).coeffs
+    assert sums.at(5) == eval_hyp_sum_series(spec._replace(truncation=5), 3).coeffs
     for K in (6, 7, 40):
         with pytest.raises(PoleError):
             sums.at(K)
     # the refused truncations left the state where it was
-    assert sums.at(3) == eval_hyp_sum_series(replace(spec, truncation=3), 3).coeffs
+    assert sums.at(3) == eval_hyp_sum_series(spec._replace(truncation=3), 3).coeffs
     # a deformed lower parameter with zero base is refused from its first factor on
     zero_base = hyp_sum([1], [(0, 1)], z=1, K=0)
     sums = PrefixSums.of(zero_base, 2)

@@ -9,7 +9,6 @@ modules use are in tests/oracles.py.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -39,7 +38,7 @@ RANDOM_SPECS = [random_prefix_spec(random.Random(f"prefix:{i}")) for i in range(
 
 
 def _assert_scalar_prefixes_match(spec: HypSum, top: int) -> None:
-    assert_prefixes_match(lambda: PrefixSums.of(spec), lambda K: eval_hyp_sum(replace(spec, truncation=K)), top)
+    assert_prefixes_match(lambda: PrefixSums.of(spec), lambda K: eval_hyp_sum(spec._replace(truncation=K)), top)
 
 
 @pytest.mark.parametrize("family", CENTRAL_FAMILIES, ids=str)
@@ -69,12 +68,12 @@ def test_random_specs_reach_every_regime():
 def test_a_pole_raises_at_the_same_truncation():
     spec = hyp_sum([F(1, 2)], [-5], z=-1, K=0)
     sums = PrefixSums.of(spec)
-    assert sums.at(5) == eval_hyp_sum(replace(spec, truncation=5))
+    assert sums.at(5) == eval_hyp_sum(spec._replace(truncation=5))
     for K in (6, 7, 40):
         with pytest.raises(PoleError):
             sums.at(K)
     # the refused truncations left the state where it was
-    assert sums.at(3) == eval_hyp_sum(replace(spec, truncation=3))
+    assert sums.at(3) == eval_hyp_sum(spec._replace(truncation=3))
 
 
 @pytest.mark.parametrize("K, error", [(True, TypeError), (2.0, TypeError), ("2", TypeError), (-1, ValueError)])

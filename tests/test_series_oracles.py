@@ -5,7 +5,6 @@ series over an inverted denominator, which costs O(K^2) but shares no
 recurrence with the code under test."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 from math import factorial
 
@@ -255,7 +254,7 @@ def test_series_division_matches_the_q0_power_last_step_on_random_specs():
     compared = 0
     for _ in range(300):
         weight = tuple(F(rng.randint(-6, 6), rng.randint(2, 6)) for _ in range(2))
-        spec = replace(_random_spec(rng), weight=weight)
+        spec = _random_spec(rng)._replace(weight=weight)
         order = rng.randint(0, 6)
         divided = _outcome(eval_hyp_sum_series, spec, order)
         if divided is not PoleError:
