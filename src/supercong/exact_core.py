@@ -142,7 +142,10 @@ def check_prime(p: int) -> None:
 
 
 def _split_power(n: int, p: int) -> tuple[int, int]:
-    """(v, u) with n = p**v * u and p not dividing u; n != 0, sign kept in u."""
+    """(v, u) with n = p**v * u and p not dividing u, sign kept in u; a zero n,
+    which every power of p divides, raises ValueError."""
+    if not n:
+        raise ValueError("zero has no p-adic unit part")
     v = 0
     while n % p == 0:
         v += 1
@@ -175,6 +178,7 @@ class Residue:
     @classmethod
     def of(cls, x, p: int) -> Residue:
         """The residue of a nonzero rational x at the prime p."""
+        check_prime(p)
         x = _exact(x)
         if x == 0:
             raise ValueError("zero has no p-adic unit part")
@@ -184,7 +188,7 @@ class Residue:
         return cls(p, modulus, vn - vd, num % modulus, den % modulus)
 
     def scaled(self, n: int, d: int) -> Residue:
-        """This residue times the ratio n/d of nonzero integers."""
+        """This residue times the ratio n/d of nonzero integers; a zero raises ValueError."""
         p, modulus, v = self.p, self.modulus, self.v
         if n % p == 0:
             vn, n = _split_power(n, p)

@@ -31,17 +31,18 @@ where a_n is the eta-product coefficient (modular_form module) and
 e(p) = (-1)^((p^2-1)/8 + (p-1)/2).  Every sum of c_k^e above is one
 ``central_sum(e, K, z, weight)``, read through ``_central`` as a prefix of
 one running split per (e, z, weight) that all primes and cases of a process
-share (hypergeometric.PrefixSums).  H2_HALF, ODDH2_HALF and H2_REFLECT read
-H2 and OH2 the same way, as running prefixes of the 3F2 sums whose term k is
-1/(k+1)^2 and 1/(2k+1)^2, and EQ10_A2 and THM3_QUOTIENT_X2 read their
-deformed sums, which depend on p only through m, as prefixes of running
-series splits.  ``_family`` is the one cache of these splits, keyed on a
-spec builder and its arguments.  LEM_THM1_B2K reads a running series split
-over its term ratio that also checks each step once; SIX_F_FIVE_COEFFS,
-THMKEY and COMCONJ2 sum their series per prime.  A per-k family record keeps
-the first k of least valuation.  BINOM_* find it on p-adic residues
-(exact_core.Residue) and H2_REFLECT on H2(j) stepped mod p^N; both build
-only that k's lhs and rhs as exact fractions.
+share (hypergeometric.PrefixSums).  H2_HALF, ODDH2_HALF and H2_REFLECT
+read H2 and OH2 the same way, as running prefixes of the 3F2 sums whose
+term k is 1/(k+1)^2 and 1/(2k+1)^2, and COMCONJ2, EQ10_A2 and
+THM3_QUOTIENT_X2 read their deformed sums, which depend on p only through
+m, as prefixes of running series splits.  ``_family`` is the one cache of
+these splits, keyed on a spec builder and its arguments.  LEM_THM1_B2K
+reads a running series split over its term ratio that also checks each
+step once; only THMKEY and SIX_F_FIVE_COEFFS still sum their series per
+prime.  A per-k family record keeps the first k of least valuation.
+BINOM_* find it on p-adic residues (exact_core.Residue) and H2_REFLECT on
+H2(j) stepped mod p^N; both build only that k's lhs and rhs as exact
+fractions.
 
 Exact cases (pass iff both sides agree exactly):
 
@@ -292,16 +293,12 @@ def thmkey_series_spec(p: int, s: int) -> HypSum:
     )
 
 
-def _x2_coefficient(spec: HypSum) -> Fraction:
-    return coefficient(eval_hyp_sum_series(spec, 2), 2)
-
-
 @lru_cache(maxsize=None)
 def _thmkey_x2(p: int, s: int) -> Fraction:
     # THMKEY(2) and LEM_THM1_B2K's expected side read this sum at the same p.
     # Keyed on (p, s), not on the spec: 372 HypSum keys held 0.9 MB on a
     # sweep to p = 499 that never reads them again.
-    return _x2_coefficient(thmkey_series_spec(p, s))
+    return coefficient(eval_hyp_sum_series(thmkey_series_spec(p, s), 2), 2)
 
 
 # --------------------------------------------------------------------------
@@ -347,8 +344,9 @@ def _thm4(p, _param):
 
 
 def _comconj2(p, _param):
-    # Long's z = -1/8 deformation; thm3_deformed_spec gives the x^2 coefficient of each term
-    return -_x2_coefficient(thm3_deformed_spec(p, z=Fraction(-1, 8))), ZERO
+    # Long's z = -1/8 deformation; thm3_deformed_spec gives the x^2 coefficient
+    # of each term, and depends on p only through m, so any prime builds its family
+    return -_family(thm3_deformed_spec, _P_MIN, Fraction(-1, 8), order=2).at((p - 1) // 2)[2], ZERO
 
 
 def _cai(p, r):

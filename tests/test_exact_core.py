@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -11,6 +12,7 @@ from supercong.exact_core import (
     INFINITY,
     NotPrimeError,
     Residue,
+    _split_power,
     is_prime,
     padic_valuation,
     rising_factorial,
@@ -319,3 +321,41 @@ def test_residue_vanishing_examples():
     assert five.scaled(-2, 1).scaled(-1, 2).difference_valuation(five.scaled(1, 2).scaled(3, 4)) == 1
     with pytest.raises(ValueError):
         Residue.of(0, p)
+
+
+class _Hung(Exception):
+    pass
+
+
+def _raises_within(seconds: float, error: type, call) -> None:
+    """``call()`` raises ``error`` before ``seconds`` have passed; a call that
+    runs longer is stopped by SIGALRM and fails the test as a hang."""
+
+    def hung(_signum, _frame):
+        raise _Hung
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        with pytest.raises(error):
+            call()
+    except _Hung:
+        pytest.fail(f"hung for {seconds} s instead of raising {error.__name__}")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: _split_power(0, 5), ValueError),  # every power of 5 divides 0
+        (lambda: Residue.of(3, 1), NotPrimeError),  # 1 divides everything
+        (lambda: Residue.of(3, 4), NotPrimeError),
+        (lambda: Residue.of(3, 5).scaled(0, 1), ValueError),
+        (lambda: Residue.of(3, 5).scaled(1, 0), ValueError),
+    ],
+    ids=["split_power-zero", "residue-of-one", "residue-of-non-prime", "scaled-by-zero", "scaled-by-one-over-zero"],
+)
+def test_degenerate_residue_inputs_raise_instead_of_hanging(call, error):
+    _raises_within(3, error, call)

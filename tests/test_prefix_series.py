@@ -6,7 +6,7 @@
 same ratio at K, whatever truncations were asked before and in whatever
 order; a pole must raise ``PoleError`` at the same K on both paths, and the
 constant coefficient must be the scalar form's value.  The harness reads
-EQ10_A2, THM3_QUOTIENT_X2 and LEM_THM1_B2K off such running splits, shared
+COMCONJ2, EQ10_A2, THM3_QUOTIENT_X2 and LEM_THM1_B2K off such running splits, shared
 by every prime of a process, so their records must not show how far an
 earlier run pushed them.  The helpers are in tests/oracles.py.
 """
@@ -38,10 +38,11 @@ from oracles import (
     truncations,
 )
 
-#: The series families the harness reads through running splits.
+#: The series families the harness reads through running splits, with their orders.
 SPEC_FAMILIES = {
-    "EQ10_A2": eq10_series_spec(5),
-    "THM3_QUOTIENT_X2": thm3_deformed_spec(5, QUARTER),
+    "COMCONJ2": (thm3_deformed_spec(5, F(-1, 8)), 2),
+    "EQ10_A2": (eq10_series_spec(5), SERIES_ORDER),
+    "THM3_QUOTIENT_X2": (thm3_deformed_spec(5, QUARTER), SERIES_ORDER),
 }
 LEM_WEIGHT = (F(0), F(1))
 
@@ -72,7 +73,7 @@ def _assert_lem_prefixes_match(top: int) -> None:
 
 @pytest.mark.parametrize("tag", SPEC_FAMILIES)
 def test_spec_family_prefixes_match_the_one_shot_series(tag):
-    _assert_spec_prefixes_match(SPEC_FAMILIES[tag], SERIES_ORDER, 300)
+    _assert_spec_prefixes_match(*SPEC_FAMILIES[tag], 300)
 
 
 def test_lem_thm1_family_prefixes_match_the_one_shot_split():
@@ -122,7 +123,7 @@ def test_a_pole_raises_at_the_same_truncation():
 
 @pytest.mark.parametrize("K, error", [(True, TypeError), (2.0, TypeError), ("2", TypeError), (-1, ValueError)])
 def test_a_truncation_is_checked_as_the_spec_checks_it(K, error):
-    sums = PrefixSums.of(SPEC_FAMILIES["EQ10_A2"], SERIES_ORDER)
+    sums = PrefixSums.of(*SPEC_FAMILIES["EQ10_A2"])
     sums.at(1)  # a bool must not read the value made at K = 1
     with pytest.raises(error):
         sums.at(K)
@@ -133,8 +134,8 @@ def test_a_larger_truncation_splits_only_the_new_terms(monkeypatch):
     assert_splits_only_the_new_terms(roots, _lem_sums())
 
 
-#: The series cases that read a running split per family.
-FAMILY_TAGS = ["EQ10_A2", "LEM_THM1_B2K", "THM3_QUOTIENT_X2"]
+#: The cases that read a running series split per family.
+FAMILY_TAGS = ["COMCONJ2", "EQ10_A2", "LEM_THM1_B2K", "THM3_QUOTIENT_X2"]
 
 
 def _clear_series_families():
@@ -153,7 +154,7 @@ def test_series_family_records_do_not_depend_on_history(monkeypatch):
     primes = range(5, 200)
     _clear_series_families()
     fresh = run_suite(primes, cases=FAMILY_TAGS)
-    assert harness._family.cache_info().currsize == 2  # EQ10 and THM3 at z = 1/4
+    assert harness._family.cache_info().currsize == 3  # THM3's deformation at z = -1/8 and 1/4, and EQ10
     assert harness._lem_thm1_family.cache_info().currsize == 1
     run_suite(range(5, 500), cases=FAMILY_TAGS)
     pushed = run_suite(primes, cases=FAMILY_TAGS)
@@ -177,7 +178,7 @@ def test_series_family_records_do_not_depend_on_history(monkeypatch):
         ),
     )
     one_shot = run_suite(primes, cases=FAMILY_TAGS)
-    assert len(fresh) == 3 * len([p for p in primes if harness.is_prime(p)])
+    assert len(fresh) == 4 * len([p for p in primes if harness.is_prime(p)])
     assert all(rec.passed for rec in fresh)
     assert fresh == pushed == descending == one_shot
 
@@ -215,8 +216,8 @@ def test_lem_thm1_reads_the_step_checks_of_its_own_prime(monkeypatch):
 
 
 def test_the_other_series_sums_are_still_evaluated_per_prime(monkeypatch):
-    # SIX_F_FIVE_COEFFS's parameters move with p; THMKEY and COMCONJ2 keep
-    # their one-shot sums (one per prime, memoized for THMKEY)
+    # SIX_F_FIVE_COEFFS's parameters move with p; THMKEY keeps its one-shot
+    # sums (one per prime and s, memoized)
     harness._thmkey_x2.cache_clear()
     specs = []
 
@@ -226,14 +227,14 @@ def test_the_other_series_sums_are_still_evaluated_per_prime(monkeypatch):
 
     monkeypatch.setattr(harness, "eval_hyp_sum_series", counting)
     primes = [5, 7, 11, 13]
-    run_suite(primes, cases=["COMCONJ2", "THMKEY", "SIX_F_FIVE_COEFFS", *FAMILY_TAGS])
-    assert len(specs) == 5 * len(primes)  # COMCONJ2, THMKEY(1..3) and SIX_F_FIVE_COEFFS at each p
+    run_suite(primes, cases=["THMKEY", "SIX_F_FIVE_COEFFS", *FAMILY_TAGS])
+    assert len(specs) == 4 * len(primes)  # THMKEY(1..3) and SIX_F_FIVE_COEFFS at each p
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("tag", SPEC_FAMILIES)
 def test_spec_family_prefixes_match_the_one_shot_series_to_999(tag):
-    _assert_spec_prefixes_match(SPEC_FAMILIES[tag], SERIES_ORDER, 999)
+    _assert_spec_prefixes_match(*SPEC_FAMILIES[tag], 999)
 
 
 @pytest.mark.slow
