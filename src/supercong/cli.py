@@ -157,8 +157,8 @@ def cmd_coeffs(args) -> int:
     for n in range(1, args.n + 1):
         if args.primes_only and not is_prime(n):
             continue
-        lines.append(f"{n} {coefficient_at(expansion, n)}")
-    text = "\n".join(lines) + "\n"
+        lines.append(f"{n} {coefficient_at(expansion, n)}\n")
+    text = "".join(lines)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

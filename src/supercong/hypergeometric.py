@@ -31,15 +31,14 @@ the affine weight is kept separate from the parameter lists because a weight
 encoded as a parameter pair would not survive deformation of those
 parameters.
 
-The module also evaluates Gamma-function ratios whose arguments pair up to
-integer shifts (reducing each pair by the recurrence G(x+1) = x*G(x), as an
-integer product over a power of the arguments' denominator).  The
-table ``IDENTITIES`` holds six classical evaluation identities, Gosper's
+The table ``IDENTITIES`` holds six classical evaluation identities, Gosper's
 strange evaluation among them, each as its free parameter names and a
-function giving both sides exactly.  ``identity_sides`` checks a parameter
-record against that table, and ``sample_identity_params`` draws the
-fixed-seed, pole-free points of the randomized suite and keeps the sides it
-evaluated at each.
+function giving both sides exactly.  They are checked where they terminate
+(an upper parameter -n), and there every Gamma quotient of a right side is
+G(x+n)/G(x) = (x)_n, so each right side is a ratio of ``rising_factorial``
+products.  ``identity_sides`` checks a parameter record against that table,
+and ``sample_identity_params`` draws the fixed-seed, pole-free points of the
+randomized suite and keeps the sides it evaluated at each.
 """
 
 from __future__ import annotations
@@ -52,15 +51,11 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .power_series import TruncSeries
-from .exact_core import _exact, checked_record
+from .exact_core import _exact, checked_record, rising_factorial
 
 
 class PoleError(ArithmeticError):
     """A lower-parameter rising factorial or a Gamma argument hits a pole."""
-
-
-class UnpairableError(ValueError):
-    """Gamma-ratio arguments cannot be paired up to integer shifts."""
 
 
 class AffineParam(checked_record("AffineParam", "base slope")):
@@ -434,44 +429,18 @@ class PrefixSums:
         return value
 
 
-def gamma_ratio_value(numerator_args, denominator_args) -> Fraction:
-    """Exact value of prod G(numerator_args) / prod G(denominator_args).
+def _pochhammer_ratio(ups, downs, n: int) -> Fraction:
+    """prod (x)_n over ``ups`` / prod (x)_n over ``downs``, each a ``rising_factorial``.
 
-    The arguments are rationals (int or Fraction) that must pair by
-    fractional part.  With each argument written n/d in lowest terms, they
-    are grouped by (n mod d, d), that is by fractional part; each group is
-    sorted and paired in order, and each pair G(d + m)/G(d) telescopes to a
-    rising factorial (or its reciprocal), the integer product n (n+d) ...
-    over d^m.  The products are multiplied up over the integers and one
-    ``Fraction`` is built at the end.  Validity does not depend on the
-    pairing choice.  Nonpositive-integer arguments are refused outright, and
-    a float or a bool with ``TypeError``.
+    This is the terminating Gamma ratio prod G(x+n)/G(x) over ``ups`` times
+    prod G(x)/G(x+n) over ``downs``, and it raises PoleError where one of
+    those Gamma arguments, x or x+n, is a nonpositive integer.  For n >= 0,
+    x+n is one only if x is, so x alone is checked.
     """
-    numerator_args = [_exact(x) for x in numerator_args]
-    denominator_args = [_exact(x) for x in denominator_args]
-    for x in (*numerator_args, *denominator_args):
+    for x in (*ups, *downs):
         if x.denominator == 1 and x <= 0:
             raise PoleError(f"Gamma argument {x} is a nonpositive integer")
-    groups: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-    for side, args in enumerate((numerator_args, denominator_args)):
-        for x in args:
-            n, d = x.numerator, x.denominator
-            groups.setdefault((n % d, d), ([], []))[side].append(n)
-    num = den = 1
-    for (r, d), (nums, dens) in groups.items():
-        if len(nums) != len(dens):
-            raise UnpairableError(
-                f"fractional part {Fraction(r, d)}: {len(nums)} numerator vs {len(dens)} denominator arguments"
-            )
-        for nx, dx in zip(sorted(nums), sorted(dens)):
-            # G(nx/d) / G(dx/d) is (dx/d)_m for m = (nx - dx)/d >= 0, else 1/(nx/d)_(-m)
-            if nx >= dx:
-                num *= prod(range(dx, nx, d))
-                den *= d ** ((nx - dx) // d)
-            else:
-                num *= d ** ((dx - nx) // d)
-                den *= prod(range(nx, dx, d))
-    return Fraction(num, den)
+    return prod(rising_factorial(x, n) for x in ups) / prod(rising_factorial(x, n) for x in downs)
 
 
 def _terminating_n(n) -> int:
@@ -483,14 +452,16 @@ def _terminating_n(n) -> int:
 def _whipple_4f3_sides(a, c, n):
     # 4F3[a, 1+a/2, c, -n ; a/2, 1+a-c, 1+a+n ; -1]
     #   = G(1+a-c) G(1+a+n) / (G(1+a) G(1+a-c+n))
+    #   = (1+a)_n / (1+a-c)_n
     lhs = eval_hyp_sum(hyp_sum([a, 1 + a / 2, c, -n], [a / 2, 1 + a - c, 1 + a + n], z=-1, K=n))
-    return lhs, gamma_ratio_value((1 + a - c, 1 + a + n), (1 + a, 1 + a - c + n))
+    return lhs, _pochhammer_ratio((1 + a,), (1 + a - c,), n)
 
 
 def _whipple_6f5_sides(a, b, c, d, n):
     # 6F5[a, 1+a/2, b, c, d, -n ; a/2, 1+a-b, 1+a-c, 1+a-d, 1+a+n ; -1]
     #   = G(1+a-d) G(1+a+n) / (G(1+a) G(1+a-d+n))
     #     * 3F2[1+a-b-c, d, -n ; 1+a-b, 1+a-c ; 1]
+    #   = (1+a)_n / (1+a-d)_n * 3F2[...]
     e = Fraction(-n)
     lhs = eval_hyp_sum(
         hyp_sum(
@@ -500,7 +471,7 @@ def _whipple_6f5_sides(a, b, c, d, n):
             K=n,
         )
     )
-    rhs = gamma_ratio_value((1 + a - d, 1 + a - e), (1 + a, 1 + a - d - e)) * eval_hyp_sum(
+    rhs = _pochhammer_ratio((1 + a,), (1 + a - d,), n) * eval_hyp_sum(
         hyp_sum([1 + a - b - c, d, e], [1 + a - b, 1 + a - c], z=1, K=n)
     )
     return lhs, rhs
@@ -510,8 +481,8 @@ def _whipple_7f6_sides(a, c, d, e, f, n):
     # 7F6[a, 1+a/2, c, d, e, f, -n ; a/2, 1+a-c, 1+a-d, 1+a-e, 1+a-f, 1+a+n ; 1]
     #   = G(1+a-e) G(1+a-f) G(1+a-g) G(1+a-e-f-g)
     #     / (G(1+a) G(1+a-f-g) G(1+a-e-g) G(1+a-e-f))
-    #     * 4F3[1+a-c-d, e, f, g ; e+f+g-a, 1+a-c, 1+a-d ; 1],     g = -n.
-    # Both Gamma lists sum to 4 + 4a - 2(e+f+g): the ratio is balanced.
+    #     * 4F3[1+a-c-d, e, f, g ; e+f+g-a, 1+a-c, 1+a-d ; 1]
+    #   = (1+a)_n (1+a-e-f)_n / ((1+a-e)_n (1+a-f)_n) * 4F3[...],     g = -n.
     g = Fraction(-n)
     lhs = eval_hyp_sum(
         hyp_sum(
@@ -521,11 +492,7 @@ def _whipple_7f6_sides(a, c, d, e, f, n):
             K=n,
         )
     )
-    prefactor = gamma_ratio_value(
-        (1 + a - e, 1 + a - f, 1 + a - g, 1 + a - e - f - g),
-        (1 + a, 1 + a - f - g, 1 + a - e - g, 1 + a - e - f),
-    )
-    rhs = prefactor * eval_hyp_sum(
+    rhs = _pochhammer_ratio((1 + a, 1 + a - e - f), (1 + a - e, 1 + a - f), n) * eval_hyp_sum(
         hyp_sum(
             [1 + a - c - d, e, f, g],
             [e + f + g - a, 1 + a - c, 1 + a - d],
@@ -539,6 +506,7 @@ def _whipple_7f6_sides(a, c, d, e, f, n):
 def _gessel_31_1_sides(a, c, n):
     # 5F4[1/2+a-c, -n, n+1, 2-2c+n, 5/3-2c/3+n/3 ;
     #     2-c+n, 2/3-2c/3+n/3, n-2a+2, 3/2-c ; 1/4]
+    #   = G(2-c+n) G(2-2a+n) G(3-2c) G(3/2-a) / (G(2-c) G(2-2a) G(3-2c+n) G(3/2-a+n))
     #   = (2-c)_n (2-2a)_n / ((3-2c)_n (3/2-a)_n)
     lhs = eval_hyp_sum(
         hyp_sum(
@@ -559,15 +527,12 @@ def _gessel_31_1_sides(a, c, n):
             K=n,
         )
     )
-    rhs = gamma_ratio_value(
-        (2 - c + n, 2 - 2 * a + n, 3 - 2 * c, Fraction(3, 2) - a),
-        (2 - c, 2 - 2 * a, 3 - 2 * c + n, Fraction(3, 2) - a + n),
-    )
-    return lhs, rhs
+    return lhs, _pochhammer_ratio((2 - c, 2 - 2 * a), (3 - 2 * c, Fraction(3, 2) - a), n)
 
 
 def _gosper_strange_sides(a, b, n):
     # 5F4[2a, 2b, 1-2b, 1+2a/3, -n ; a-b+1, a+b+1/2, 2a/3, 1+2a+2n ; 1/4]
+    #   = G(a+1/2+n) G(a+1+n) G(a+b+1/2) G(a-b+1) / (G(a+1/2) G(a+1) G(a+b+1/2+n) G(a-b+1+n))
     #   = (a+1/2)_n (a+1)_n / ((a+b+1/2)_n (a-b+1)_n)
     lhs = eval_hyp_sum(
         hyp_sum(
@@ -577,15 +542,12 @@ def _gosper_strange_sides(a, b, n):
             K=n,
         )
     )
-    rhs = gamma_ratio_value(
-        (a + Fraction(1, 2) + n, a + 1 + n, a + b + Fraction(1, 2), a - b + 1),
-        (a + Fraction(1, 2), a + 1, a + b + Fraction(1, 2) + n, a - b + 1 + n),
-    )
-    return lhs, rhs
+    return lhs, _pochhammer_ratio((a + Fraction(1, 2), a + 1), (a + b + Fraction(1, 2), a - b + 1), n)
 
 
 def _gessel_p544_sides(a, n):
     # 4F3[2a+n+1, n+1, 2a/3+n/3+4/3, -n ; a+3/2+n, 2a/3+n/3+1/3, 1+a ; -1/8]
+    #   = 2^n G(a+3/2+n) G(2a+2) / (G(a+3/2) G(2a+2+n))
     #   = 2^n (a+3/2)_n / (2a+2)_n
     third = Fraction(n, 3)
     lhs = eval_hyp_sum(
@@ -596,10 +558,7 @@ def _gessel_p544_sides(a, n):
             K=n,
         )
     )
-    rhs = Fraction(2) ** n * gamma_ratio_value(
-        (a + Fraction(3, 2) + n, 2 * a + 2), (a + Fraction(3, 2), 2 * a + 2 + n)
-    )
-    return lhs, rhs
+    return lhs, 2**n * _pochhammer_ratio((a + Fraction(3, 2),), (2 * a + 2,), n)
 
 
 #: The six evaluation identities checked pointwise: tag -> (free parameter
@@ -647,7 +606,7 @@ def sample_identity_params(tag: str) -> tuple[tuple[Mapping, Fraction, Fraction]
     Each draw is ``(params, lhs, rhs)``: small random rationals for the free
     parameters plus a terminating n, as a read-only mapping since the draws
     are cached, and the two sides evaluated there.  A draw at which a side
-    hits a pole or an unpairable Gamma ratio is rejected.
+    hits a pole is rejected.
     """
     names = IDENTITIES[tag][0]
     rng = random.Random(f"{IDENTITY_SUITE_SEED}:{tag}")
@@ -661,7 +620,7 @@ def sample_identity_params(tag: str) -> tuple[tuple[Mapping, Fraction, Fraction]
         params["n"] = rng.randint(0, 8)
         try:
             lhs, rhs = identity_sides(tag, params)
-        except (PoleError, UnpairableError, ZeroDivisionError):
+        except PoleError:
             continue
         out.append((MappingProxyType(params), lhs, rhs))
     return tuple(out)

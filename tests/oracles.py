@@ -10,8 +10,9 @@ are checked against the exact loops that valuate every k's pair as a
 congruence sums are also summed term by term in Z/p^N, with no ``Fraction``
 and no binary splitting, to check their achieved valuations capped at N.
 Rising factorials are multiplied out one factor at a time, where the package
-takes one integer product; Gamma ratios are reduced on ``Fraction``s, where
-the package multiplies integers and divides once; and COMIDEN0's sum is summed term by term, where
+takes one integer product; the identities' right sides are Gamma ratios,
+reduced here by pairing their arguments on ``Fraction``s, where the package
+writes each as a ratio of rising factorials; and COMIDEN0's sum is summed term by term, where
 the harness evaluates it as a 3F2 by binary splitting.  The series helpers rebuild what the
 package computes by binary splitting: term by term, by stepping each term by
 its ratio, or from Pochhammer products over an inverted denominator; and
@@ -44,7 +45,6 @@ from supercong.hypergeometric import (
     AffineParam,
     HypSum,
     PoleError,
-    UnpairableError,
     _check_lower_poles,
     _integer_weight,
     hyp_sum,
@@ -65,11 +65,16 @@ def stepwise_rising_factorial(a, k: int) -> Fraction:
     return out
 
 
+class UnpairableError(ValueError):
+    """Gamma-ratio arguments cannot be paired up to integer shifts."""
+
+
 def fraction_gamma_ratio_value(numerator_args, denominator_args) -> Fraction:
-    """prod G(numerator_args) / prod G(denominator_args) on ``Fraction``s, where the
-    package multiplies integers: the arguments are grouped by their fractional
-    part as a ``Fraction``, and each pair's rising factorial, a ``Fraction``, is
-    multiplied into a ``Fraction`` product, with a gcd per pair."""
+    """prod G(numerator_args) / prod G(denominator_args) on ``Fraction``s, for
+    arguments that pair up to integer shifts: they are grouped by their
+    fractional part as a ``Fraction``, and each pair's rising factorial, a
+    ``Fraction``, is multiplied into a ``Fraction`` product, with a gcd per
+    pair.  A nonpositive-integer argument raises the package's PoleError."""
     numerator_args = [_exact(x) for x in numerator_args]
     denominator_args = [_exact(x) for x in denominator_args]
     for x in (*numerator_args, *denominator_args):

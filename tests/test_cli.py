@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from supercong import cli
+from supercong import cli, hypergeometric
 from supercong.cli import MAX_PMAX, _print_summary, main, render_csv, render_json, suite_exit_code
 from supercong.harness import CASES, REPORT_KEYS, run_suite, verify_congruence_case
 from supercong.modular_form import EXPANSION_CEILING, BudgetError
@@ -223,6 +223,20 @@ def test_a_bug_has_its_own_exit_code_and_a_traceback(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
+def test_a_zero_division_in_the_identity_suite_is_a_bug(monkeypatch, capsys):
+    # the suite's rejection sampling takes only a PoleError as a rejected draw
+    def broken(tag, params):
+        raise ZeroDivisionError(f"a bug in {tag}")
+
+    monkeypatch.setattr(hypergeometric, "identity_sides", broken)
+    hypergeometric.sample_identity_params.cache_clear()
+    try:
+        assert main(["verify", "--cases", "gessel_p544", "--pmin", "5", "--pmax", "5"]) == 4
+    finally:
+        hypergeometric.sample_identity_params.cache_clear()
+    assert capsys.readouterr().err.endswith("ZeroDivisionError: a bug in GESSEL_P544\n")
+
+
 def test_verify_warns_when_a_format_has_no_report_to_shape(capsys):
     args = ["verify", "--cases", "eq0", "--pmin", "5", "--pmax", "7"]
     assert main(args) == 0
@@ -251,6 +265,15 @@ def test_coeffs_primes_only(capsys):
     assert main(["coeffs", "--n", "9", "--primes-only"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["2 0", "3 -4", "5 -2", "7 24"]
+
+
+def test_coeffs_with_no_index_selected_writes_nothing(tmp_path, capsys):
+    # --n 1 --primes-only selects no index: this printed one empty line
+    assert main(["coeffs", "--n", "1", "--primes-only"]) == 0
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "coeffs.txt"
+    assert main(["coeffs", "--n", "1", "--primes-only", "--out", str(out)]) == 0
+    assert out.read_bytes() == b""
 
 
 def test_coeffs_rejects_nonpositive_bound():
@@ -332,7 +355,7 @@ def test_traced_run_writes_the_untraced_report(tmp_path):
     doc = json.loads(trace.read_text())
     names = doc["names"]
     assert {"power_series.coefficient", "hypergeometric.eval_hyp_sum_series"} <= set(names)
-    identity = {"identity_sides", "gamma_ratio_value", "sample_identity_params"}
+    identity = {"identity_sides", "sample_identity_params"}
     assert {f"hypergeometric.{name}" for name in identity} <= set(names)
     hooked = {
         "exact_core.padic_valuation",

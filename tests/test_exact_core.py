@@ -17,7 +17,7 @@ from supercong.exact_core import (
     padic_valuation,
     rising_factorial,
 )
-from supercong.hypergeometric import eval_hyp_sum, gamma_ratio_value, hyp_sum, specialize
+from supercong.hypergeometric import eval_hyp_sum, hyp_sum, specialize
 from supercong.power_series import TruncSeries
 
 from oracles import central_half_ratio, congruent_mod_power, harmonic2, odd_harmonic2, stepwise_rising_factorial
@@ -38,11 +38,10 @@ NONZERO = st.integers(-(10**6), 10**6).filter(bool)
         lambda: hyp_sum([1], [1], z=1, K=2, weight=(0.5, 1)),
         lambda: specialize(hyp_sum([(1, 1)], [1], z=1, K=2), 0.5),
         lambda: TruncSeries((0.1, 2)),
-        lambda: gamma_ratio_value((1.5,), (0.5,)),
     ],
     ids=[
         "padic_valuation", "rising_factorial", "Residue.of", "hyp_sum-parameter", "hyp_sum-argument",
-        "hyp_sum-weight", "specialize", "TruncSeries", "gamma_ratio_value",
+        "hyp_sum-weight", "specialize", "TruncSeries",
     ],
 )
 def test_exact_entry_points_refuse_floats(call):
@@ -57,13 +56,14 @@ def test_exact_entry_points_refuse_floats(call):
     [
         lambda: padic_valuation(True, 5),
         lambda: rising_factorial(True, 3),
-        lambda: gamma_ratio_value((True,), (True,)),
+        lambda: Residue.of(True, 3),
         lambda: eval_hyp_sum(hyp_sum([True], [1], z=True, K=2, weight=(False, True))),
     ],
-    ids=["padic_valuation", "rising_factorial", "gamma_ratio_value", "eval_hyp_sum"],
+    ids=["padic_valuation", "rising_factorial", "Residue.of", "eval_hyp_sum"],
 )
 def test_exact_entry_points_refuse_bools(call):
-    # a bool is a truth value, not the integer 0 or 1: these read 0, 6, 1 and 5/2
+    # a bool is a truth value, not the integer 0 or 1: these read 0, 6, the
+    # residue of 1 and 5/2
     with pytest.raises(TypeError, match="bool"):
         call()
 

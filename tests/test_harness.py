@@ -29,7 +29,7 @@ from supercong.harness import (
     verify_exact_case,
     verify_series_case,
 )
-from supercong.harness import eq10_series_spec, thm3_deformed_spec
+from supercong.harness import SERIES_ORDER, eq10_series_spec, six_f_five_series_spec, thm3_deformed_spec
 from supercong.hypergeometric import (
     IDENTITIES,
     PoleError,
@@ -518,6 +518,28 @@ def test_six_f_five_record():
     assert padic_valuation(rec.lhs - rec.rhs, p) >= 1
     ser = eval_hyp_sum_series(series_case_specs(p)["SIX_F_FIVE_COEFFS"], 4)
     assert all(padic_valuation(c, p) >= 1 for c in ser.coeffs)
+
+
+def _check_six_f_five_as_p_times_whipple_3f2(primes):
+    # the case's sum is Whipple's 6F5 at a = 1/2, b, c = (1 -+ x)/2, d = 1 and
+    # -n = (1 - p)/2, whose prefactor (3/2)_n / (1/2)_n is 2n + 1 = p: the
+    # series is p times a 3F2 with p-integral coefficients, so each of its
+    # coefficients has v_p >= 1
+    for p in primes:
+        six_f_five = eval_hyp_sum_series(six_f_five_series_spec(p), SERIES_ORDER).coeffs
+        spec = hyp_sum([HALF, 1, F(1 - p, 2)], [(1, HALF), (1, -HALF)], z=1, K=(p - 1) // 2)
+        three_f_two = eval_hyp_sum_series(spec, SERIES_ORDER).coeffs
+        assert six_f_five == tuple(p * c for c in three_f_two), p
+        assert all(padic_valuation(c, p) >= 0 for c in three_f_two), p
+
+
+def test_six_f_five_is_p_times_whipples_3f2():
+    _check_six_f_five_as_p_times_whipple_3f2(_primes(5, 97))
+
+
+@pytest.mark.slow
+def test_six_f_five_is_p_times_whipples_3f2_to_997():
+    _check_six_f_five_as_p_times_whipple_3f2(_primes(101, 997))
 
 
 def test_lem_thm1_term_expansion_matches_formula_and_sympy():

@@ -1,10 +1,12 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
 
+from supercong import hypergeometric
 from supercong.exact_core import rising_factorial
 from supercong.hypergeometric import (
     IDENTITIES,
@@ -12,10 +14,9 @@ from supercong.hypergeometric import (
     AffineParam,
     HypSum,
     PoleError,
-    UnpairableError,
+    _pochhammer_ratio,
     eval_hyp_sum,
     eval_hyp_sum_series,
-    gamma_ratio_value,
     hyp_sum,
     identity_sides,
     param,
@@ -174,29 +175,34 @@ def test_a_record_has_no_tuple_arithmetic():
 
 
 def test_gamma_ratio_trivial():
-    assert gamma_ratio_value((F(1, 3),), (F(1, 3),)) == 1
-    assert gamma_ratio_value((4,), (1,)) == 6  # integer arguments: G(4)/G(1) = 3!
+    assert _pochhammer_ratio((F(1, 3),), (F(1, 3),), 5) == 1
+    assert _pochhammer_ratio((F(-7, 2),), (F(5),), 0) == 1
+    # integer arguments: G(4) G(2) / (G(1) G(5)) = 3! / 4!
+    assert _pochhammer_ratio((F(1),), (F(2),), 3) == F(1, 4)
 
 
 def test_gamma_ratio_paired_shift_values():
-    # G(1-5/2) G(1+5/2) / (G(1/2) G(3/2)) = (4/3)(15/4) = 5
-    assert gamma_ratio_value((F(-3, 2), F(7, 2)), (HALF, F(3, 2))) == 5
-    # G(1-5/2) G(1+5/2) G(-1/2) / (G(3/2) G(-5/2) G(5/2)) = (-5/2)(5/2)(-4) = 25
-    assert gamma_ratio_value((F(-3, 2), F(7, 2), F(-1, 2)), (F(3, 2), F(-5, 2), F(5, 2))) == 25
-
-
-def test_gamma_ratio_unpairable():
-    with pytest.raises(UnpairableError):
-        gamma_ratio_value((F(1, 3),), (F(1, 4),))
-    with pytest.raises(UnpairableError):
-        gamma_ratio_value((F(1, 3), F(4, 3)), (F(1, 3),))
+    # G(1-5/2) G(1+5/2) / (G(1/2) G(3/2)) = (1/2)_3 / (-3/2)_3 = (15/8) / (3/8) = 5
+    assert _pochhammer_ratio((HALF,), (F(-3, 2),), 3) == 5
+    # (-5/2)_2 (1/3)_2 / ((1/2)_2 (-2/3)_2) = (15/4)(4/9) / ((3/4)(-2/9)) = -10
+    assert _pochhammer_ratio((F(-5, 2), F(1, 3)), (HALF, F(-2, 3)), 2) == -10
 
 
 def test_gamma_ratio_pole():
-    with pytest.raises(PoleError):
-        gamma_ratio_value((F(0),), (F(1),))
-    with pytest.raises(PoleError):
-        gamma_ratio_value((F(2),), (F(-3),))
+    # x = -2 with n = 3: G(x) is a pole and G(x + 3) = G(1) is not; (x)_3 has
+    # the factor 0, so the ratio would read 0 or divide by it
+    for ups, downs in [((F(-2),), (HALF,)), ((HALF,), (F(-2),))]:
+        with pytest.raises(PoleError, match="Gamma argument -2 is a nonpositive integer"):
+            _pochhammer_ratio(ups, downs, 3)
+
+
+def test_gamma_ratio_pole_at_x_plus_n():
+    # x = -5 with n = 3: G(x + 3) = G(-2) is a pole as well as G(x), while
+    # (x)_3 = (-5)(-4)(-3) is a finite nonzero product, so a check for a
+    # vanishing factor alone would let the ratio read -60 or its inverse
+    for ups, downs in [((F(-5),), (F(1),)), ((F(1),), (F(-5),))]:
+        with pytest.raises(PoleError):
+            _pochhammer_ratio(ups, downs, 3)
 
 
 def test_whipple_4f3_known_point():
@@ -269,6 +275,39 @@ def test_randomized_identity_suite():
         for params, lhs, rhs in draws:
             assert check_identity(tag, params), (tag, params)
             assert identity_sides(tag, params) == (lhs, rhs)
+
+
+#: The suite's rejected draws per identity: (at a Gamma argument, at a lower parameter).
+REJECTED_DRAWS = {
+    "WHIPPLE_4F3": (1, 4),
+    "WHIPPLE_6F5": (4, 4),
+    "WHIPPLE_7F6": (4, 3),
+    "GESSEL_31_1": (6, 1),
+    "GOSPER_STRANGE": (2, 2),
+    "GESSEL_P544": (5, 2),
+}
+
+
+def test_every_rejected_draw_is_a_pole(monkeypatch):
+    # 38 rejections, each a PoleError: 22 at a Gamma argument, 16 at a lower parameter
+    rejected = Counter()
+
+    def counting(tag, params):
+        try:
+            return identity_sides(tag, params)
+        except Exception as exc:
+            rejected[tag, type(exc), " ".join(str(exc).split()[:2])] += 1
+            raise
+
+    monkeypatch.setattr(hypergeometric, "identity_sides", counting)
+    for tag in IDENTITIES:
+        sample_identity_params.__wrapped__(tag)
+    assert rejected == {
+        (tag, PoleError, cause): count
+        for tag, counts in REJECTED_DRAWS.items()
+        for cause, count in zip(("Gamma argument", "lower parameter"), counts)
+    }
+    assert sum(rejected.values()) == 38
 
 
 def test_sampling_is_reproducible():
