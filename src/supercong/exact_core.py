@@ -1,5 +1,5 @@
-"""Exact scalar arithmetic: rationals, Pochhammer products, primality,
-p-adic valuations, and p-adic residues.
+"""Exact scalar arithmetic: rationals, Pochhammer products, primality and
+p-adic valuations.
 
 Every scalar in this package is an exact :class:`fractions.Fraction`; nothing
 here (or anywhere downstream) touches floating point, and ``_exact`` refuses a
@@ -9,11 +9,11 @@ guarantees the normal form we rely on: positive denominator, gcd removed,
 zero stored as 0/1, so equality is structural and valuations are cheap.
 A Pochhammer product is one integer product over d^k, with a single gcd.
 
-:class:`Residue` is the p-adic residue layer: a nonzero rational written as
-p^v * u with u a unit kept mod p^N (N = ``_RESIDUE_DIGITS``).  Its parts are
-Python ints, so it too is exact; it gives the valuation of a difference in
-O(1) integer operations whenever the two sides differ mod p^(v+N), and says
-so when they do not, so that a caller falls back to the exact ``Fraction``.
+``_split_power`` writes a nonzero integer as p^v * u with p not dividing u.
+The harness's residue searches step their units with it, as plain ints mod
+p^N (N = ``_RESIDUE_DIGITS``): a valuation below N is read off those ints,
+and a difference that vanishes in all N digits falls back to the exact
+``Fraction``.
 
 All functions are pure and all values immutable, so everything is safe to
 share between concurrent tasks.  The package's records are tuples:
@@ -31,8 +31,8 @@ from typing import Union
 _PRIMALITY_CERTIFIED_BOUND = 10**12
 
 # Digits of p that a residue search keeps: unit parts live mod
-# p**_RESIDUE_DIGITS.  Read at call time, when a residue is made from a
-# rational (Residue.of) and when H2_REFLECT steps H2(j) (harness).
+# p**_RESIDUE_DIGITS.  Read at call time, when a BINOM_* family steps its
+# ratio to c_k and when H2_REFLECT steps H2(j) (harness).
 _RESIDUE_DIGITS = 8
 
 
@@ -160,54 +160,3 @@ def padic_valuation(x, p: int) -> Valuation:
     if x == 0:
         return INFINITY
     return _split_power(x.numerator, p)[0] - _split_power(x.denominator, p)[0]
-
-
-class Residue:
-    """A nonzero rational p**v * num/den, with num and den units kept mod p**N.
-
-    A product by an integer ratio steps v, num and den; no inverse mod p**N
-    is taken, because a difference compares the units by cross-multiplication.
-    Both operands of a difference must share p and N.
-    """
-
-    __slots__ = ("p", "modulus", "v", "num", "den")
-
-    def __init__(self, p: int, modulus: int, v: int, num: int, den: int):
-        self.p, self.modulus, self.v, self.num, self.den = p, modulus, v, num, den
-
-    @classmethod
-    def of(cls, x, p: int) -> Residue:
-        """The residue of a nonzero rational x at the prime p."""
-        check_prime(p)
-        x = _exact(x)
-        if x == 0:
-            raise ValueError("zero has no p-adic unit part")
-        modulus = p**_RESIDUE_DIGITS
-        vn, num = _split_power(x.numerator, p)
-        vd, den = _split_power(x.denominator, p)
-        return cls(p, modulus, vn - vd, num % modulus, den % modulus)
-
-    def scaled(self, n: int, d: int) -> Residue:
-        """This residue times the ratio n/d of nonzero integers; a zero raises ValueError."""
-        p, modulus, v = self.p, self.modulus, self.v
-        if n % p == 0:
-            vn, n = _split_power(n, p)
-            v += vn
-        if d % p == 0:
-            vd, d = _split_power(d, p)
-            v -= vd
-        return Residue(p, modulus, v, self.num * n % modulus, self.den * d % modulus)
-
-    def difference_valuation(self, other: Residue) -> int | None:
-        """v_p(self - other), or None if the two agree in all N kept digits.
-
-        Unequal valuations give the smaller one.  Equal ones give v plus the
-        valuation of the cross-multiplied units, which is exact below N.
-        """
-        if self.v != other.v:
-            return min(self.v, other.v)
-        unit_gap = (self.num * other.den - other.num * self.den) % self.modulus
-        if unit_gap == 0:
-            return None
-        return self.v + _split_power(unit_gap, self.p)[0]
-

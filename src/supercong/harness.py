@@ -39,9 +39,10 @@ m, as prefixes of running series splits.  ``_family`` is the one cache of
 these splits, keyed on a spec builder and its arguments.  LEM_THM1_B2K
 reads a running series split over its term ratio that also checks each
 step once; only THMKEY and SIX_F_FIVE_COEFFS still sum their series per
-prime.  A per-k family record keeps the first k of least valuation.
-BINOM_* find it on p-adic residues (exact_core.Residue) and H2_REFLECT on
-H2(j) stepped mod p^N; both build only that k's lhs and rhs as exact
+prime.  A per-k family record keeps the first k of least valuation,
+found by one search (``_weakest_k``) over a list of per-k valuations read
+mod p^N.  BINOM_* step their ratio to c_k^e on plain ints, and H2_REFLECT
+steps H2(j); the search builds only the weakest k's lhs and rhs as exact
 fractions.
 
 Exact cases (pass iff both sides agree exactly):
@@ -103,7 +104,7 @@ from math import comb, factorial
 from typing import Callable, NamedTuple, Sequence
 
 from . import exact_core
-from .exact_core import INFINITY, Residue, _split_power, check_prime, is_prime, padic_valuation, rising_factorial
+from .exact_core import INFINITY, _split_power, check_prime, is_prime, padic_valuation, rising_factorial
 from .hypergeometric import (
     IDENTITIES,
     IDENTITY_DRAWS,
@@ -364,38 +365,71 @@ def _binom_pair(uppers, k: int) -> tuple[Fraction, Fraction]:
     return Fraction(lhs), Fraction(comb(2 * k, k), 4**k) ** len(uppers)
 
 
-def _binom_family(p, r, uppers_of):
-    """The first k <= M of least v_p(lhs - rhs), with that k's exact lhs, rhs and valuation.
+def _binom_valuations(p: int, m: int, uppers) -> list:
+    """v_p(lhs_k - rhs_k) of a BINOM_* family (see _binom_pair), k = 1..m in order.
 
-    ``uppers_of(M)`` gives the family's upper parameters (see _binom_pair).
-    lhs_k and rhs_k are stepped by their term ratios as residues mod p^N.  A
-    k whose two sides agree in all N digits takes its valuation from its
-    exact pair.  Only the weakest k is then built exactly, and its valuation
-    must match the search's; a mismatch is a bug and raises AssertionError.
+    With e = len(uppers), lhs_k = c_k^e w_k, where w_k = prod_{j<=k} prod_a
+    (2a + 2j - 2)/(2j - 1); so v_p(lhs_k - rhs_k) = e v_p(c_k) + v_p(w_k - 1).
+    w_k is stepped on plain ints as p^v num/den, with num and den units kept
+    mod p^N, and v_p(c_k) as a counter.  A k whose w_k agrees with 1 in all N
+    digits takes its valuation from its exact pair.
     """
-    m = (p**r - 1) // 2
-    uppers = uppers_of(m)
+    modulus = p**exact_core._RESIDUE_DIGITS
     e = len(uppers)
-    lhs = rhs = Residue.of(1, p)
-    weakest = None  # (valuation, k)
+    shifts = [2 * a - 2 for a in uppers]
+    vc = vw = 0  # v_p(c_k), v_p(w_k)
+    num = den = 1
+    valuations = []
     for k in range(1, m + 1):
-        num = 1
-        for a in uppers:
-            num *= a + k - 1
-        lhs = lhs.scaled(num, k**e)
-        rhs = rhs.scaled((2 * k - 1) ** e, (2 * k) ** e)
-        v = lhs.difference_valuation(rhs)
-        if v is None:
-            exact_lhs, exact_rhs = _binom_pair(uppers, k)
-            v = padic_valuation(exact_lhs - exact_rhs, p)
-        if weakest is None or v < weakest[0]:
-            weakest = (v, k)
-    v, k = weakest
-    lhs, rhs = _binom_pair(uppers, k)
+        odd = 2 * k - 1
+        if odd % p == 0:
+            t, odd = _split_power(odd, p)
+            vc += t
+            vw -= e * t
+        if k % p == 0:
+            vc -= _split_power(k, p)[0]
+        step = 1
+        for s in shifts:
+            step *= s + 2 * k
+        if step % p == 0:
+            t, step = _split_power(step, p)
+            vw += t
+        num = num * step % modulus
+        den = den * odd**e % modulus
+        gap = (num - den) % modulus
+        if vw:  # then w_k - 1 has the lesser valuation of w_k and 1
+            valuations.append(e * vc + min(vw, 0))
+        elif gap:
+            valuations.append(e * vc + _split_power(gap, p)[0])
+        else:
+            lhs, rhs = _binom_pair(uppers, k)
+            valuations.append(padic_valuation(lhs - rhs, p))
+    return valuations
+
+
+def _weakest_k(p: int, valuations: list, exact_pair: Callable):
+    """The first k of least v_p(lhs_k - rhs_k), with that k's exact lhs, rhs and valuation.
+
+    ``valuations`` holds the searched valuation of k = 1, 2, ... in order,
+    and ``exact_pair(k)`` builds k's exact (lhs, rhs).  Only the weakest k is
+    built, and its valuation must match the search's; a mismatch is a bug
+    and raises AssertionError.
+    """
+    v = min(valuations)
+    k = valuations.index(v) + 1
+    lhs, rhs = exact_pair(k)
     achieved = padic_valuation(lhs - rhs, p)
     if achieved != v:
-        raise AssertionError(f"p={p} r={r} k={k}: residue valuation {v}, exact valuation {achieved}")
+        raise AssertionError(f"p={p} k={k}: residue valuation {v}, exact valuation {achieved}")
     return lhs, rhs, achieved
+
+
+def _binom_family(p, r, uppers_of):
+    """The weakest k <= M of a BINOM_* family, M = (p^r-1)/2; ``uppers_of(M)``
+    gives its upper parameters (see _binom_pair and _binom_valuations)."""
+    m = (p**r - 1) // 2
+    uppers = uppers_of(m)
+    return _weakest_k(p, _binom_valuations(p, m, uppers), partial(_binom_pair, uppers))
 
 
 def _binom_neg(p, r):
@@ -424,34 +458,32 @@ def _oddh2_half(p, _param):
     return _family(hyp_sum, (HALF, HALF, 1), (Fraction(3, 2), Fraction(3, 2)), 1, 0).at((p - 3) // 2), ZERO
 
 
-def _h2_reflect(p, _param):
-    """The first k <= (p-1)/2 of least v_p(H2(k) + H2(p-1-k)), with that pair and valuation.
+def _h2_reflect_valuations(p: int) -> list:
+    """v_p(H2(k) + H2(p-1-k)), k = 1..(p-1)/2 in order.
 
-    k and p-1-k give the same sum, so these k meet every pair once.  For
-    j <= p-2 each 1/j^2 is a unit, so H2(j) is stepped mod p^N as num[j] /
-    den[j] with den[j] = (j!)^2, and a pair's valuation is that of
+    For j <= p-2 each 1/j^2 is a unit, so H2(j) is stepped mod p^N as num[j]
+    / den[j] with den[j] = (j!)^2, and a pair's valuation is that of
     num[k] den[p-1-k] + num[p-1-k] den[k].  A pair that vanishes in all N
-    digits takes its valuation from its exact sum.  Only the weakest k is
-    then built exactly, and its valuation must match the search's; a
-    mismatch is a bug and raises AssertionError.
+    digits takes its valuation from its exact sum.
     """
     modulus = p**exact_core._RESIDUE_DIGITS
     num, den = [0], [1]
+    n, d = 0, 1
     for j in range(1, p - 1):
-        num.append((num[-1] * j * j + den[-1]) % modulus)
-        den.append(den[-1] * j * j % modulus)
-    weakest = None  # (valuation, k)
-    for k in range(1, (p - 1) // 2 + 1):
+        jj = j * j
+        n, d = (n * jj + d) % modulus, d * jj % modulus
+        num.append(n)
+        den.append(d)
+    valuations = []
+    for k in range(1, (p + 1) // 2):
         pair = (num[k] * den[p - 1 - k] + num[p - 1 - k] * den[k]) % modulus
-        v = _split_power(pair, p)[0] if pair else padic_valuation(_h2(k) + _h2(p - 1 - k), p)
-        if weakest is None or v < weakest[0]:
-            weakest = (v, k)
-    v, k = weakest
-    lhs = _h2(k) + _h2(p - 1 - k)
-    achieved = padic_valuation(lhs, p)
-    if achieved != v:
-        raise AssertionError(f"p={p} k={k}: residue valuation {v}, exact valuation {achieved}")
-    return lhs, ZERO, achieved
+        valuations.append(_split_power(pair, p)[0] if pair else padic_valuation(_h2(k) + _h2(p - 1 - k), p))
+    return valuations
+
+
+def _h2_reflect(p, _param):
+    # k and p-1-k give the same sum, so k <= (p-1)/2 meets every pair once
+    return _weakest_k(p, _h2_reflect_valuations(p), lambda k: (_h2(k) + _h2(p - 1 - k), ZERO))
 
 
 def _thmkey(p, s):

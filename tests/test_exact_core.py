@@ -11,7 +11,6 @@ from supercong import exact_core
 from supercong.exact_core import (
     INFINITY,
     NotPrimeError,
-    Residue,
     _split_power,
     is_prime,
     padic_valuation,
@@ -23,8 +22,6 @@ from supercong.power_series import TruncSeries
 from oracles import central_half_ratio, congruent_mod_power, harmonic2, odd_harmonic2, stepwise_rising_factorial
 
 PRIMES_TO_97 = [p for p in range(5, 98) if is_prime(p)]
-PRIMES_3_TO_2000 = [p for p in range(3, 2001) if is_prime(p)]
-NONZERO = st.integers(-(10**6), 10**6).filter(bool)
 
 
 @pytest.mark.parametrize(
@@ -32,7 +29,6 @@ NONZERO = st.integers(-(10**6), 10**6).filter(bool)
     [
         lambda: padic_valuation(0.1, 5),
         lambda: rising_factorial(0.5, 2),
-        lambda: Residue.of(0.5, 3),
         lambda: hyp_sum([0.1], [1], z=0.5, K=2),
         lambda: hyp_sum([1], [1], z=0.5, K=2),
         lambda: hyp_sum([1], [1], z=1, K=2, weight=(0.5, 1)),
@@ -40,8 +36,8 @@ NONZERO = st.integers(-(10**6), 10**6).filter(bool)
         lambda: TruncSeries((0.1, 2)),
     ],
     ids=[
-        "padic_valuation", "rising_factorial", "Residue.of", "hyp_sum-parameter", "hyp_sum-argument",
-        "hyp_sum-weight", "specialize", "TruncSeries",
+        "padic_valuation", "rising_factorial", "hyp_sum-parameter", "hyp_sum-argument", "hyp_sum-weight",
+        "specialize", "TruncSeries",
     ],
 )
 def test_exact_entry_points_refuse_floats(call):
@@ -56,14 +52,12 @@ def test_exact_entry_points_refuse_floats(call):
     [
         lambda: padic_valuation(True, 5),
         lambda: rising_factorial(True, 3),
-        lambda: Residue.of(True, 3),
         lambda: eval_hyp_sum(hyp_sum([True], [1], z=True, K=2, weight=(False, True))),
     ],
-    ids=["padic_valuation", "rising_factorial", "Residue.of", "eval_hyp_sum"],
+    ids=["padic_valuation", "rising_factorial", "eval_hyp_sum"],
 )
 def test_exact_entry_points_refuse_bools(call):
-    # a bool is a truth value, not the integer 0 or 1: these read 0, 6, the
-    # residue of 1 and 5/2
+    # a bool is a truth value, not the integer 0 or 1: these read 0, 6 and 5/2
     with pytest.raises(TypeError, match="bool"):
         call()
 
@@ -244,85 +238,6 @@ def test_infinity_ordering():
     assert repr(INFINITY) == "INFINITY"
 
 
-@st.composite
-def _stepped(draw, p):
-    """A nonzero rational, as a Fraction and as a Residue made of its products and quotients."""
-
-    def factor():
-        return draw(NONZERO) * p ** draw(st.integers(0, 12))
-
-    x = F(factor(), factor())
-    res = Residue.of(x, p)
-    for _ in range(draw(st.integers(0, 6))):
-        n, d = factor(), factor()
-        res = res.scaled(n, d)
-        x *= F(n, d)
-    return x, res
-
-
-def _assert_residue_of(res: Residue, x: F, p: int):
-    v = padic_valuation(x, p)
-    assert res.v == v
-    unit = x / F(p) ** v
-    assert res.modulus == p**exact_core._RESIDUE_DIGITS
-    assert res.num % p and res.den % p
-    assert (res.num * unit.denominator - unit.numerator * res.den) % res.modulus == 0
-
-
-def _assert_difference(rx: Residue, ry: Residue, x: F, y: F, p: int):
-    got, exact = rx.difference_valuation(ry), padic_valuation(x - y, p)
-    if got is None:
-        assert exact >= min(rx.v, ry.v) + exact_core._RESIDUE_DIGITS
-    else:
-        assert got == exact
-    return got
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(st.data())
-def test_residue_products_and_differences_match_fractions(data):
-    p = data.draw(st.sampled_from(PRIMES_3_TO_2000))
-    x, rx = data.draw(_stepped(p))
-    y, ry = data.draw(_stepped(p))
-    _assert_residue_of(rx, x, p)
-    _assert_residue_of(ry, y, p)
-    _assert_difference(rx, ry, x, y, p)
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(st.data())
-def test_residue_differences_of_equal_valuation_cancel_exactly(data):
-    # y = x + p^(v+j) t agrees with x in j digits past v(x), and in more where
-    # t's own valuation adds; from N digits on the residues cannot tell them apart
-    p = data.draw(st.sampled_from(PRIMES_3_TO_2000))
-    x, rx = data.draw(_stepped(p))
-    j = data.draw(st.integers(0, exact_core._RESIDUE_DIGITS + 3))
-    t = F(data.draw(NONZERO), data.draw(NONZERO))
-    y = x + F(p) ** (rx.v + j) * t
-    if y == 0:
-        return
-    ry = Residue.of(y, p)
-    _assert_residue_of(ry, y, p)
-    got = _assert_difference(rx, ry, x, y, p)
-    if j >= exact_core._RESIDUE_DIGITS:
-        assert got is None
-    assert _assert_difference(rx, rx, x, x, p) is None
-
-
-def test_residue_vanishing_examples():
-    p, N = 7, exact_core._RESIDUE_DIGITS
-    one = Residue.of(1, p)
-    assert one.difference_valuation(Residue.of(1 + p ** (N - 1), p)) == N - 1
-    assert one.difference_valuation(Residue.of(1 + p**N, p)) is None
-    assert one.difference_valuation(Residue.of(F(p, 3), p)) == 0
-    assert Residue.of(F(1, p), p).difference_valuation(Residue.of(F(p, 2), p)) == -1
-    # BINOM_NEG at p = 5, k = 2: (-2)_2/2! = C(2, 2) = 1 against c_2 = 3/8, difference 5/8
-    five = Residue.of(1, 5)
-    assert five.scaled(-2, 1).scaled(-1, 2).difference_valuation(five.scaled(1, 2).scaled(3, 4)) == 1
-    with pytest.raises(ValueError):
-        Residue.of(0, p)
-
-
 class _Hung(Exception):
     pass
 
@@ -350,12 +265,8 @@ def _raises_within(seconds: float, error: type, call) -> None:
     "call, error",
     [
         (lambda: _split_power(0, 5), ValueError),  # every power of 5 divides 0
-        (lambda: Residue.of(3, 1), NotPrimeError),  # 1 divides everything
-        (lambda: Residue.of(3, 4), NotPrimeError),
-        (lambda: Residue.of(3, 5).scaled(0, 1), ValueError),
-        (lambda: Residue.of(3, 5).scaled(1, 0), ValueError),
     ],
-    ids=["split_power-zero", "residue-of-one", "residue-of-non-prime", "scaled-by-zero", "scaled-by-one-over-zero"],
+    ids=["split_power-zero"],
 )
 def test_degenerate_residue_inputs_raise_instead_of_hanging(call, error):
     _raises_within(3, error, call)

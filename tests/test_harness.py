@@ -42,6 +42,7 @@ from supercong.hypergeometric import (
 from supercong.power_series import coefficient
 
 from oracles import (
+    binom_pair,
     central_half_ratio,
     comiden0_term_sum,
     harmonic2,
@@ -214,11 +215,52 @@ def test_binomial_records_with_every_k_resolved_exactly(monkeypatch, r):
 
 
 def test_binomial_residue_mismatch_is_a_bug(monkeypatch):
-    # A residue valuation the exact pair contradicts raises AssertionError,
-    # which run_suite does not turn into a record.
-    monkeypatch.setattr(exact_core.Residue, "difference_valuation", lambda self, other: 0)
-    with pytest.raises(AssertionError, match="residue valuation 0, exact valuation 1"):
+    # An exact pair that contradicts the residue search raises AssertionError,
+    # which run_suite does not turn into a record.  At p = 5 no k falls back
+    # to its exact pair, so only the weakest k's build reads the stub.
+    monkeypatch.setattr(harness, "_binom_pair", lambda uppers, k: (F(1), F(0)))
+    with pytest.raises(AssertionError, match="residue valuation 1, exact valuation 0"):
         run_suite([5], cases=["BINOM_NEG"])
+
+
+def _searched_valuations(monkeypatch) -> list:
+    """Record the per-k valuations each case hands the weakest-k search.
+
+    The search itself is skipped, so that a wrong valuation fails on the
+    comparison with its exact pair, not on the search's own check of the
+    weakest k; the record built from k = 1 is not read.
+    """
+    searched = []
+
+    def recording(p, valuations, exact_pair):
+        searched.append(valuations)
+        return (*exact_pair(1), valuations[0])
+
+    monkeypatch.setattr(harness, "_weakest_k", recording)
+    return searched
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_every_k_of_the_binomial_search_matches_its_exact_pair(monkeypatch, r):
+    # A record shows only the weakest k, so a wrong valuation at any other k
+    # would hide there; here every k <= M is checked against the closed forms.
+    searched = _searched_valuations(monkeypatch)
+    for p in _primes(5, 31):
+        M = (p**r - 1) // 2
+        for tag in BINOM_TAGS:
+            searched.clear()
+            verify_congruence_case(tag, p, r)
+            exact = [padic_valuation(lhs - rhs, p) for lhs, rhs in (binom_pair(tag, M, k) for k in range(1, M + 1))]
+            assert searched == [exact], (tag, p)
+
+
+def test_every_k_of_the_h2_reflect_search_matches_its_exact_sum(monkeypatch):
+    searched = _searched_valuations(monkeypatch)
+    for p in _primes(5, 97):
+        searched.clear()
+        verify_congruence_case("H2_REFLECT", p)
+        exact = [padic_valuation(harmonic2(k) + harmonic2(p - 1 - k), p) for k in range(1, (p + 1) // 2)]
+        assert searched == [exact], p
 
 
 @pytest.mark.slow
