@@ -18,10 +18,11 @@ caps that cut the requested run, a --format without --out, and a prime
 range with nothing to run.
 
 The eta-product expansion has one fixed ceiling, EXPANSION_CEILING =
-MAX_PMAX = 100000, which covers a_p at every prime --pmax admits.  It is a
-ceiling, not a size: a run expands once, to the largest p^r its cases need,
-and a case that needs an index above the ceiling gets an error:BudgetError
-record.  ``coeffs`` obeys the same ceiling: an --n above it is a usage error.
+100000, which is also the largest --pmax, so it covers a_p at every prime
+--pmax admits.  It is a ceiling, not a size: a run expands once, to the
+largest p^r its cases need, and a case that needs an index above the
+ceiling gets an error:BudgetError record.  ``coeffs`` obeys the same
+ceiling: an --n above it is a usage error.
 """
 
 from __future__ import annotations
@@ -38,11 +39,6 @@ from .modular_form import EXPANSION_CEILING, coefficient_at, eta_product_expansi
 
 DEFAULT_PMIN = 5
 DEFAULT_PMAX = 97
-
-# hard ceiling on the scanned prime range; keeps a typo like --pmax 1e9 from
-# looking like a hang.  It is the eta expansion ceiling, so that every a_p a
-# run reads at r = 1 lies within it.
-MAX_PMAX = EXPANSION_CEILING
 
 
 def render_json(records: list[VerificationRecord]) -> str:
@@ -89,8 +85,11 @@ def cmd_verify(args) -> int:
     if args.r < 1:
         print("error: --r must be a positive integer", file=sys.stderr)
         return 2
-    if pmax > MAX_PMAX:
-        print(f"error: --pmax {pmax} is beyond the supported scale ({MAX_PMAX})", file=sys.stderr)
+    # hard ceiling on the scanned prime range; keeps a typo like --pmax 1e9 from
+    # looking like a hang.  It is the eta expansion ceiling, so that every a_p a
+    # run reads at r = 1 lies within it.
+    if pmax > EXPANSION_CEILING:
+        print(f"error: --pmax {pmax} is beyond the supported scale ({EXPANSION_CEILING})", file=sys.stderr)
         return 2
     if args.cases.strip().lower() == "all":
         cases = None

@@ -10,10 +10,6 @@ zero stored as 0/1, so equality is structural and valuations are cheap.
 A Pochhammer product is one integer product over d^k, with a single gcd.
 
 ``_split_power`` writes a nonzero integer as p^v * u with p not dividing u.
-The harness's residue searches step their units with it, as plain ints mod
-p^N (N = ``_RESIDUE_DIGITS``): a valuation below N is read off those ints,
-and a difference that vanishes in all N digits falls back to the exact
-``Fraction``.
 
 All functions are pure and all values immutable, so everything is safe to
 share between concurrent tasks.  The package's records are tuples:
@@ -29,11 +25,6 @@ from typing import Union
 
 # Trial division by divisors up to 10**6 certifies primality below this bound.
 _PRIMALITY_CERTIFIED_BOUND = 10**12
-
-# Digits of p that a residue search keeps: unit parts live mod
-# p**_RESIDUE_DIGITS.  Read at call time, when a BINOM_* family steps its
-# ratio to c_k and when H2_REFLECT steps H2(j) (harness).
-_RESIDUE_DIGITS = 8
 
 
 class NotPrimeError(ValueError):

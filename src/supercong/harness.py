@@ -41,8 +41,11 @@ reads a running series split over its term ratio that also checks each
 step once; only THMKEY and SIX_F_FIVE_COEFFS still sum their series per
 prime.  A per-k family record keeps the first k of least valuation,
 found by one search (``_weakest_k``) over a list of per-k valuations read
-mod p^N.  BINOM_* step their ratio to c_k^e on plain ints, and H2_REFLECT
-steps H2(j); the search builds only the weakest k's lhs and rhs as exact
+mod p^N (N = ``_RESIDUE_DIGITS``).  BINOM_* step their ratio to c_k^e, and
+H2_REFLECT steps H2(j), as plain ints mod p^N whose units
+``exact_core._split_power`` splits off: a valuation below N is read off
+those ints, and a difference that vanishes in all N digits falls back to the
+exact Fraction.  The search builds only the weakest k's lhs and rhs as exact
 fractions.
 
 Exact cases (pass iff both sides agree exactly):
@@ -89,10 +92,11 @@ independent pure computations; run_suite's output order is canonical (the
 order of the case table, then p, then the integer parameter) regardless of
 execution order.
 
-Every fact about a case (kind, computation, requirement, minimum prime,
+Every fact about a case (computation, requirement, minimum prime,
 parameter domain, caps, conjectural flag, eta index) lives in its one row of
 the table ``CASES``, a ``Case`` named tuple; a new family of congruences is
-one new row.
+one new row.  A case is exact iff its requirement is equality; every other
+case, series cases included, runs through ``verify_congruence_case``.
 """
 
 from __future__ import annotations
@@ -103,7 +107,6 @@ from functools import lru_cache, partial
 from math import comb, factorial
 from typing import Callable, NamedTuple, Sequence
 
-from . import exact_core
 from .exact_core import INFINITY, _split_power, check_prime, is_prime, padic_valuation, rising_factorial
 from .hypergeometric import (
     IDENTITIES,
@@ -113,12 +116,10 @@ from .hypergeometric import (
     PrefixSums,
     eval_hyp_sum,
     eval_hyp_sum_series,
-    hyp_sum,
     sample_identity_params,
     specialize,
 )
 from .modular_form import EXPANSION_CEILING, prime_power_coefficient, widest_expansion
-from .power_series import coefficient
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -132,6 +133,11 @@ SERIES_ORDER = 4
 COMIDEN0_RANGE = range(2, 201)
 
 THMKEY_EXPONENTS = (1, 2, 3)
+
+# Digits of p that a residue search keeps: unit parts live mod
+# p**_RESIDUE_DIGITS.  Read at call time, when a BINOM_* family steps its
+# ratio to c_k and when H2_REFLECT steps H2(j).
+_RESIDUE_DIGITS = 8
 
 #: The smallest prime of a case whose hypotheses require p > 3.
 _P_MIN = 5
@@ -227,7 +233,7 @@ def _sign_eight(n: int) -> int:
 
 def central_sum(e: int, K: int, z=1, weight=(0, 1)) -> HypSum:
     """sum_{k<=K} (w1 k + w0) c_k^e z^k, with (w1, w0) = weight."""
-    return hyp_sum([HALF] * e, [1] * (e - 1), z=z, K=K, weight=weight)
+    return HypSum([HALF] * e, [1] * (e - 1), argument=z, truncation=K, weight=weight)
 
 
 @lru_cache(maxsize=None)
@@ -246,22 +252,22 @@ def _central(e: int, K: int, z=1, weight=(0, 1)) -> Fraction:
 
 def eq10_series_spec(p: int) -> HypSum:
     """Deformed alternating (4k+1) sum; at x = 0 it is EQ0's sum, at x = p it is (-1)^m p exactly."""
-    return hyp_sum(
+    return HypSum(
         [HALF, (HALF, -HALF), (HALF, HALF)],
         [(1, HALF), (1, -HALF)],
-        z=-1,
-        K=(p - 1) // 2,
+        argument=-1,
+        truncation=(p - 1) // 2,
         weight=(4, 1),
     )
 
 
 def six_f_five_series_spec(p: int) -> HypSum:
     """Companion deformed sum whose every x-coefficient lies in p*Z_p."""
-    return hyp_sum(
+    return HypSum(
         [(HALF, -HALF), (HALF, HALF), Fraction(1 - p, 2), 1],
         [(1, HALF), (1, -HALF), 1 + Fraction(p, 2)],
-        z=-1,
-        K=(p - 1) // 2,
+        argument=-1,
+        truncation=(p - 1) // 2,
         weight=(4, 1),
     )
 
@@ -272,11 +278,11 @@ def thm3_deformed_spec(p: int, z=QUARTER) -> HypSum:
     Term k is (6k+1) c_k^3 z^k prod_{j<=k} (1 - x^2/(2j-1)^2) / (1 - x^2/(16j^2)),
     so its x^2 coefficient is -(6k+1) c_k^3 z^k (OH2(k) - H2(k)/16).
     """
-    return hyp_sum(
+    return HypSum(
         [HALF, (HALF, -HALF), (HALF, HALF)],
         [(1, QUARTER), (1, -QUARTER)],
-        z=z,
-        K=(p - 1) // 2,
+        argument=z,
+        truncation=(p - 1) // 2,
         weight=(6, 1),
     )
 
@@ -286,11 +292,11 @@ def thmkey_series_spec(p: int, s: int) -> HypSum:
 
     (1/2 -+ x/2)_k (1 -+ x/2)_k multiply out to (1/2)_k^2 k!^2 prod_{j<=2k} (1 - x^2/j^2).
     """
-    return hyp_sum(
+    return HypSum(
         [HALF] * (2 * s - 2) + [(HALF, -HALF), (HALF, HALF), (1, -HALF), (1, HALF)],
         [1] * (2 * s + 1),
-        z=1,
-        K=(p - 1) // 2,
+        argument=1,
+        truncation=(p - 1) // 2,
     )
 
 
@@ -299,7 +305,7 @@ def _thmkey_x2(p: int, s: int) -> Fraction:
     # THMKEY(2) and LEM_THM1_B2K's expected side read this sum at the same p.
     # Keyed on (p, s), not on the spec: 372 HypSum keys held 0.9 MB on a
     # sweep to p = 499 that never reads them again.
-    return coefficient(eval_hyp_sum_series(thmkey_series_spec(p, s), 2), 2)
+    return eval_hyp_sum_series(thmkey_series_spec(p, s), 2).coeffs[2]
 
 
 # --------------------------------------------------------------------------
@@ -374,7 +380,7 @@ def _binom_valuations(p: int, m: int, uppers) -> list:
     mod p^N, and v_p(c_k) as a counter.  A k whose w_k agrees with 1 in all N
     digits takes its valuation from its exact pair.
     """
-    modulus = p**exact_core._RESIDUE_DIGITS
+    modulus = p**_RESIDUE_DIGITS
     e = len(uppers)
     shifts = [2 * a - 2 for a in uppers]
     vc = vw = 0  # v_p(c_k), v_p(w_k)
@@ -446,7 +452,7 @@ def _binom_prod(p, r):
 
 def _h2(k: int) -> Fraction:
     """H2(k) for k >= 1: term j of the family is 1/(j+1)^2, so j <= k - 1 sums to H2(k)."""
-    return _family(hyp_sum, (1, 1, 1), (2, 2), 1, 0).at(k - 1)
+    return _family(HypSum, (1, 1, 1), (2, 2), 1, 0).at(k - 1)
 
 
 def _h2_half(p, _param):
@@ -455,7 +461,7 @@ def _h2_half(p, _param):
 
 def _oddh2_half(p, _param):
     # term k is 1/(2k+1)^2, so k <= m - 1 sums to OH2(m)
-    return _family(hyp_sum, (HALF, HALF, 1), (Fraction(3, 2), Fraction(3, 2)), 1, 0).at((p - 3) // 2), ZERO
+    return _family(HypSum, (HALF, HALF, 1), (Fraction(3, 2), Fraction(3, 2)), 1, 0).at((p - 3) // 2), ZERO
 
 
 def _h2_reflect_valuations(p: int) -> list:
@@ -466,7 +472,7 @@ def _h2_reflect_valuations(p: int) -> list:
     num[k] den[p-1-k] + num[p-1-k] den[k].  A pair that vanishes in all N
     digits takes its valuation from its exact sum.
     """
-    modulus = p**exact_core._RESIDUE_DIGITS
+    modulus = p**_RESIDUE_DIGITS
     num, den = [0], [1]
     n, d = 0, 1
     for j in range(1, p - 1):
@@ -496,7 +502,7 @@ def _thmkey(p, s):
 
 
 def _comiden0(_p, n):
-    return (2 * n + 1) * eval_hyp_sum(hyp_sum([-n, n + 1, HALF], [1, Fraction(3, 2)], 1, K=n)), Fraction(1)
+    return (2 * n + 1) * eval_hyp_sum(HypSum([-n, n + 1, HALF], [1, Fraction(3, 2)], 1, n)), Fraction(1)
 
 
 def _comiden_ratio(n: int, m: int) -> Fraction:
@@ -648,8 +654,8 @@ class Case(NamedTuple):
     """
 
     tag: str
-    kind: str  # "congruence" | "exact" | "series"
     compute: Callable
+    #: _EXACT makes an exact case (verify_exact_case), any other a congruence case.
     required: Requirement
     #: THM1/CONJ1: the bound is required.bound + r.
     bound_adds_param: bool = False
@@ -677,49 +683,42 @@ class Case(NamedTuple):
 CASES = {
     case.tag: case
     for case in (
-        Case("EQ0", "congruence", _eq0, _ge(3)),
+        Case("EQ0", _eq0, _ge(3)),
+        Case("THM1", _thm1, _ge(3), bound_adds_param=True, domain=_FROM_1, r_caps={1: None, 2: 31}),
+        Case("THM2", _thm2, _ge(4), eta_index=lambda p, _param: p),
+        Case("KILBOURN", _kilbourn, _ge(3), min_prime=3, eta_index=lambda p, _param: p),
         Case(
-            "THM1", "congruence", _thm1, _ge(3), bound_adds_param=True, domain=_FROM_1,
-            r_caps={1: None, 2: 31},
-        ),
-        Case("THM2", "congruence", _thm2, _ge(4), eta_index=lambda p, _param: p),
-        Case("KILBOURN", "congruence", _kilbourn, _ge(3), min_prime=3, eta_index=lambda p, _param: p),
-        Case(
-            "CONJ1", "congruence", _conj1, _ge(3), bound_adds_param=True, domain=_FROM_1,
+            "CONJ1", _conj1, _ge(3), bound_adds_param=True, domain=_FROM_1,
             r_caps={1: None, 2: 19}, conjectural=True, eta_index=lambda p, r: p**r,
         ),
-        Case("THM3", "congruence", _thm3, _ge(4)),
-        Case("THM4", "congruence", _thm4, _ge(2)),
-        Case("THM4_STRONG", "congruence", _thm4, _ge(3), conjectural=True),
-        Case("COMCONJ2", "congruence", _comconj2, _ge(1), conjectural=True),
-        Case("CAI", "congruence", _cai, _ge(3), domain=_FROM_1, r_caps={1: None, 2: 31}),
-        Case("BINOM_NEG", "congruence", _binom_neg, _ge(1), domain=_FROM_1, r_caps={1: None, 2: 31}),
-        Case("BINOM_POS", "congruence", _binom_pos, _ge(1), domain=_FROM_1, r_caps={1: None, 2: 31}),
-        Case("BINOM_PROD", "congruence", _binom_prod, _ge(2), domain=_FROM_1, r_caps={1: None, 2: 31}),
-        Case("H2_HALF", "congruence", _h2_half, _ge(1)),
-        Case("ODDH2_HALF", "congruence", _oddh2_half, _ge(1)),
-        Case("H2_REFLECT", "congruence", _h2_reflect, _ge(1)),
-        Case("THMKEY", "congruence", _thmkey, _ge(1), domain=_FROM_1, suite=THMKEY_EXPONENTS),
-        Case(
-            "COMIDEN0", "exact", _comiden0, _EXACT, min_prime=0, domain=_FROM_2, needs_param=True,
-            suite=COMIDEN0_RANGE,
-        ),
-        Case("COMIDEN1", "exact", _comiden1, _EXACT, min_prime=0, domain=_ODD, needs_param=True, suite=None),
-        Case("COMIDEN2", "exact", _comiden2, _EXACT, min_prime=0, domain=_ODD, needs_param=True, suite=None),
-        Case("LEMMA10", "exact", _lemma10, _EXACT),
-        Case("LEMMA12", "exact", _lemma12, _EXACT),
+        Case("THM3", _thm3, _ge(4)),
+        Case("THM4", _thm4, _ge(2)),
+        Case("THM4_STRONG", _thm4, _ge(3), conjectural=True),
+        Case("COMCONJ2", _comconj2, _ge(1), conjectural=True),
+        Case("CAI", _cai, _ge(3), domain=_FROM_1, r_caps={1: None, 2: 31}),
+        Case("BINOM_NEG", _binom_neg, _ge(1), domain=_FROM_1, r_caps={1: None, 2: 31}),
+        Case("BINOM_POS", _binom_pos, _ge(1), domain=_FROM_1, r_caps={1: None, 2: 31}),
+        Case("BINOM_PROD", _binom_prod, _ge(2), domain=_FROM_1, r_caps={1: None, 2: 31}),
+        Case("H2_HALF", _h2_half, _ge(1)),
+        Case("ODDH2_HALF", _oddh2_half, _ge(1)),
+        Case("H2_REFLECT", _h2_reflect, _ge(1)),
+        Case("THMKEY", _thmkey, _ge(1), domain=_FROM_1, suite=THMKEY_EXPONENTS),
+        Case("COMIDEN0", _comiden0, _EXACT, min_prime=0, domain=_FROM_2, needs_param=True, suite=COMIDEN0_RANGE),
+        Case("COMIDEN1", _comiden1, _EXACT, min_prime=0, domain=_ODD, needs_param=True, suite=None),
+        Case("COMIDEN2", _comiden2, _EXACT, min_prime=0, domain=_ODD, needs_param=True, suite=None),
+        Case("LEMMA10", _lemma10, _EXACT),
+        Case("LEMMA12", _lemma12, _EXACT),
         *(
             Case(
-                tag, "exact", partial(_identity, tag), _EXACT, min_prime=0, domain=range(IDENTITY_DRAWS),
-                suite=range(IDENTITY_DRAWS),
+                tag, partial(_identity, tag), _EXACT, min_prime=0, domain=range(IDENTITY_DRAWS), suite=range(IDENTITY_DRAWS)
             )
             for tag in IDENTITIES
         ),
-        Case("EQ10_A2", "series", _eq10_a2, _ge(1)),
-        Case("SIX_F_FIVE_COEFFS", "series", _six_f_five, _ge(1)),
-        Case("LEM_THM1_B2K", "series", _lem_thm1_b2k, _ge(1)),
-        Case("THM3_QUOTIENT_X2", "series", _thm3_quotient, _ge(1)),
-        Case("EXACT_DIV_P", "series", _exact_div_p, Requirement("val_eq", 1)),
+        Case("EQ10_A2", _eq10_a2, _ge(1)),
+        Case("SIX_F_FIVE_COEFFS", _six_f_five, _ge(1)),
+        Case("LEM_THM1_B2K", _lem_thm1_b2k, _ge(1)),
+        Case("THM3_QUOTIENT_X2", _thm3_quotient, _ge(1)),
+        Case("EXACT_DIV_P", _exact_div_p, Requirement("val_eq", 1)),
     )
 }
 
@@ -758,11 +757,12 @@ def _record(case, p, param, lhs=None, rhs=None, achieved=None, ok=True, error=No
     )
 
 
-def _prepare(tag: str, kind: str, p, param) -> tuple[Case, int]:
-    """The table row of a ``kind`` case, with p and param checked against it, and the param."""
+def _prepare(tag: str, exact: bool, p, param) -> tuple[Case, int]:
+    """The table row of an exact case, or of a congruence case if not ``exact``,
+    with p and param checked against it, and the param."""
     case = CASES.get(tag)
-    if case is None or case.kind != kind:
-        raise KeyError(f"unknown {kind} case {tag!r}")
+    if case is None or (case.required is _EXACT) != exact:
+        raise KeyError(f"unknown {'exact' if exact else 'congruence'} case {tag!r}")
     if case.min_prime:
         if p is None:
             raise ValueError(f"{tag} needs the prime p")
@@ -784,12 +784,14 @@ def _prepare(tag: str, kind: str, p, param) -> tuple[Case, int]:
 
 
 def verify_congruence_case(tag: str, p: int, param: int | None = None) -> VerificationRecord:
-    """Run one congruence case at prime p.
+    """Run one congruence case at prime p; the deformation-series cases EQ10_A2,
+    SIX_F_FIVE_COEFFS, LEM_THM1_B2K, THM3_QUOTIENT_X2 and EXACT_DIV_P are
+    congruence cases too.
 
     ``param`` is the exponent r for THM1/CONJ1/CAI/BINOM_*, the power s for
     THMKEY (both default to 1), and 0 or None elsewhere.
     """
-    case, param = _prepare(tag, "congruence", p, param)
+    case, param = _prepare(tag, False, p, param)
     return _record(case, p, param, *case.compute(p, param))
 
 
@@ -801,14 +803,8 @@ def verify_exact_case(tag: str, param: int | None = None, *, p: int | None = Non
     identity at a point of one's own, call ``hypergeometric.identity_sides``).
     An input the case does not use raises ``ValueError``.
     """
-    case, param = _prepare(tag, "exact", p, param)
+    case, param = _prepare(tag, True, p, param)
     p = p if case.min_prime else 0
-    return _record(case, p, param, *case.compute(p, param))
-
-
-def verify_series_case(tag: str, p: int) -> VerificationRecord:
-    """Run one deformation-series case at prime p."""
-    case, param = _prepare(tag, "series", p, None)
     return _record(case, p, param, *case.compute(p, param))
 
 
@@ -827,11 +823,9 @@ def _instances(case: Case, primes: list[int], rs: list[int]) -> list[tuple[int, 
 
 def _run(case: Case, p: int, param: int) -> VerificationRecord:
     # Looked up as module globals at call time, so a wrapped entry point is used.
-    if case.kind == "congruence":
-        return verify_congruence_case(case.tag, p, param)
-    if case.kind == "series":
-        return verify_series_case(case.tag, p)
-    return verify_exact_case(case.tag, param, p=p if case.min_prime else None)
+    if case.required is _EXACT:
+        return verify_exact_case(case.tag, param, p=p if case.min_prime else None)
+    return verify_congruence_case(case.tag, p, param)
 
 
 def select_cases(names) -> list[str]:

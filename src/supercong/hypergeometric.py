@@ -86,17 +86,12 @@ class HypSum(checked_record("HypSum", "upper lower argument truncation weight"))
     __slots__ = ()
 
     def __new__(cls, upper, lower, argument, truncation: int, weight=(Fraction(0), Fraction(1))):
-        _check_truncation(truncation)
+        _check_count(truncation, "truncation index K")
         w1, w0 = weight
         weight = (_exact(w1), _exact(w0))
         return super().__new__(
             cls, tuple(map(param, upper)), tuple(map(param, lower)), _exact(argument), truncation, weight
         )
-
-
-def hyp_sum(upper, lower, z, K: int, weight=(0, 1)) -> HypSum:
-    """``HypSum`` under the short names of the sum: argument z, truncation K."""
-    return HypSum(upper, lower, z, K, weight)
 
 
 def specialize(s: HypSum, x0) -> HypSum:
@@ -111,11 +106,13 @@ def specialize(s: HypSum, x0) -> HypSum:
     )
 
 
-def _check_truncation(K) -> None:
-    if not isinstance(K, int) or isinstance(K, bool):
-        raise TypeError(f"the truncation index K must be an int, got {K!r}")
-    if K < 0:
-        raise ValueError("truncation index must be nonnegative")
+def _check_count(n, name: str) -> None:
+    """Refuse an ``n`` that is not a nonnegative int: TypeError for a bool or
+    a non-int, ValueError for a negative int.  ``name`` names it in the message."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"the {name} must be an int, got the {type(n).__name__} {n!r}")
+    if n < 0:
+        raise ValueError(f"the {name} must be nonnegative")
 
 
 def _check_lower_poles(lower, truncation: int) -> None:
@@ -386,6 +383,7 @@ class PrefixSums:
         """The running split of the spec's sums, at x = 0 or, given an order,
         mod x^(order+1); the spec's truncation is not read."""
         if order is not None:
+            _check_count(order, "series order")
             return cls.of_ratio(_series_ratio(spec, order), order, spec.weight, spec.lower)
         terms, wden = _integer_terms(spec)
         return cls(_split, _merge, _scalar_quotient, terms, wden, spec.lower)
@@ -402,6 +400,7 @@ class PrefixSums:
         is the weight (w1, w0) times its common denominator wden.  The sum
         is T / (Q * wden), taken by series division.
         """
+        _check_count(order, "series order")
         a1, a0, wden = _integer_weight(weight)
         return cls(_split_series_range, _merge_series, _series_quotient, (ratio, order + 1, a1, a0), wden, lower)
 
@@ -412,7 +411,7 @@ class PrefixSums:
         return self._finish(q, t, self._wden)
 
     def at(self, K: int):
-        _check_truncation(K)
+        _check_count(K, "truncation index K")
         value = self._values.get(K)
         if value is not None:
             return value
@@ -453,7 +452,7 @@ def _whipple_4f3_sides(a, c, n):
     # 4F3[a, 1+a/2, c, -n ; a/2, 1+a-c, 1+a+n ; -1]
     #   = G(1+a-c) G(1+a+n) / (G(1+a) G(1+a-c+n))
     #   = (1+a)_n / (1+a-c)_n
-    lhs = eval_hyp_sum(hyp_sum([a, 1 + a / 2, c, -n], [a / 2, 1 + a - c, 1 + a + n], z=-1, K=n))
+    lhs = eval_hyp_sum(HypSum([a, 1 + a / 2, c, -n], [a / 2, 1 + a - c, 1 + a + n], argument=-1, truncation=n))
     return lhs, _pochhammer_ratio((1 + a,), (1 + a - c,), n)
 
 
@@ -464,15 +463,15 @@ def _whipple_6f5_sides(a, b, c, d, n):
     #   = (1+a)_n / (1+a-d)_n * 3F2[...]
     e = Fraction(-n)
     lhs = eval_hyp_sum(
-        hyp_sum(
+        HypSum(
             [a, 1 + a / 2, b, c, d, e],
             [a / 2, 1 + a - b, 1 + a - c, 1 + a - d, 1 + a - e],
-            z=-1,
-            K=n,
+            argument=-1,
+            truncation=n,
         )
     )
     rhs = _pochhammer_ratio((1 + a,), (1 + a - d,), n) * eval_hyp_sum(
-        hyp_sum([1 + a - b - c, d, e], [1 + a - b, 1 + a - c], z=1, K=n)
+        HypSum([1 + a - b - c, d, e], [1 + a - b, 1 + a - c], argument=1, truncation=n)
     )
     return lhs, rhs
 
@@ -485,19 +484,19 @@ def _whipple_7f6_sides(a, c, d, e, f, n):
     #   = (1+a)_n (1+a-e-f)_n / ((1+a-e)_n (1+a-f)_n) * 4F3[...],     g = -n.
     g = Fraction(-n)
     lhs = eval_hyp_sum(
-        hyp_sum(
+        HypSum(
             [a, 1 + a / 2, c, d, e, f, g],
             [a / 2, 1 + a - c, 1 + a - d, 1 + a - e, 1 + a - f, 1 + a - g],
-            z=1,
-            K=n,
+            argument=1,
+            truncation=n,
         )
     )
     rhs = _pochhammer_ratio((1 + a, 1 + a - e - f), (1 + a - e, 1 + a - f), n) * eval_hyp_sum(
-        hyp_sum(
+        HypSum(
             [1 + a - c - d, e, f, g],
             [e + f + g - a, 1 + a - c, 1 + a - d],
-            z=1,
-            K=n,
+            argument=1,
+            truncation=n,
         )
     )
     return lhs, rhs
@@ -509,7 +508,7 @@ def _gessel_31_1_sides(a, c, n):
     #   = G(2-c+n) G(2-2a+n) G(3-2c) G(3/2-a) / (G(2-c) G(2-2a) G(3-2c+n) G(3/2-a+n))
     #   = (2-c)_n (2-2a)_n / ((3-2c)_n (3/2-a)_n)
     lhs = eval_hyp_sum(
-        hyp_sum(
+        HypSum(
             [
                 Fraction(1, 2) + a - c,
                 -n,
@@ -523,8 +522,8 @@ def _gessel_31_1_sides(a, c, n):
                 n - 2 * a + 2,
                 Fraction(3, 2) - c,
             ],
-            z=Fraction(1, 4),
-            K=n,
+            argument=Fraction(1, 4),
+            truncation=n,
         )
     )
     return lhs, _pochhammer_ratio((2 - c, 2 - 2 * a), (3 - 2 * c, Fraction(3, 2) - a), n)
@@ -535,11 +534,11 @@ def _gosper_strange_sides(a, b, n):
     #   = G(a+1/2+n) G(a+1+n) G(a+b+1/2) G(a-b+1) / (G(a+1/2) G(a+1) G(a+b+1/2+n) G(a-b+1+n))
     #   = (a+1/2)_n (a+1)_n / ((a+b+1/2)_n (a-b+1)_n)
     lhs = eval_hyp_sum(
-        hyp_sum(
+        HypSum(
             [2 * a, 2 * b, 1 - 2 * b, 1 + 2 * a / 3, -n],
             [a - b + 1, a + b + Fraction(1, 2), 2 * a / 3, 1 + 2 * a + 2 * n],
-            z=Fraction(1, 4),
-            K=n,
+            argument=Fraction(1, 4),
+            truncation=n,
         )
     )
     return lhs, _pochhammer_ratio((a + Fraction(1, 2), a + 1), (a + b + Fraction(1, 2), a - b + 1), n)
@@ -551,11 +550,11 @@ def _gessel_p544_sides(a, n):
     #   = 2^n (a+3/2)_n / (2a+2)_n
     third = Fraction(n, 3)
     lhs = eval_hyp_sum(
-        hyp_sum(
+        HypSum(
             [2 * a + n + 1, n + 1, 2 * a / 3 + third + Fraction(4, 3), -n],
             [a + Fraction(3, 2) + n, 2 * a / 3 + third + Fraction(1, 3), 1 + a],
-            z=Fraction(-1, 8),
-            K=n,
+            argument=Fraction(-1, 8),
+            truncation=n,
         )
     )
     return lhs, 2**n * _pochhammer_ratio((a + Fraction(3, 2),), (2 * a + 2,), n)

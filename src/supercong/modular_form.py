@@ -30,11 +30,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact_core import check_prime, checked_record
+from .exact_core import check_prime
 
 #: The largest coefficient index ever expanded.  At r = 1 a run reads a_p for
-#: primes p up to the CLI's largest --pmax, cli.MAX_PMAX, which is defined as
-#: this value; the r = 2 reads stop at a_{19^2} by the harness's R_CAPS.
+#: primes p up to the CLI's largest --pmax, which is this value; the r = 2
+#: reads stop at a_{19^2} by the harness's R_CAPS.
 EXPANSION_CEILING = 100000
 
 #: Primes whose a_{p^2} is cross-checked against the Hecke recursion.
@@ -45,22 +45,11 @@ class BudgetError(ValueError):
     """A requested coefficient index exceeds EXPANSION_CEILING."""
 
 
-class QExpansion(checked_record("QExpansion", "bound coeffs")):
-    """Coefficients a_1..a_bound of the eta-product q-expansion."""
-
-    __slots__ = ()
-
-    def __new__(cls, bound: int, coeffs: tuple[int, ...]):
-        if bound < 1 or len(coeffs) != bound:
-            raise ValueError("coefficient array must hold exactly a_1..a_bound")
-        return super().__new__(cls, bound, coeffs)
-
-
-def coefficient_at(e: QExpansion, n: int) -> int:
-    """a_n for 1 <= n <= bound."""
-    if n < 1 or n > e.bound:
-        raise IndexError(f"index {n} outside expansion range 1..{e.bound}")
-    return e.coeffs[n - 1]
+def coefficient_at(e: tuple[int, ...], n: int) -> int:
+    """a_n of the expansion e = (a_1, ..., a_N), for 1 <= n <= N."""
+    if n < 1 or n > len(e):
+        raise IndexError(f"index {n} outside expansion range 1..{len(e)}")
+    return e[n - 1]
 
 
 def _pentagonal_terms(deg: int) -> list[tuple[int, int]]:
@@ -146,7 +135,7 @@ def _poly_mul_trunc(a: list[int], b: list[int], deg: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def eta_product_expansion(N: int) -> QExpansion:
+def eta_product_expansion(N: int) -> tuple[int, ...]:
     """Exact coefficients a_1..a_N of q * prod (1-q^(2n))^4 (1-q^(4n))^4.
 
     With F(q) = prod (1-q^n)^4 the form is q * F(q^2) * F(q^4) = q * G(q^2),
@@ -155,8 +144,8 @@ def eta_product_expansion(N: int) -> QExpansion:
     and odd halves gives G(q) = (E*F)(q^2) + q * (O*F)(q^2): g_{2i} is the
     i-th coefficient of E*F and g_{2i+1} that of O*F, two half-length
     Kronecker products that skip the zero slots of F(q^2).  So
-    a_{4i+1} = (E*F)_i and a_{4i+3} = (O*F)_i.  Results are cached per
-    bound; a QExpansion is an immutable tuple record.
+    a_{4i+1} = (E*F)_i and a_{4i+3} = (O*F)_i.  The result is the tuple
+    (a_1, ..., a_N), cached per bound.
     """
     if N < 1:
         raise ValueError("expansion bound must be >= 1")
@@ -166,14 +155,14 @@ def eta_product_expansion(N: int) -> QExpansion:
     coeffs[::4] = _poly_mul_trunc(f[::2], f[: M // 2 + 1], M // 2)
     if M:
         coeffs[2::4] = _poly_mul_trunc(f[1::2], f[: (M + 1) // 2], (M - 1) // 2)
-    return QExpansion(bound=N, coeffs=tuple(coeffs))
+    return tuple(coeffs)
 
 
 #: The widest expansion made so far; None until the first coefficient read.
-_widest: QExpansion | None = None
+_widest: tuple[int, ...] | None = None
 
 
-def widest_expansion(n: int) -> QExpansion:
+def widest_expansion(n: int) -> tuple[int, ...]:
     """The widest expansion made so far, first widened to cover a_n if needed.
 
     Its prefix a_1..a_n equals ``eta_product_expansion(n)``.  It does not check
@@ -181,7 +170,7 @@ def widest_expansion(n: int) -> QExpansion:
     """
     global _widest
     expansion = _widest
-    if expansion is None or expansion.bound < n:
+    if expansion is None or len(expansion) < n:
         expansion = _widest = eta_product_expansion(n)
     return expansion
 

@@ -2,7 +2,7 @@
 
 A :class:`TruncSeries`, an immutable tuple record, holds the coefficients
 c0..cD of a series known modulo x^(D+1); it is the value that series sums
-return, and :func:`coefficient` reads one coefficient of it.  The sums
+return, and its ``coeffs[d]`` is the coefficient of x^d.  The sums
 themselves are evaluated by binary splitting over integer polynomials in the
 hypergeometric module, and series algebra (products, inverses, sums) lives
 with the test oracles.
@@ -16,7 +16,7 @@ from .exact_core import _exact, checked_record
 
 
 class TruncSeries(checked_record("TruncSeries", "coeffs")):
-    """Coefficients c0..cD of a series truncated after degree D = order."""
+    """Coefficients c0..cD of a series truncated after degree D = len(coeffs) - 1."""
 
     __slots__ = ()
 
@@ -24,14 +24,3 @@ class TruncSeries(checked_record("TruncSeries", "coeffs")):
         if len(coeffs) == 0:
             raise ValueError("a truncated series needs at least its constant term")
         return super().__new__(cls, tuple(_exact(c) for c in coeffs))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def coefficient(s: TruncSeries, d: int) -> Fraction:
-    """Coefficient of x^d; an error to ask beyond the truncation order."""
-    if d < 0 or d > s.order:
-        raise ValueError(f"degree {d} exceeds truncation order {s.order}")
-    return s.coeffs[d]

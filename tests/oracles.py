@@ -47,7 +47,6 @@ from supercong.hypergeometric import (
     PoleError,
     _check_lower_poles,
     _integer_weight,
-    hyp_sum,
     identity_sides,
 )
 from supercong.modular_form import _poly_mul_trunc, prime_power_coefficient
@@ -262,7 +261,7 @@ def constant(c, order: int) -> TruncSeries:
 
 def ps_add(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     """Sum truncated at min(order(a), order(b))."""
-    d = min(a.order, b.order)
+    d = min(len(a.coeffs), len(b.coeffs)) - 1
     return TruncSeries(tuple(a.coeffs[i] + b.coeffs[i] for i in range(d + 1)))
 
 
@@ -274,7 +273,7 @@ def ps_scale(a: TruncSeries, c) -> TruncSeries:
 
 def ps_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     """Cauchy product truncated at min(order(a), order(b))."""
-    d = min(a.order, b.order)
+    d = min(len(a.coeffs), len(b.coeffs)) - 1
     out = [Fraction(0)] * (d + 1)
     for i, ca in enumerate(a.coeffs[: d + 1]):
         if ca == 0:
@@ -292,8 +291,8 @@ def ps_invert(a: TruncSeries) -> TruncSeries:
     if c0 == 0:
         raise ZeroDivisionError("series with zero constant term has no inverse")
     inv0 = 1 / c0
-    out = [inv0] + [Fraction(0)] * a.order
-    for d in range(1, a.order + 1):
+    out = [inv0] + [Fraction(0)] * (len(a.coeffs) - 1)
+    for d in range(1, len(a.coeffs)):
         acc = Fraction(0)
         for i in range(1, d + 1):
             acc += a.coeffs[i] * out[d - i]
@@ -500,7 +499,7 @@ def random_prefix_spec(rng: random.Random, deformed: bool = False) -> HypSum:
         upper.append(Fraction(-rng.randint(0, 250)))  # the terms stop mid-range
     z = -abs(rational()) if rng.random() < 0.5 else rational()
     weight = (rational(), rational())
-    return hyp_sum(upper, lower, z=z, K=0, weight=weight)
+    return HypSum(upper, lower, argument=z, truncation=0, weight=weight)
 
 
 def outcome(evaluate, *args):

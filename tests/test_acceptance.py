@@ -23,11 +23,9 @@ from supercong.harness import (
     CASE_ORDER,
     verify_congruence_case,
     verify_exact_case,
-    verify_series_case,
 )
 from supercong.hypergeometric import IDENTITIES, sample_identity_params
 from supercong.modular_form import prime_power_coefficient
-from supercong.power_series import coefficient
 
 from oracles import check_identity, harmonic2, odd_harmonic2, pochhammer_series, ps_mul, stepwise_rising_factorial
 
@@ -131,23 +129,23 @@ def test_criterion_08_deformation_suite():
         for k in range(41):
             odd_h1 = sum((F(1, 2 * j - 1) for j in range(1, k + 1)), F(0))
             rf = stepwise_rising_factorial(HALF, k)
-            assert coefficient(pochhammer_series(HALF, 1, k, 1), 1) == rf * 2 * odd_h1
+            assert pochhammer_series(HALF, 1, k, 1).coeffs[1] == rf * 2 * odd_h1
             pair = ps_mul(
                 pochhammer_series(HALF, 1, k, 4), pochhammer_series(HALF, -1, k, 4)
             )
-            assert coefficient(pair, 1) == 0 and coefficient(pair, 3) == 0
-            assert coefficient(pair, 0) == rf**2
-            assert coefficient(pair, 2) == -4 * rf**2 * odd_harmonic2(k)
+            assert pair.coeffs[1] == 0 and pair.coeffs[3] == 0
+            assert pair.coeffs[0] == rf**2
+            assert pair.coeffs[2] == -4 * rf**2 * odd_harmonic2(k)
             unit_pair = ps_mul(
                 pochhammer_series(1, 1, k, 2), pochhammer_series(1, -1, k, 2)
             )
-            assert coefficient(unit_pair, 2) == -F(factorial(k)) ** 2 * harmonic2(k)
+            assert unit_pair.coeffs[2] == -F(factorial(k)) ** 2 * harmonic2(k)
         for p in PRIMES:
             for tag in ("EQ10_A2", "SIX_F_FIVE_COEFFS", "LEM_THM1_B2K", "THM3_QUOTIENT_X2"):
-                assert verify_series_case(tag, p).passed, (tag, p)
+                assert verify_congruence_case(tag, p).passed, (tag, p)
             # resolved: the normalized quarter-shift product carries exactly
             # one factor of p for every p in range (required == "v==1")
-            rec = verify_series_case("EXACT_DIV_P", p)
+            rec = verify_congruence_case("EXACT_DIV_P", p)
             assert rec.achieved == 1 and rec.passed
 
 

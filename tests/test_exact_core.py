@@ -16,7 +16,7 @@ from supercong.exact_core import (
     padic_valuation,
     rising_factorial,
 )
-from supercong.hypergeometric import eval_hyp_sum, hyp_sum, specialize
+from supercong.hypergeometric import HypSum, eval_hyp_sum, eval_hyp_sum_series, specialize
 from supercong.power_series import TruncSeries
 
 from oracles import central_half_ratio, congruent_mod_power, harmonic2, odd_harmonic2, stepwise_rising_factorial
@@ -29,14 +29,14 @@ PRIMES_TO_97 = [p for p in range(5, 98) if is_prime(p)]
     [
         lambda: padic_valuation(0.1, 5),
         lambda: rising_factorial(0.5, 2),
-        lambda: hyp_sum([0.1], [1], z=0.5, K=2),
-        lambda: hyp_sum([1], [1], z=0.5, K=2),
-        lambda: hyp_sum([1], [1], z=1, K=2, weight=(0.5, 1)),
-        lambda: specialize(hyp_sum([(1, 1)], [1], z=1, K=2), 0.5),
+        lambda: HypSum([0.1], [1], argument=0.5, truncation=2),
+        lambda: HypSum([1], [1], argument=0.5, truncation=2),
+        lambda: HypSum([1], [1], argument=1, truncation=2, weight=(0.5, 1)),
+        lambda: specialize(HypSum([(1, 1)], [1], argument=1, truncation=2), 0.5),
         lambda: TruncSeries((0.1, 2)),
     ],
     ids=[
-        "padic_valuation", "rising_factorial", "hyp_sum-parameter", "hyp_sum-argument", "hyp_sum-weight",
+        "padic_valuation", "rising_factorial", "HypSum-parameter", "HypSum-argument", "HypSum-weight",
         "specialize", "TruncSeries",
     ],
 )
@@ -52,12 +52,14 @@ def test_exact_entry_points_refuse_floats(call):
     [
         lambda: padic_valuation(True, 5),
         lambda: rising_factorial(True, 3),
-        lambda: eval_hyp_sum(hyp_sum([True], [1], z=True, K=2, weight=(False, True))),
+        lambda: eval_hyp_sum(HypSum([True], [1], argument=True, truncation=2, weight=(False, True))),
+        lambda: eval_hyp_sum_series(HypSum([(1, 1)], [1], argument=1, truncation=2), order=True),
     ],
-    ids=["padic_valuation", "rising_factorial", "eval_hyp_sum"],
+    ids=["padic_valuation", "rising_factorial", "eval_hyp_sum", "eval_hyp_sum_series-order"],
 )
 def test_exact_entry_points_refuse_bools(call):
-    # a bool is a truth value, not the integer 0 or 1: these read 0, 6 and 5/2
+    # a bool is a truth value, not the integer 0 or 1: these read 0, 6 and 5/2,
+    # and order=True summed to order 1
     with pytest.raises(TypeError, match="bool"):
         call()
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
-from supercong import exact_core, harness, hypergeometric
+from supercong import harness, hypergeometric
 from supercong.exact_core import (
     INFINITY,
     NotPrimeError,
@@ -27,19 +27,17 @@ from supercong.harness import (
     select_cases,
     verify_congruence_case,
     verify_exact_case,
-    verify_series_case,
 )
 from supercong.harness import SERIES_ORDER, eq10_series_spec, six_f_five_series_spec, thm3_deformed_spec
 from supercong.hypergeometric import (
     IDENTITIES,
+    HypSum,
     PoleError,
     eval_hyp_sum,
     eval_hyp_sum_series,
-    hyp_sum,
     identity_sides,
     sample_identity_params,
 )
-from supercong.power_series import coefficient
 
 from oracles import (
     binom_pair,
@@ -199,7 +197,7 @@ def test_binomial_records_match_closed_forms(r, pmax):
 def test_binomial_records_with_every_k_resolved_exactly(monkeypatch, r):
     # Residues of one digit agree at every k whose congruence holds mod p, so
     # each such k takes its valuation from its exact pair.
-    monkeypatch.setattr(exact_core, "_RESIDUE_DIGITS", 1)
+    monkeypatch.setattr(harness, "_RESIDUE_DIGITS", 1)
     resolved = []
 
     def counting_valuation(x, p):
@@ -275,7 +273,7 @@ def test_binomial_records_match_closed_forms_above_the_r2_caps():
 def test_h2_reflect_records_with_every_k_resolved_exactly(monkeypatch):
     # H2(k) + H2(p-1-k) = 0 mod p at every k, so with one digit every pair
     # vanishes on residues and takes its valuation from its exact sum.
-    monkeypatch.setattr(exact_core, "_RESIDUE_DIGITS", 1)
+    monkeypatch.setattr(harness, "_RESIDUE_DIGITS", 1)
     resolved = []
 
     def counting_valuation(x, p):
@@ -546,7 +544,7 @@ def test_eq10_a2_matches_sympy_expansion():
         weight=(4, 1),
     )
     poly = sp.series(expr, x, 0, 3).removeO()
-    rec = verify_series_case("EQ10_A2", p)
+    rec = verify_congruence_case("EQ10_A2", p)
     assert rec.lhs == to_fraction(poly.coeff(x, 2))
     assert to_fraction(poly.coeff(x, 0)) == F(435, 512)
     assert rec.achieved >= 1 and rec.passed
@@ -554,7 +552,7 @@ def test_eq10_a2_matches_sympy_expansion():
 
 def test_six_f_five_record():
     p = 5
-    rec = verify_series_case("SIX_F_FIVE_COEFFS", p)
+    rec = verify_congruence_case("SIX_F_FIVE_COEFFS", p)
     assert rec.passed and rec.achieved >= 1
     # constant terms of the two deformed sums agree mod p
     assert padic_valuation(rec.lhs - rec.rhs, p) >= 1
@@ -569,7 +567,7 @@ def _check_six_f_five_as_p_times_whipple_3f2(primes):
     # coefficients has v_p >= 1
     for p in primes:
         six_f_five = eval_hyp_sum_series(six_f_five_series_spec(p), SERIES_ORDER).coeffs
-        spec = hyp_sum([HALF, 1, F(1 - p, 2)], [(1, HALF), (1, -HALF)], z=1, K=(p - 1) // 2)
+        spec = HypSum([HALF, 1, F(1 - p, 2)], [(1, HALF), (1, -HALF)], argument=1, truncation=(p - 1) // 2)
         three_f_two = eval_hyp_sum_series(spec, SERIES_ORDER).coeffs
         assert six_f_five == tuple(p * c for c in three_f_two), p
         assert all(padic_valuation(c, p) >= 0 for c in three_f_two), p
@@ -587,7 +585,7 @@ def test_six_f_five_is_p_times_whipples_3f2_to_997():
 def test_lem_thm1_term_expansion_matches_formula_and_sympy():
     # per-term quadratic coefficient is -((1/2)_k/k!)^4 * H2(2k)
     for k in range(3):
-        c2 = coefficient(lem_thm1_term_series(k), 2)
+        c2 = lem_thm1_term_series(k).coeffs[2]
         assert c2 == -central_half_ratio(k) ** 4 * harmonic2(2 * k)
     # independent conjugate-pair oracle through sympy's complex arithmetic
     x = sp.symbols("x")
@@ -599,11 +597,11 @@ def test_lem_thm1_term_expansion_matches_formula_and_sympy():
         num *= (sp.Rational(1, 2) + x / 2 + i) * (sp.Rational(1, 2) - x / 2 + i)
         den *= (1 + sp.I * x / 2 + i) * (1 - sp.I * x / 2 + i)
     poly = sp.series(sp.expand(num / den), x, 0, 3).removeO()
-    assert to_fraction(sp.re(poly.coeff(x, 2))) == coefficient(lem_thm1_term_series(2), 2)
+    assert to_fraction(sp.re(poly.coeff(x, 2))) == lem_thm1_term_series(2).coeffs[2]
 
 
 def test_lem_thm1_case_record():
-    rec = verify_series_case("LEM_THM1_B2K", 5)
+    rec = verify_congruence_case("LEM_THM1_B2K", 5)
     assert rec.passed and rec.lhs == rec.rhs and rec.achieved >= 1
 
 
@@ -626,7 +624,7 @@ def test_lem_thm1_rejects_a_wrong_term_ratio(monkeypatch, edit):
         return num, den
 
     monkeypatch.setattr(harness, "_lem_thm1_ratio", perturbed)
-    assert not verify_series_case("LEM_THM1_B2K", 11).passed
+    assert not verify_congruence_case("LEM_THM1_B2K", 11).passed
 
 
 def test_thm3_quotient_matches_sympy_expansion():
@@ -640,46 +638,46 @@ def test_thm3_quotient_matches_sympy_expansion():
     )
     scalar = sp.nsimplify(expr.subs(x, 0))
     poly = sp.series(sp.cancel(expr / scalar), x, 0, 3).removeO()
-    rec = verify_series_case("THM3_QUOTIENT_X2", p)
+    rec = verify_congruence_case("THM3_QUOTIENT_X2", p)
     assert rec.lhs == to_fraction(poly.coeff(x, 2))
     assert rec.passed
 
 
 def test_thm3_quotient_spot_prime():
-    rec = verify_series_case("THM3_QUOTIENT_X2", 7)
+    rec = verify_congruence_case("THM3_QUOTIENT_X2", 7)
     assert rec.achieved >= 1 and rec.passed
 
 
 def test_exact_div_p_resolution():
     # observed valuation is exactly 1 across the working range; the k = 2
     # numerator product (3/4)(7/4) * (5/4)(9/4) carries a single factor 5
-    rec = verify_series_case("EXACT_DIV_P", 5)
+    rec = verify_congruence_case("EXACT_DIV_P", 5)
     assert rec.lhs == (F(21, 16) * F(45, 16)) / 4 == F(945, 1024)
     assert rec.achieved == 1 and rec.passed
     assert rec.required == Requirement("val_eq", 1)
     for p in (7, 11, 13, 17, 19, 23, 29, 31):
-        assert verify_series_case("EXACT_DIV_P", p).achieved == 1
+        assert verify_congruence_case("EXACT_DIV_P", p).achieved == 1
 
 
 @pytest.mark.parametrize("p", [101, 199, 401, 997])
 def test_series_cases_hold_beyond_the_contract_range(p):
     for tag in ("EQ10_A2", "SIX_F_FIVE_COEFFS", "LEM_THM1_B2K", "THM3_QUOTIENT_X2", "EXACT_DIV_P"):
-        rec = verify_series_case(tag, p)
+        rec = verify_congruence_case(tag, p)
         assert rec.passed, (tag, p, rec.achieved)
 
 
 def test_series_case_validation():
     with pytest.raises(KeyError):
-        verify_series_case("NOPE", 5)
+        verify_congruence_case("NOPE", 5)
     with pytest.raises(ValueError):
-        verify_series_case("EQ10_A2", 3)
+        verify_congruence_case("EQ10_A2", 3)
 
 
 def test_series_specs_scalarize_consistently():
     for p in (5, 7, 13):
         for tag, spec in series_case_specs(p).items():
             ser = eval_hyp_sum_series(spec, 4)
-            assert coefficient(ser, 0) == eval_hyp_sum(scalarized(spec)), tag
+            assert ser.coeffs[0] == eval_hyp_sum(scalarized(spec)), tag
 
 
 def test_deformed_specs_specialize_to_exact_evaluations():
@@ -691,11 +689,11 @@ def test_deformed_specs_specialize_to_exact_evaluations():
         sign = -1 if ((p - 1) // 2) % 2 else 1
         assert eval_hyp_sum(specialize(eq10_series_spec(p), p)) == sign * p
         for z in (F(1, 4), F(-1, 8)):
-            lemma = hyp_sum(
+            lemma = HypSum(
                 [HALF, HALF - F(p, 2), HALF + F(p, 2)],
                 [1 + F(p, 4), 1 - F(p, 4)],
-                z=z,
-                K=(p - 1) // 2,
+                argument=z,
+                truncation=(p - 1) // 2,
                 weight=(6, 1),
             )
             pinned = hypergeometric.specialize(thm3_deformed_spec(p, z), p)
@@ -706,7 +704,7 @@ def test_deformed_specs_specialize_to_exact_evaluations():
 def test_six_f_five_compares_with_the_eq10_constant_term():
     # the case reads EQ0's scalar sum, which is EQ10's deformation at x = 0
     for p in (p for p in range(5, 98) if is_prime(p)):
-        rec = verify_series_case("SIX_F_FIVE_COEFFS", p)
+        rec = verify_congruence_case("SIX_F_FIVE_COEFFS", p)
         assert rec.rhs == eval_hyp_sum_series(eq10_series_spec(p), 4).coeffs[0], p
 
 
@@ -861,7 +859,6 @@ def _entry_points(tag):
     return {
         "congruence": lambda: verify_congruence_case(tag, 5),
         "exact": lambda: verify_exact_case(tag, **exact_args),
-        "series": lambda: verify_series_case(tag, 5),
     }
 
 
@@ -875,7 +872,8 @@ def test_every_tag_belongs_to_exactly_one_entry_point(tag):
             continue
         assert rec.case == tag and rec.passed
         accepted.append(kind)
-    assert accepted == [CASES[tag].kind]
+    # a case is exact iff its requirement is equality; a series case is a congruence case
+    assert accepted == ["exact" if CASES[tag].required.kind == "exact" else "congruence"]
 
 
 def test_benchmark_tags_follow_the_case_table(monkeypatch):

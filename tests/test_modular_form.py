@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercong import modular_form
-from supercong.cli import MAX_PMAX
 from supercong.exact_core import is_prime
 from supercong.modular_form import (
     BudgetError,
-    QExpansion,
+    EXPANSION_CEILING,
     _eta_fourth_power,
     _pentagonal_terms,
     _poly_mul_trunc,
@@ -48,7 +47,7 @@ def test_matches_naive_expansion():
     N = 300
     expansion = eta_product_expansion(N)
     naive = naive_eta_coefficients(N)
-    assert list(expansion.coeffs) == naive
+    assert list(expansion) == naive
 
 
 def test_small_expansion_values():
@@ -59,7 +58,9 @@ def test_small_expansion_values():
 
 def test_bound_one():
     e = eta_product_expansion(1)
-    assert e.bound == 1 and coefficient_at(e, 1) == 1
+    assert len(e) == 1 and coefficient_at(e, 1) == 1
+    with pytest.raises(ValueError):
+        eta_product_expansion(0)
 
 
 def test_even_indices_vanish():
@@ -72,7 +73,7 @@ def test_even_indices_vanish():
 def test_prefix_stability():
     big = eta_product_expansion(500)
     small = eta_product_expansion(123)
-    assert big.coeffs[:123] == small.coeffs
+    assert big[:123] == small
 
 
 def test_hecke_consistency_direct():
@@ -110,15 +111,6 @@ def test_coefficient_at_bounds():
         coefficient_at(e, 0)
     with pytest.raises(IndexError):
         coefficient_at(e, 10)
-
-
-def test_qexpansion_validation():
-    with pytest.raises(ValueError):
-        QExpansion(bound=3, coeffs=(1, 0))
-    with pytest.raises(ValueError):
-        eta_product_expansion(3)._replace(bound=2)
-    with pytest.raises(ValueError):
-        eta_product_expansion(0)
 
 
 def test_coefficients_at_prime_indices_are_nonzero():
@@ -163,13 +155,13 @@ def test_eta_fourth_power_matches_the_looped_factor_to_the_fourth():
 
 @pytest.mark.parametrize("N", [1, 2, 3, 9, 100, 2000])
 def test_expansion_matches_the_product_of_looped_factors(N):
-    assert list(eta_product_expansion(N).coeffs) == eta_coefficients_from_factors(N)
+    assert list(eta_product_expansion(N)) == eta_coefficients_from_factors(N)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(st.integers(min_value=1, max_value=3000))
 def test_expansion_matches_the_seven_product_chain(N):
-    assert list(eta_product_expansion(N).coeffs) == kronecker_eta_coefficients(N)
+    assert list(eta_product_expansion(N)) == kronecker_eta_coefficients(N)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 500, 501])
@@ -309,7 +301,7 @@ def _assert_hecke_eigenform(N):
     """a_1 = 1, a_even = 0, the Hecke recursion at odd prime powers,
     multiplicativity on coprime odd pairs and the Deligne bound
     |a_n| <= d(n) n^(3/2), on a_1..a_N."""
-    a = (0,) + eta_product_expansion(N).coeffs  # a[n] = a_n
+    a = (0,) + eta_product_expansion(N)  # a[n] = a_n
     assert a[1] == 1
     assert not any(a[2::2])
     for p in filter(is_prime, range(3, isqrt(N) + 1)):
@@ -333,4 +325,4 @@ def test_expansion_to_ten_thousand_is_a_hecke_eigenform():
 
 
 def test_expansion_to_the_largest_pmax_is_a_hecke_eigenform():
-    _assert_hecke_eigenform(MAX_PMAX)
+    _assert_hecke_eigenform(EXPANSION_CEILING)

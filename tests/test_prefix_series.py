@@ -16,7 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from supercong import harness
+from supercong import harness, hypergeometric
 from supercong.harness import (
     CASE_ORDER,
     QUARTER,
@@ -26,7 +26,7 @@ from supercong.harness import (
     run_suite,
     thm3_deformed_spec,
 )
-from supercong.hypergeometric import HypSum, PoleError, PrefixSums, eval_hyp_sum_series, hyp_sum
+from supercong.hypergeometric import HypSum, PoleError, PrefixSums, eval_hyp_sum_series
 
 from oracles import (
     TRUNCATION_ORDERS,
@@ -105,7 +105,7 @@ def test_random_specs_reach_every_regime():
 
 
 def test_a_pole_raises_at_the_same_truncation():
-    spec = hyp_sum([F(1, 2), (F(1, 2), F(1, 3))], [(-5, 0), (1, F(1, 4))], z=-1, K=0)
+    spec = HypSum([F(1, 2), (F(1, 2), F(1, 3))], [(-5, 0), (1, F(1, 4))], argument=-1, truncation=0)
     sums = PrefixSums.of(spec, 3)
     assert sums.at(5) == eval_hyp_sum_series(spec._replace(truncation=5), 3).coeffs
     for K in (6, 7, 40):
@@ -114,7 +114,7 @@ def test_a_pole_raises_at_the_same_truncation():
     # the refused truncations left the state where it was
     assert sums.at(3) == eval_hyp_sum_series(spec._replace(truncation=3), 3).coeffs
     # a deformed lower parameter with zero base is refused from its first factor on
-    zero_base = hyp_sum([1], [(0, 1)], z=1, K=0)
+    zero_base = HypSum([1], [(0, 1)], argument=1, truncation=0)
     sums = PrefixSums.of(zero_base, 2)
     assert sums.at(0) == eval_hyp_sum_series(zero_base, 2).coeffs
     with pytest.raises(PoleError, match="zero base"):
@@ -127,6 +127,27 @@ def test_a_truncation_is_checked_as_the_spec_checks_it(K, error):
     sums.at(1)  # a bool must not read the value made at K = 1
     with pytest.raises(error):
         sums.at(K)
+
+
+_ORDER_ENTRY_POINTS = {
+    "eval_hyp_sum_series": lambda order: eval_hyp_sum_series(eq10_series_spec(5), order),
+    "PrefixSums.of": lambda order: PrefixSums.of(eq10_series_spec(5), order),
+    "PrefixSums.of_ratio": lambda order: PrefixSums.of_ratio(_lem_thm1_ratio, order, LEM_WEIGHT),
+}
+
+
+@pytest.mark.parametrize("entry", _ORDER_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "order, error", [(-1, ValueError), (-2, ValueError), (True, TypeError), (1.0, TypeError), ("1", TypeError)]
+)
+def test_a_series_order_is_checked_before_the_term_ratio_is_built(monkeypatch, entry, order, error):
+    # order -1 and -2 once summed as order 0, and True as order 1
+    def no_ratio(*_args):
+        raise AssertionError("the term ratio was built before the order was checked")
+
+    monkeypatch.setattr(hypergeometric, "_series_ratio", no_ratio)
+    with pytest.raises(error, match="series order"):
+        _ORDER_ENTRY_POINTS[entry](order)
 
 
 def test_a_larger_truncation_splits_only_the_new_terms(monkeypatch):

@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from supercong.harness import central_sum
-from supercong.hypergeometric import HypSum, PoleError, PrefixSums, eval_hyp_sum, hyp_sum
+from supercong.hypergeometric import HypSum, PoleError, PrefixSums, eval_hyp_sum
 
 from oracles import assert_prefixes_match, assert_splits_only_the_new_terms, random_prefix_spec, record_roots
 
@@ -30,8 +30,8 @@ CENTRAL_FAMILIES = [
 
 #: The harmonic families: term k is 1/(k+1)^2 (H2) and 1/(2k+1)^2 (OH2).
 HARMONIC_FAMILIES = {
-    "H2": hyp_sum([1, 1, 1], [2, 2], 1, K=0),
-    "OH2": hyp_sum([F(1, 2), F(1, 2), 1], [F(3, 2), F(3, 2)], 1, K=0),
+    "H2": HypSum([1, 1, 1], [2, 2], 1, truncation=0),
+    "OH2": HypSum([F(1, 2), F(1, 2), 1], [F(3, 2), F(3, 2)], 1, truncation=0),
 }
 
 RANDOM_SPECS = [random_prefix_spec(random.Random(f"prefix:{i}")) for i in range(8)]
@@ -66,7 +66,7 @@ def test_random_specs_reach_every_regime():
 
 
 def test_a_pole_raises_at_the_same_truncation():
-    spec = hyp_sum([F(1, 2)], [-5], z=-1, K=0)
+    spec = HypSum([F(1, 2)], [-5], argument=-1, truncation=0)
     sums = PrefixSums.of(spec)
     assert sums.at(5) == eval_hyp_sum(spec._replace(truncation=5))
     for K in (6, 7, 40):

@@ -9,7 +9,7 @@ import pytest
 
 from supercong.exact_core import is_prime
 from supercong.harness import central_sum, thm3_deformed_spec
-from supercong.hypergeometric import _LEAF_WIDTH, HypSum, PoleError, eval_hyp_sum, hyp_sum, specialize
+from supercong.hypergeometric import _LEAF_WIDTH, HypSum, PoleError, eval_hyp_sum, specialize
 from test_hypergeometric import brute_hyp_sum
 
 
@@ -67,7 +67,7 @@ def _random_spec(rng: random.Random) -> HypSum:
             lower.append(rational())
     z = rational() if rng.random() < 0.9 else F(0)
     weight = (rational(), rational()) if rng.random() < 0.9 else (0, 0)
-    return hyp_sum(upper, lower, z=z, K=K, weight=weight)
+    return HypSum(upper, lower, argument=z, truncation=K, weight=weight)
 
 
 def test_binary_splitting_matches_term_stepping_on_random_specs():
@@ -111,12 +111,12 @@ def test_binary_splitting_matches_term_stepping_on_random_specs():
 
 def test_pole_detection_agrees_with_vanishing_lower_factors():
     for lower, K in [(0, 1), (0, 2), (-2, 3), (-5, 6)]:
-        spec = hyp_sum([F(1, 2)], [lower], z=-1, K=K)
+        spec = HypSum([F(1, 2)], [lower], argument=-1, truncation=K)
         for evaluate in (eval_hyp_sum, slow_eval_hyp_sum):
             with pytest.raises(PoleError):
                 evaluate(spec)
     # -2 is harmless while the sum stops before the factor (-2 + 2) appears
-    spec = hyp_sum([F(1, 2)], [-2], z=-1, K=2)
+    spec = HypSum([F(1, 2)], [-2], argument=-1, truncation=2)
     assert eval_hyp_sum(spec) == slow_eval_hyp_sum(spec) == brute_hyp_sum(spec)
 
 

@@ -20,7 +20,6 @@ from supercong.hypergeometric import (
     PrefixSums,
     _series_ratio,
     eval_hyp_sum_series,
-    hyp_sum,
 )
 from supercong.power_series import TruncSeries
 
@@ -103,7 +102,7 @@ def _random_spec(rng: random.Random) -> HypSum:
         lower.append((base, slope(0.6)))
     z = rational() if rng.random() < 0.9 else F(0)
     weight = (rng.randint(-6, 6), rng.randint(-3, 3))
-    return hyp_sum(upper, lower, z=z, K=K, weight=weight)
+    return HypSum(upper, lower, argument=z, truncation=K, weight=weight)
 
 
 def test_series_recurrence_matches_pochhammer_oracle_on_random_specs():
@@ -118,7 +117,7 @@ def test_series_recurrence_matches_pochhammer_oracle_on_random_specs():
         if fast is PoleError:
             poles += 1
             continue
-        assert fast.order == order
+        assert len(fast.coeffs) - 1 == order
         assert all(type(c) is F for c in fast.coeffs), spec
         deformed_lower += any(l.slope != 0 for l in spec.lower)
         upper_zeros += any(
@@ -137,12 +136,12 @@ def test_series_recurrence_matches_pochhammer_oracle_on_case_specs(p):
 
 def test_pole_detection_agrees_with_vanishing_denominators():
     for lower, K in [((0, 1), 1), ((0, 0), 2), ((-2, HALF), 3), ((-2, 0), 3)]:
-        spec = hyp_sum([HALF, (HALF, 1)], [lower], z=-1, K=K)
+        spec = HypSum([HALF, (HALF, 1)], [lower], argument=-1, truncation=K)
         for evaluate in (eval_hyp_sum_series, slow_eval_hyp_sum_series):
             with pytest.raises(PoleError):
                 evaluate(spec, 3)
     # -2 is harmless while the sum stops before the factor (-2 + 2) appears
-    spec = hyp_sum([HALF, (HALF, 1)], [(-2, HALF)], z=-1, K=2)
+    spec = HypSum([HALF, (HALF, 1)], [(-2, HALF)], argument=-1, truncation=2)
     assert eval_hyp_sum_series(spec, 3) == slow_eval_hyp_sum_series(spec, 3)
 
 
@@ -186,7 +185,7 @@ def _deformed_specs(draw):
         for _ in range(draw(st.integers(0, 3)))
     ]
     weight = (draw(st.integers(-6, 6)), draw(st.integers(-3, 3)))
-    return hyp_sum(upper, lower, z=rational(), K=K, weight=weight), order
+    return HypSum(upper, lower, argument=rational(), truncation=K, weight=weight), order
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)

@@ -16,7 +16,6 @@ from supercong.harness import run_suite, verify_congruence_case
 from supercong.modular_form import (
     EXPANSION_CEILING,
     BudgetError,
-    QExpansion,
     coefficient_at,
     eta_product_expansion,
     prime_power_coefficient,
@@ -67,7 +66,7 @@ def test_prime_power_coefficient_in_any_order(monkeypatch, eta_oracle, order):
         random.Random(9).shuffle(pairs)
     for p, r in pairs:
         assert prime_power_coefficient(p, r) == eta_oracle[p, r], (p, r)
-    assert modular_form._widest.bound == 31**2
+    assert len(modular_form._widest) == 31**2
 
 
 def test_budget_is_checked_against_the_index_not_the_widest_expansion(monkeypatch):
@@ -76,7 +75,7 @@ def test_budget_is_checked_against_the_index_not_the_widest_expansion(monkeypatc
     bound = EXPANSION_CEILING + 1000
     coeffs = [0] * bound
     coeffs[31**2 - 1] = -31**3  # a_{31^2} = a_31^2 - 31^3 with a_31 read as 0
-    wide = QExpansion(bound=bound, coeffs=tuple(coeffs))
+    wide = tuple(coeffs)
     monkeypatch.setattr(modular_form, "_widest", wide)
     with pytest.raises(BudgetError, match=f"p\\^r = 100489 exceeds the expansion ceiling {EXPANSION_CEILING}"):
         prime_power_coefficient(317, 2)  # 100489 lies inside the stand-in
@@ -96,7 +95,7 @@ def test_run_suite_expands_the_eta_product_once(monkeypatch):
     _fresh_eta(monkeypatch)
     records = run_suite(range(5, 500), cases=["THM2", "KILBOURN", "CONJ1"])
     assert eta_product_expansion.cache_info().misses == 1
-    assert modular_form._widest.bound == 499
+    assert len(modular_form._widest) == 499
     assert len(records) == 3 * len(ODD_PRIMES[1:])
     assert all(r.passed or r.conjectural for r in records)
 
@@ -105,7 +104,7 @@ def test_run_suite_expands_to_the_largest_prime_power_its_caps_allow(monkeypatch
     _fresh_eta(monkeypatch)
     run_suite(range(5, 98), rs=(1, 2), cases=["CONJ1"])
     assert eta_product_expansion.cache_info().misses == 1
-    assert modular_form._widest.bound == 19**2  # R_CAPS["CONJ1"][2] == 19
+    assert len(modular_form._widest) == 19**2  # R_CAPS["CONJ1"][2] == 19
 
 
 def test_run_suite_expansion_stays_within_the_budget(monkeypatch):
@@ -113,6 +112,6 @@ def test_run_suite_expansion_stays_within_the_budget(monkeypatch):
     _fresh_eta(monkeypatch)
     records = run_suite([5, 97, 100003], cases=["THM2"])
     assert eta_product_expansion.cache_info().misses == 1
-    assert modular_form._widest.bound == 97
+    assert len(modular_form._widest) == 97
     assert [(r.p, r.achieved == "error:BudgetError") for r in records] == [(5, False), (97, False), (100003, True)]
     assert records[0].passed and records[1].passed
