@@ -35,7 +35,7 @@ import sys
 
 from .exact_core import is_prime
 from .harness import CASE_ORDER, R_CAPS, REPORT_KEYS, VerificationRecord, report_entry, run_suite, select_cases
-from .modular_form import EXPANSION_CEILING, coefficient_at, eta_product_expansion
+from .modular_form import EXPANSION_CEILING, eta_product_expansion
 
 DEFAULT_PMIN = 5
 DEFAULT_PMAX = 97
@@ -152,12 +152,7 @@ def cmd_coeffs(args) -> int:
         print(f"error: --n {args.n} exceeds the eta expansion ceiling {EXPANSION_CEILING}", file=sys.stderr)
         return 2
     expansion = eta_product_expansion(args.n)
-    lines = []
-    for n in range(1, args.n + 1):
-        if args.primes_only and not is_prime(n):
-            continue
-        lines.append(f"{n} {coefficient_at(expansion, n)}\n")
-    text = "".join(lines)
+    text = "".join(f"{n} {a}\n" for n, a in enumerate(expansion, 1) if not args.primes_only or is_prime(n))
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -96,13 +96,19 @@ def checked_record(name: str, fields: str) -> type:
     return base
 
 
+def _check_count(n, name: str) -> None:
+    """Refuse an ``n`` that is not a nonnegative int: TypeError for a bool or
+    a non-int, ValueError for a negative int.  ``name`` names it in the message."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"the {name} must be an int, got the {type(n).__name__} {n!r}")
+    if n < 0:
+        raise ValueError(f"the {name} must be nonnegative")
+
+
 def rising_factorial(a, k: int) -> Fraction:
     """(a)_k = a(a+1)...(a+k-1), 1 for k = 0 and 0 if a factor is 0; with a = n/d
     it is the integer product n(n+d)...(n+(k-1)d) over d^k, normalised by one gcd."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise TypeError(f"the rising factorial's k must be an int, got {k!r}")
-    if k < 0:
-        raise ValueError("rising factorial needs k >= 0")
+    _check_count(k, "rising factorial's k")
     n, d = _exact(a).as_integer_ratio()
     return Fraction(prod(range(n, n + k * d, d)), d**k)
 

@@ -18,6 +18,7 @@ Congruence cases (pass iff the achieved valuation meets the bound):
   COMCONJ2     sum_{k<=m} (6k+1) c_k^3 (OH2(k) - H2(k)/16) (-1/8)^k    v >= 1   (conjectural)
                read as -[x^2] of the z = -1/8 deformation (thm3_deformed_spec)
   CAI(r)       (-1)^M binom(p^r-1, M), M=(p^r-1)/2  vs c_M^2           v >= 3
+               read as BINOM_PROD's pair at k = M, as binom(p^r-1, M) = binom(2M, M)
   BINOM_NEG(r) (-1)^k binom(M, k)      vs c_k   for 1 <= k <= M        v >= 1 each
   BINOM_POS(r) binom(M+k, k)           vs c_k   for 1 <= k <= M        v >= 1 each
   BINOM_PROD(r)(-1)^k binom(M,k) binom(M+k,k) vs c_k^2 for 1<=k<=M     v >= 2 each
@@ -41,12 +42,11 @@ reads a running series split over its term ratio that also checks each
 step once; only THMKEY and SIX_F_FIVE_COEFFS still sum their series per
 prime.  A per-k family record keeps the first k of least valuation,
 found by one search (``_weakest_k``) over a list of per-k valuations read
-mod p^N (N = ``_RESIDUE_DIGITS``).  BINOM_* step their ratio to c_k^e, and
-H2_REFLECT steps H2(j), as plain ints mod p^N whose units
-``exact_core._split_power`` splits off: a valuation below N is read off
-those ints, and a difference that vanishes in all N digits falls back to the
-exact Fraction.  The search builds only the weakest k's lhs and rhs as exact
-fractions.
+mod p^N (N = ``_RESIDUE_DIGITS``).  BINOM_* step their ratio to c_k^e, a
+p-adic unit, and H2_REFLECT steps H2(j), as plain ints mod p^N; a valuation
+below N is read off those ints by ``exact_core._split_power``, and a
+difference that vanishes in all N digits falls back to the exact Fraction.
+The search builds only the weakest k's lhs and rhs as exact fractions.
 
 Exact cases (pass iff both sides agree exactly):
 
@@ -119,7 +119,7 @@ from .hypergeometric import (
     sample_identity_params,
     specialize,
 )
-from .modular_form import EXPANSION_CEILING, prime_power_coefficient, widest_expansion
+from .modular_form import EXPANSION_CEILING, _ceiling_index, prime_power_coefficient, widest_expansion
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -321,8 +321,8 @@ def _thm1(p, r):
     return _central(4, (p**r - 1) // 2, 1, (4, 1)), Fraction(p**r)
 
 
-# THM2, KILBOURN and CONJ1 read a_{p^r} before the sum, so that an index
-# above the expansion ceiling fails before (p^r-1)/2 terms are summed.
+# THM2 and KILBOURN read a_p before the sum, so a prime past the expansion
+# ceiling fails before (p-1)/2 terms are summed; _prepare checks CONJ1's p^r.
 
 
 def _thm2(p, _param):
@@ -358,8 +358,7 @@ def _comconj2(p, _param):
 
 def _cai(p, r):
     m = (p**r - 1) // 2
-    lhs = Fraction((-1) ** m * comb(p**r - 1, m))
-    return lhs, Fraction(comb(2 * m, m), 4**m) ** 2
+    return _binom_pair((-m, m + 1), m)
 
 
 def _binom_pair(uppers, k: int) -> tuple[Fraction, Fraction]:
@@ -376,36 +375,32 @@ def _binom_valuations(p: int, m: int, uppers) -> list:
 
     With e = len(uppers), lhs_k = c_k^e w_k, where w_k = prod_{j<=k} prod_a
     (2a + 2j - 2)/(2j - 1); so v_p(lhs_k - rhs_k) = e v_p(c_k) + v_p(w_k - 1).
-    w_k is stepped on plain ints as p^v num/den, with num and den units kept
-    mod p^N, and v_p(c_k) as a counter.  A k whose w_k agrees with 1 in all N
-    digits takes its valuation from its exact pair.
+    Each a is -m or m + 1, with 2m = p^r - 1, so each factor is a unit,
+    (2j - 1 -+ p^r)/(2j - 1), as 2j - 1 = p^t u with t < r.  w_k is stepped on
+    plain ints as num/den, both units mod p^N, and v_p(c_k) as a counter.  A k
+    whose w_k agrees with 1 in all N digits takes its valuation from its exact pair.
     """
     modulus = p**_RESIDUE_DIGITS
     e = len(uppers)
     shifts = [2 * a - 2 for a in uppers]
-    vc = vw = 0  # v_p(c_k), v_p(w_k)
+    vc = 0  # v_p(c_k)
     num = den = 1
     valuations = []
     for k in range(1, m + 1):
         odd = 2 * k - 1
-        if odd % p == 0:
-            t, odd = _split_power(odd, p)
-            vc += t
-            vw -= e * t
-        if k % p == 0:
-            vc -= _split_power(k, p)[0]
         step = 1
         for s in shifts:
             step *= s + 2 * k
-        if step % p == 0:
-            t, step = _split_power(step, p)
-            vw += t
+        if odd % p == 0:
+            t, odd = _split_power(odd, p)
+            vc += t
+            step //= p ** (e * t)
+        if k % p == 0:
+            vc -= _split_power(k, p)[0]
         num = num * step % modulus
         den = den * odd**e % modulus
         gap = (num - den) % modulus
-        if vw:  # then w_k - 1 has the lesser valuation of w_k and 1
-            valuations.append(e * vc + min(vw, 0))
-        elif gap:
+        if gap:
             valuations.append(e * vc + _split_power(gap, p)[0])
         else:
             lhs, rhs = _binom_pair(uppers, k)
@@ -780,6 +775,8 @@ def _prepare(tag: str, exact: bool, p, param) -> tuple[Case, int]:
     if param not in case.domain:
         shown = ", ".join(map(str, case.domain[:3])) + (", ..." if len(case.domain) > 3 else "")
         raise ValueError(f"case {tag} takes param in {{{shown}}}, got {param}")
+    if case.r_caps is not None:
+        _ceiling_index(p, param)  # an exponent case's p^r, before any work
     return case, param
 
 
@@ -789,7 +786,8 @@ def verify_congruence_case(tag: str, p: int, param: int | None = None) -> Verifi
     congruence cases too.
 
     ``param`` is the exponent r for THM1/CONJ1/CAI/BINOM_*, the power s for
-    THMKEY (both default to 1), and 0 or None elsewhere.
+    THMKEY (both default to 1), and 0 or None elsewhere.  An exponent case
+    whose p^r exceeds EXPANSION_CEILING raises ``BudgetError`` before any work.
     """
     case, param = _prepare(tag, False, p, param)
     return _record(case, p, param, *case.compute(p, param))

@@ -51,7 +51,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .power_series import TruncSeries
-from .exact_core import _exact, checked_record, rising_factorial
+from .exact_core import _check_count, _exact, checked_record, rising_factorial
 
 
 class PoleError(ArithmeticError):
@@ -104,15 +104,6 @@ def specialize(s: HypSum, x0) -> HypSum:
         s.truncation,
         s.weight,
     )
-
-
-def _check_count(n, name: str) -> None:
-    """Refuse an ``n`` that is not a nonnegative int: TypeError for a bool or
-    a non-int, ValueError for a negative int.  ``name`` names it in the message."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"the {name} must be an int, got the {type(n).__name__} {n!r}")
-    if n < 0:
-        raise ValueError(f"the {name} must be nonnegative")
 
 
 def _check_lower_poles(lower, truncation: int) -> None:

@@ -45,11 +45,13 @@ class BudgetError(ValueError):
     """A requested coefficient index exceeds EXPANSION_CEILING."""
 
 
-def coefficient_at(e: tuple[int, ...], n: int) -> int:
-    """a_n of the expansion e = (a_1, ..., a_N), for 1 <= n <= N."""
-    if n < 1 or n > len(e):
-        raise IndexError(f"index {n} outside expansion range 1..{len(e)}")
-    return e[n - 1]
+def _ceiling_index(p: int, r: int) -> int:
+    """p^r for r >= 1, or ``BudgetError`` if it exceeds EXPANSION_CEILING."""
+    if r >= EXPANSION_CEILING.bit_length():  # p^r >= 2^r > EXPANSION_CEILING
+        index = f"{p}^{r}"
+    elif (index := p**r) <= EXPANSION_CEILING:
+        return index
+    raise BudgetError(f"p^r = {index} exceeds the expansion ceiling {EXPANSION_CEILING}")
 
 
 def _pentagonal_terms(deg: int) -> list[tuple[int, int]]:
@@ -188,13 +190,11 @@ def prime_power_coefficient(p: int, r: int) -> int:
         raise ValueError("the expansion has no odd-index structure at p = 2; p must be odd")
     if r < 1:
         raise ValueError("the exponent r must be a positive integer")
-    index = p**r
-    if index > EXPANSION_CEILING:
-        raise BudgetError(f"p^r = {index} exceeds the expansion ceiling {EXPANSION_CEILING}")
+    index = _ceiling_index(p, r)
     expansion = widest_expansion(index)
-    value = coefficient_at(expansion, index)
+    value = expansion[index - 1]
     if r == 2 and p <= _HECKE_CHECK_MAX_P:
-        ap = coefficient_at(expansion, p)
+        ap = expansion[p - 1]
         if value != ap * ap - p**3:
             raise RuntimeError(
                 f"expansion inconsistency at p = {p}: a_p2 = {value} but a_p^2 - p^3 = {ap * ap - p ** 3}"

@@ -198,6 +198,23 @@ def test_contract_report_is_pinned(tmp_path):
         )
 
 
+@pytest.mark.parametrize(
+    "flags, size, digest",
+    [
+        ([], 93514, "031d09747b0af090381921fbd0cff5b50e7483d10e1de5f143958eba88737e1f"),
+        (["--primes-only"], 14560, "26af7b62f3c44278743c22eb3f432fe2442969bd4049f3fd6f9b1cbe91ffea93"),
+    ],
+    ids=["all", "primes-only"],
+)
+def test_coeffs_output_is_pinned(tmp_path, flags, size, digest):
+    # a_1..a_10000 of the eta product, one "n a_n" line each
+    out = tmp_path / "coeffs.txt"
+    assert main(["coeffs", "--n", "10000", *flags, "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_exact_case_report_over_the_sweep_window_is_pinned(tmp_path):
     # The exact cases over the primes 5..499; the contract stops at p = 97.
     out = tmp_path / "exact.json"

@@ -38,6 +38,7 @@ from supercong.hypergeometric import (
     identity_sides,
     sample_identity_params,
 )
+from supercong.modular_form import BudgetError
 
 from oracles import (
     binom_pair,
@@ -238,12 +239,13 @@ def _searched_valuations(monkeypatch) -> list:
     return searched
 
 
-@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("r", [1, 2, 3])
 def test_every_k_of_the_binomial_search_matches_its_exact_pair(monkeypatch, r):
     # A record shows only the weakest k, so a wrong valuation at any other k
     # would hide there; here every k <= M is checked against the closed forms.
+    # r = 3 is the first exponent whose 2k - 1 carries p^2 (p = 5, k = 13).
     searched = _searched_valuations(monkeypatch)
-    for p in _primes(5, 31):
+    for p in _primes(5, 31) if r < 3 else [5, 7, 11]:
         M = (p**r - 1) // 2
         for tag in BINOM_TAGS:
             searched.clear()
@@ -832,6 +834,29 @@ def test_congruences_hold_beyond_the_suite_caps(tag, r, p):
     rec = verify_congruence_case(tag, p, r)
     assert rec.passed and rec.param == r
     assert rec.achieved >= 3 + r
+
+
+EXPONENT_TAGS = [tag for tag in CASE_ORDER if CASES[tag].r_caps is not None]
+
+
+@pytest.mark.parametrize("r", [8, 10**9])
+@pytest.mark.parametrize("tag", EXPONENT_TAGS)
+def test_an_exponent_case_past_the_ceiling_fails_before_any_work(tag, r):
+    # 5^8 = 390625 exceeds EXPANSION_CEILING: THM1 once summed 195,312 terms and
+    # CAI asked for C(5^8 - 1, M); 5^(10^9) is refused without being formed
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="exceeds the expansion ceiling 100000"):
+        verify_congruence_case(tag, 5, r)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_exponent_cases_run_up_to_the_ceiling_and_fail_past_it_in_a_suite():
+    assert EXPONENT_TAGS == ["THM1", "CONJ1", "CAI", "BINOM_NEG", "BINOM_POS", "BINOM_PROD"]
+    for tag in ("CAI", "BINOM_NEG"):
+        assert verify_congruence_case(tag, 5, 7).passed, tag  # 5^7 = 78125
+    records = run_suite([100003], cases=EXPONENT_TAGS)
+    assert [(r.case, r.achieved) for r in records] == [(tag, "error:BudgetError") for tag in EXPONENT_TAGS]
+
 
 @pytest.mark.parametrize(
     "tag, param, domain",

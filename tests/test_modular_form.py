@@ -13,7 +13,6 @@ from supercong.modular_form import (
     _eta_fourth_power,
     _pentagonal_terms,
     _poly_mul_trunc,
-    coefficient_at,
     eta_product_expansion,
     prime_power_coefficient,
 )
@@ -52,22 +51,22 @@ def test_matches_naive_expansion():
 
 def test_small_expansion_values():
     e = eta_product_expansion(9)
-    assert [coefficient_at(e, n) for n in (1, 3, 5, 7, 9)] == [1, -4, -2, 24, -11]
-    assert all(coefficient_at(e, n) == 0 for n in (2, 4, 6, 8))
+    assert [e[n - 1] for n in (1, 3, 5, 7, 9)] == [1, -4, -2, 24, -11]
+    assert all(e[n - 1] == 0 for n in (2, 4, 6, 8))
 
 
 def test_bound_one():
     e = eta_product_expansion(1)
-    assert len(e) == 1 and coefficient_at(e, 1) == 1
+    assert len(e) == 1 and e[1 - 1] == 1
     with pytest.raises(ValueError):
         eta_product_expansion(0)
 
 
 def test_even_indices_vanish():
     e = eta_product_expansion(4)
-    assert coefficient_at(e, 2) == 0 and coefficient_at(e, 4) == 0
+    assert e[2 - 1] == 0 and e[4 - 1] == 0
     e = eta_product_expansion(2000)
-    assert all(coefficient_at(e, n) == 0 for n in range(2, 2001, 2))
+    assert all(e[n - 1] == 0 for n in range(2, 2001, 2))
 
 
 def test_prefix_stability():
@@ -79,12 +78,12 @@ def test_prefix_stability():
 def test_hecke_consistency_direct():
     e = eta_product_expansion(1000)
     for p in (3, 5, 7, 11, 13):
-        assert coefficient_at(e, p * p) == coefficient_at(e, p) ** 2 - p**3
+        assert e[p * p - 1] == e[p - 1] ** 2 - p**3
 
 
 def test_multiplicativity_spot():
     e = eta_product_expansion(15)
-    assert coefficient_at(e, 15) == coefficient_at(e, 3) * coefficient_at(e, 5)
+    assert e[15 - 1] == e[3 - 1] * e[5 - 1]
 
 
 def test_prime_power_coefficient_values():
@@ -105,21 +104,13 @@ def test_prime_power_coefficient_validation():
         prime_power_coefficient(5, 0)
 
 
-def test_coefficient_at_bounds():
-    e = eta_product_expansion(9)
-    with pytest.raises(IndexError):
-        coefficient_at(e, 0)
-    with pytest.raises(IndexError):
-        coefficient_at(e, 10)
-
-
 def test_coefficients_at_prime_indices_are_nonzero():
     # a_p = 0 would make the modular congruence targets degenerate; make sure
     # the odd prime coefficients in the working range are not trivially zero
     e = eta_product_expansion(100)
     for p in range(3, 101):
         if is_prime(p):
-            assert coefficient_at(e, p) != 0
+            assert e[p - 1] != 0
 
 
 @pytest.mark.parametrize("step", [1, 2, 4])
